@@ -1,5 +1,7 @@
+import dataclasses
 import filecmp
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,21 @@ FAST_S3 = dict(
 )
 FAST_S4 = dict(sweep_min=-1.0, sweep_max=1.0, sweep_steps=5, bound_panels=48,
                rho_panels=16, panels=401)
+
+# Small-sweep outputs written by write_rows(run_scenario(cfg), path) for the
+# configs of the tests below.  A golden file changes only together with
+# evidence that the new numbers are closer to a higher-resolution run.
+GOLDEN = Path(__file__).parent / "golden"
+PROBABILITY_TOL = 1e-12
+MONEY_TOL = 1e-8
+
+
+def assert_matches_golden(rows, name, tol=MONEY_TOL):
+    """Every column of ``rows`` agrees with ``golden/<name>.csv`` within ``tol``."""
+    want = np.loadtxt(GOLDEN / f"{name}.csv", delimiter=",", skiprows=1, ndmin=2)
+    got = np.array([dataclasses.astuple(r) for r in rows])
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=tol)
 
 
 class TestConfig:
@@ -77,6 +94,10 @@ class TestSecondToDefault:
                   first.improved_upper, first.frechet_upper):
             assert v == 0.0
 
+    def test_golden(self, rows):
+        _, rows = rows
+        assert_matches_golden(rows, "second-to-default", PROBABILITY_TOL)
+
 
 class TestMaxKnown:
     def test_small_sweep(self):
@@ -92,6 +113,10 @@ class TestMaxKnown:
         assert mid.improved_upper - mid.improved_lower < 0.2 * (
             mid.frechet_upper - mid.frechet_lower
         )
+        assert_matches_golden(rows, "max-known-rho-0.7")
+        assert_matches_golden(
+            run_scenario(dataclasses.replace(cfg, rho=0.0)), "max-known-rho0"
+        )
 
 
 class TestSinglePrice:
@@ -102,6 +127,10 @@ class TestSinglePrice:
         for row in rows:
             assert row.frechet_lower <= row.improved_lower + 1e-6
             assert row.improved_upper <= row.frechet_upper + 1e-6
+        assert_matches_golden(rows, "single-price-rho-0.7")
+        assert_matches_golden(
+            run_scenario(dataclasses.replace(cfg, rho=0.0)), "single-price-rho0"
+        )
 
     def test_strike_must_be_nonnegative(self):
         cfg = ScenarioConfig(scenario="single-price", sweep_min=-5.0)
@@ -119,6 +148,7 @@ class TestLogCorrelation:
         assert lo_row.axis == -1.0 and hi_row.axis == 1.0
         assert lo_row.improved_lower == pytest.approx(lo_row.frechet_upper, abs=5e-3)
         assert hi_row.improved_upper == pytest.approx(hi_row.frechet_lower, abs=5e-3)
+        assert_matches_golden(rows, "log-correlation")
 
 
 class TestDeterminism:
