@@ -47,6 +47,7 @@ from .pricing import (
     payoff_sign,
     payoff_value,
     price,
+    price_batch,
     price_interval,
     price_under_M,
     price_under_W,
@@ -80,74 +81,3 @@ from .surfaces import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConstraintError",
-    "ConstraintSet",
-    "bounds_from_max_options",
-    "bounds_from_second_to_default",
-    "classify",
-    "constraints_from_csv",
-    "constraints_from_price_csv",
-    "lower_bound",
-    "upper_bound",
-    "LevelRangeError",
-    "MonotoneFunctional",
-    "SurfaceFunctional",
-    "bound_surfaces_for_level",
-    "invert_lower",
-    "invert_upper",
-    "value_of",
-    "Exponential",
-    "LognormalMartingale",
-    "Marginal",
-    "Tabulated",
-    "expect_on_diagonal",
-    "exponential",
-    "from_call_prices",
-    "lognormal_martingale",
-    "marginal_from_csv",
-    "tabulated",
-    "InconsistentIntervalError",
-    "PayoffSpec",
-    "PriceInterval",
-    "basket",
-    "best_off_call",
-    "best_off_put",
-    "call_on_max",
-    "call_on_min",
-    "digital_default_prices",
-    "log_product",
-    "payoff_sign",
-    "payoff_value",
-    "price",
-    "price_interval",
-    "price_under_M",
-    "price_under_W",
-    "product_xy",
-    "put_on_max",
-    "put_on_min",
-    "spread",
-    "survival_weight",
-    "worst_off_call",
-    "worst_off_put",
-    "QuadratureError",
-    "FRECHET_LOWER",
-    "FRECHET_UPPER",
-    "PRODUCT",
-    "CopulaSurface",
-    "Rectangle",
-    "ValidationReport",
-    "bivariate_normal_cdf",
-    "frechet_lower",
-    "frechet_upper",
-    "gaussian_copula",
-    "one_point_lower",
-    "one_point_upper",
-    "reflect_second",
-    "survival_value",
-    "validate_copula",
-    "validate_quasi_copula",
-    "volume",
-    "__version__",
-]

@@ -14,10 +14,15 @@ curvature measure lives on a line, so the double integral collapses to a
 one-dimensional one; the product payoff x*y is the exception (Lebesgue
 measure on the quadrant, priced by tensor quadrature).
 
-Quadrature nodes depend only on the payoff, the marginals, and the panel
+``price_batch`` is the one place the representation is evaluated; it
+prices a list of payoffs under a list of surfaces.  ``price`` and
+``price_interval`` are single-payoff views of it.  Quadrature nodes
+depend only on the payoffs priced together, the marginals, and the panel
 count, never on the copula, so prices of pointwise-ordered surfaces are
-ordered exactly as computed.  Discounting is assumed absorbed into the
-payoff; the scenario rate is zero.
+ordered exactly as computed.  One-strike payoffs priced together share
+one rule on the diagonal, split at every strike and at the kinks of the
+Frechet surfaces.  Discounting is assumed absorbed into the payoff; the
+scenario rate is zero.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ __all__ = [
     "payoff_sign",
     "survival_weight",
     "price",
+    "price_batch",
     "price_under_M",
     "price_under_W",
     "price_interval",
@@ -284,9 +290,48 @@ def _mu_segment(p: PayoffSpec, m_x: Marginal, m_y: Marginal, eps: float):
     raise ValueError(f"no one-dimensional reduction for payoff kind {k!r}")
 
 
-def price(
-    p: PayoffSpec,
-    surface: CopulaSurface,
+def _mu_terms(u, v, weights: np.ndarray, surfaces) -> np.ndarray:
+    """``weights @ G`` under each surface, G the survival weight at (u, v).
+
+    ``weights`` has one row per payoff and one column per point of the
+    flattened (u, v) grid; each surface is called once on the grid.
+    """
+    out = np.zeros((weights.shape[0], len(surfaces)))
+    if weights.size:
+        for j, surface in enumerate(surfaces):
+            out[:, j] = weights @ np.clip(1.0 - u - v + surface(u, v), 0.0, 1.0).ravel()
+    return out
+
+
+def _path_terms(payoffs, surfaces, m_x, m_y, panels, order, eps) -> np.ndarray:
+    """Curvature terms, shape ``(len(payoffs), len(surfaces))``, of payoffs
+    whose curvature measures share one path: a single payoff, or one-strike
+    payoffs on the diagonal x = y = z.
+
+    One rule covers the union of their segments, split at the strikes and
+    where the path crosses the kinks of the Frechet surfaces.  Segment ends
+    are panel edges, so each payoff's term is the exact partial sum over the
+    nodes inside its own segment.
+    """
+    segments = [_mu_segment(p, m_x, m_y, eps) for p in payoffs]
+    x_of, y_of = segments[0][2:4]
+    nonempty = [(a, b) for a, b, *_ in segments if b > a] or [(0.0, 0.0)]
+    lo = min(a for a, _ in nonempty)
+    hi = max(b for _, b in nonempty)
+    breaks = [p.strike for p in payoffs] + list(_path_crossings(m_x, m_y, x_of, y_of, lo, hi))
+    rule = interval_rule(lo, hi, panels, order, breakpoints=breaks)
+    z = rule.nodes
+    weights = np.array(
+        [sign * np.where((z > a) & (z < b), rule.weights, 0.0) for a, b, _, _, sign in segments]
+    )
+    u = m_x.cdf(np.maximum(x_of(z), 0.0))
+    v = m_y.cdf(np.maximum(y_of(z), 0.0))
+    return _mu_terms(u, v, weights, surfaces)
+
+
+def price_batch(
+    payoffs,
+    surfaces,
     m_x: Marginal,
     m_y: Marginal,
     *,
@@ -294,43 +339,52 @@ def price(
     order: int = DEFAULT_ORDER,
     eps: float = DEFAULT_EPS,
     panels_2d: int = 100,
-    extra_breakpoints=(),
-) -> float:
-    """Price through the quasi-copula-compatible representation.
+) -> np.ndarray:
+    """Prices of every payoff under every surface, shape
+    ``(len(payoffs), len(surfaces))``, through the quasi-copula-compatible
+    representation.
 
     Works for any surface (copula or quasi-copula); only pointwise values
-    of the surface enter.  ``extra_breakpoints`` adds panel splits to the
-    curvature integral (money space) so that several calls share one node
-    set.  Raises QuadratureError on boundary-integrability violations.
+    of the surfaces enter.  The payoff-only work (edge expectations,
+    curvature support, kink crossings, quadrature rule) is done once per
+    payoff, and each surface is called once per rule.  One-strike payoffs
+    (calls and puts on the minimum or maximum) share one rule on the
+    diagonal.  Raises QuadratureError on boundary-integrability violations.
     """
-    if p.kind == "log-product":
+    payoffs = list(payoffs)
+    surfaces = list(surfaces)
+    if any(p.kind == "log-product" for p in payoffs):
         raise QuadratureError(
             "log-product payoff has divergent boundary expectations E[f(X,0)]; "
             "price it only under the comonotone/countermonotone couplings"
         )
-    f00 = float(payoff_value(p, 0.0, 0.0))
-    kinks = _strike_candidates(p)
-    ex = _edge_expectation(m_x, lambda x: payoff_value(p, x, 0.0), kinks, panels, order, eps)
-    ey = _edge_expectation(m_y, lambda y: payoff_value(p, 0.0, y), kinks, panels, order, eps)
+    out = np.empty((len(payoffs), len(surfaces)))
+    diagonal = [i for i, p in enumerate(payoffs) if p.kind in _KINDS_ONE_STRIKE]
+    if diagonal:
+        out[diagonal] = _path_terms(
+            [payoffs[i] for i in diagonal], surfaces, m_x, m_y, panels, order, eps
+        )
+    for i, p in enumerate(payoffs):
+        if p.kind == "product-xy":
+            rx = interval_rule(0.0, m_x.upper_cutoff(eps), panels_2d, order)
+            ry = interval_rule(0.0, m_y.upper_cutoff(eps), panels_2d, order)
+            u = m_x.cdf(rx.nodes)[:, None]
+            v = m_y.cdf(ry.nodes)[None, :]
+            out[i] = _mu_terms(u, v, np.outer(rx.weights, ry.weights).reshape(1, -1), surfaces)[0]
+        elif p.kind not in _KINDS_ONE_STRIKE:
+            out[[i]] = _path_terms([p], surfaces, m_x, m_y, panels, order, eps)
+        # The edge expectations come after the surface calls, so that their
+        # cached unit rules are not held while functional envelopes invert.
+        kinks = _strike_candidates(p)
+        ex = _edge_expectation(m_x, lambda x: payoff_value(p, x, 0.0), kinks, panels, order, eps)
+        ey = _edge_expectation(m_y, lambda y: payoff_value(p, 0.0, y), kinks, panels, order, eps)
+        out[i] += -float(payoff_value(p, 0.0, 0.0)) + ex + ey
+    return out
 
-    if p.kind == "product-xy":
-        rx = interval_rule(0.0, m_x.upper_cutoff(eps), panels_2d, order)
-        ry = interval_rule(0.0, m_y.upper_cutoff(eps), panels_2d, order)
-        u = m_x.cdf(rx.nodes)
-        v = m_y.cdf(ry.nodes)
-        G = 1.0 - u[:, None] - v[None, :] + surface(u[:, None], v[None, :])
-        mu_term = float(rx.weights @ G @ ry.weights)
-    else:
-        lo, hi, x_of, y_of, sign = _mu_segment(p, m_x, m_y, eps)
-        if hi <= lo:
-            mu_term = 0.0
-        else:
-            breaks = list(_path_crossings(m_x, m_y, x_of, y_of, lo, hi))
-            breaks += [float(z) for z in extra_breakpoints]
-            rule = interval_rule(lo, hi, panels, order, breakpoints=breaks)
-            G = survival_weight(surface, m_x, m_y, x_of(rule.nodes), y_of(rule.nodes))
-            mu_term = sign * float(rule.weights @ G)
-    return -f00 + ex + ey + mu_term
+
+def price(p: PayoffSpec, surface: CopulaSurface, m_x: Marginal, m_y: Marginal, **quad) -> float:
+    """Price of one payoff under one surface; ``quad`` as in ``price_batch``."""
+    return float(price_batch([p], [surface], m_x, m_y, **quad)[0, 0])
 
 
 def _diag_breakpoints(p: PayoffSpec, m_x, m_y, direction: str, eps: float) -> list[float]:
@@ -419,8 +473,7 @@ def price_interval(
     For supermodular payoffs the lower surface prices the lower end; for
     submodular payoffs the surfaces swap roles.
     """
-    pl = price(p, lower_surface, m_x, m_y, **quad)
-    pu = price(p, upper_surface, m_x, m_y, **quad)
+    pl, pu = price_batch([p], [lower_surface, upper_surface], m_x, m_y, **quad)[0].tolist()
     if payoff_sign(p) >= 0:
         lo, hi = pl, pu
         s_lo, s_hi = lower_surface, upper_surface

@@ -1,16 +1,17 @@
 """Scenario computations behind the command-line driver.
 
-Each scenario builds marginals, synthesizes the "known" dependence
-information from a Gaussian-copula reference model, computes improved
-bound surfaces, and sweeps an axis emitting five curves per row: the
-unconstrained Frechet band, the improved band, and the reference model
-value.  Rows are independent computations; the five curves of one row
-share a single quadrature node set so that their ordering is exact.
+Each scenario builds its pieces once (marginals, the Gaussian-copula
+reference model that synthesizes the "known" dependence information, and
+the improved bound surfaces) and sweeps an axis emitting five curves per
+row: the unconstrained Frechet band, the improved band, and the
+reference model value.  The pricing scenarios get all five curves of a
+row from one ``pricing.price_batch`` call, so the curves share one
+quadrature node set and their ordering is exact; the payoff's concordance
+sign decides which surface prices which end of each band.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ import numpy as np
 from . import constrained, pricing
 from .functional import MonotoneFunctional, bound_surfaces_for_level
 from .marginals import exponential, lognormal_martingale
-from .quadrature import DEFAULT_ORDER, gauss_legendre_01, unit_rule
 from .surfaces import (
     FRECHET_LOWER,
     FRECHET_UPPER,
@@ -133,8 +133,6 @@ class CurveRow:
             self.improved_upper,
             self.frechet_upper,
         )
-        if any(np.isnan(v) for v in vals):
-            return True  # infeasible rows carry NaN bounds and are flagged upstream
         return all(vals[i] <= vals[i + 1] + tol for i in range(4))
 
 
@@ -198,76 +196,38 @@ def _scenario2_pieces(cfg: ScenarioConfig):
     return m_x, m_y, ref, low, up
 
 
+def _priced_rows(axes, payoffs, surfaces, m_x, m_y, panels) -> list[CurveRow]:
+    """One row per payoff from its prices under ``surfaces``, which are
+    (W, improved lower, reference, improved upper, M), pointwise increasing.
+
+    Prices of supermodular payoffs increase along that order and those of
+    submodular ones decrease, so the latter are read backwards.
+    """
+    prices = pricing.price_batch(payoffs, surfaces, m_x, m_y, panels=panels)
+    rows = []
+    for axis, payoff, row in zip(axes, payoffs, prices.tolist()):
+        if pricing.payoff_sign(payoff) < 0:
+            row = row[::-1]
+        rows.append(CurveRow(float(axis), *row))
+    return rows
+
+
 def run_max_known(cfg: ScenarioConfig) -> list[CurveRow]:
     """Spread option price bands versus strike when the whole diagonal of
     the joint CDF is pinned by max-option quotes."""
     m_x, m_y, ref, low, up = _scenario2_pieces(cfg)
-    rows = []
-    for K in sweep_grid(cfg):
-        payoff = pricing.spread(float(K))
-        quad = dict(panels=cfg.panels)
-        p_ref = pricing.price(payoff, ref, m_x, m_y, **quad)
-        improved = pricing.price_interval(payoff, low, up, m_x, m_y, **quad)
-        frechet = pricing.price_interval(payoff, FRECHET_LOWER, FRECHET_UPPER, m_x, m_y, **quad)
-        rows.append(
-            CurveRow(
-                axis=float(K),
-                frechet_lower=frechet.lower,
-                improved_lower=improved.lower,
-                reference=p_ref,
-                improved_upper=improved.upper,
-                frechet_upper=frechet.upper,
-            )
-        )
-    return rows
+    strikes = sweep_grid(cfg)
+    payoffs = [pricing.spread(float(K)) for K in strikes]
+    surfaces = (FRECHET_LOWER, low, ref, up, FRECHET_UPPER)
+    return _priced_rows(strikes, payoffs, surfaces, m_x, m_y, cfg.panels)
 
 
 # -- scenarios 3 and 4: a single functional value is known -----------------
 
 
-def _edge_call_expectation(m, strikes, panels, order=DEFAULT_ORDER) -> np.ndarray:
-    """E[(Z - K)^+] for each strike, each with its own kink breakpoint."""
-    out = np.empty(len(strikes))
-    for i, K in enumerate(strikes):
-        rule = unit_rule(panels=panels, order=order, breakpoints=(float(m.cdf(K)),))
-        out[i] = rule.integrate(lambda u: np.maximum(m.quantile(u) - K, 0.0))
-    return out
-
-
-def _diagonal_tail_integrals(surfaces, m_x, m_y, strikes, cfg):
-    """Tail integrals of G(x, x) from each strike, one shared node set.
-
-    Returns a dict surface-index -> array over strikes.  Strikes are panel
-    edges, so the tail integral from strike K_i is an exact partial sum;
-    every surface sees identical nodes, preserving pointwise order.
-    """
-    hi = min(m_x.upper_cutoff(), m_y.upper_cutoff())
-    strikes = np.asarray(strikes, dtype=float)
-    base = np.linspace(0.0, hi, cfg.bound_panels + 1)
-    edges = np.unique(np.concatenate([base, strikes[strikes < hi]]))
-    t, w = gauss_legendre_01(DEFAULT_ORDER)
-    width = np.diff(edges)
-    nodes = (edges[:-1, None] + width[:, None] * t[None, :]).ravel()
-    weights = (width[:, None] * w[None, :]).ravel()
-    u = m_x.cdf(nodes)
-    v = m_y.cdf(nodes)
-    tails = {}
-    for key, surf in surfaces.items():
-        G = np.clip(1.0 - u - v + surf(u, v), 0.0, 1.0)
-        contrib = weights * G
-        # right tail sums at every edge, then picked per strike
-        csum = np.concatenate([[0.0], np.cumsum(contrib)])
-        per_edge_idx = np.searchsorted(nodes, edges, side="left")
-        tail_at_edge = csum[-1] - csum[per_edge_idx]
-        tails[key] = np.interp(np.minimum(strikes, hi), edges, tail_at_edge) * (
-            strikes < hi
-        )
-    return tails
-
-
-def run_single_price(cfg: ScenarioConfig) -> list[CurveRow]:
-    """Max-option call price bands versus strike when only the zero-strike
-    spread price is known.
+def _scenario3_pieces(cfg: ScenarioConfig):
+    """Envelopes of the copulas that reproduce the reference model's
+    zero-strike spread price.
 
     The spread payoff decreases under the concordance order, so the
     functional machinery runs on its negative with the negated level; the
@@ -281,39 +241,27 @@ def run_single_price(cfg: ScenarioConfig) -> list[CurveRow]:
         kink=lambda x, y: x - y, panels=cfg.rho_panels,
     )
     low, up = bound_surfaces_for_level(functional, -level, theta_tol=cfg.theta_tol)
+    return m_x, m_y, ref, low, up
 
+
+def run_single_price(cfg: ScenarioConfig) -> list[CurveRow]:
+    """Max-option call price bands versus strike when only the zero-strike
+    spread price is known."""
+    m_x, m_y, ref, low, up = _scenario3_pieces(cfg)
     strikes = sweep_grid(cfg)
-    surfaces = {"W": FRECHET_LOWER, "low": low, "ref": ref, "up": up, "M": FRECHET_UPPER}
-    tails = _diagonal_tail_integrals(surfaces, m_x, m_y, strikes, cfg)
-    ex = _edge_call_expectation(m_x, strikes, cfg.panels)
-    ey = _edge_call_expectation(m_y, strikes, cfg.panels)
-
-    rows = []
-    for i, K in enumerate(strikes):
-        # call on the maximum: price = E[(X-K)^+] + E[(Y-K)^+] - tail integral
-        def px(key):
-            return float(ex[i] + ey[i] - tails[key][i])
-
-        rows.append(
-            CurveRow(
-                axis=float(K),
-                frechet_lower=px("M"),
-                improved_lower=px("up"),
-                reference=px("ref"),
-                improved_upper=px("low"),
-                frechet_upper=px("W"),
-            )
-        )
-    return rows
+    payoffs = [pricing.call_on_max(float(K)) for K in strikes]
+    surfaces = (FRECHET_LOWER, low, ref, up, FRECHET_UPPER)
+    return _priced_rows(strikes, payoffs, surfaces, m_x, m_y, cfg.bound_panels)
 
 
-def run_log_correlation(cfg: ScenarioConfig) -> list[CurveRow]:
-    """Zero-strike spread price bands versus the known log-return correlation.
+def _scenario4_pieces(cfg: ScenarioConfig):
+    """Marginals and the builder of the envelopes of the copulas with a
+    given log-return correlation.
 
-    The correlation pins E[log X log Y] through the fixed marginal moments;
-    that expectation is the constraint functional.  Rows whose implied level
-    falls outside the attainable range are flagged infeasible with NaN
-    bounds.
+    The correlation pins E[log X log Y] through the fixed marginal
+    moments; that expectation is the constraint functional.  The builder
+    raises LevelRangeError for levels outside the attainable range beyond
+    the functional's slack.
     """
     m_x, m_y = _lognormals(cfg)
     functional = MonotoneFunctional(
@@ -321,39 +269,27 @@ def run_log_correlation(cfg: ScenarioConfig) -> list[CurveRow]:
     )
     cov_scale = np.sqrt(m_x.log_var * m_y.log_var)
     mean_term = m_x.log_mean * m_y.log_mean
-    lo_r, hi_r = functional.value_countermonotone, functional.value_comonotone
-    clamp_tol = 1e-6 * max(1.0, hi_r - lo_r)
 
+    def bounds_at(rho0: float):
+        level = rho0 * cov_scale + mean_term
+        return bound_surfaces_for_level(functional, level, theta_tol=cfg.theta_tol)
+
+    return m_x, m_y, bounds_at
+
+
+def run_log_correlation(cfg: ScenarioConfig) -> list[CurveRow]:
+    """Zero-strike spread price bands versus the known log-return correlation.
+
+    Each level's envelopes are priced and dropped before the next level is
+    built, so their inversion caches do not accumulate.
+    """
+    m_x, m_y, bounds_at = _scenario4_pieces(cfg)
     payoff = pricing.spread(0.0)
-    quad = dict(panels=cfg.bound_panels)
     rows = []
     for rho0 in sweep_grid(cfg):
-        level = float(rho0) * cov_scale + mean_term
-        ref_price = pricing.price(payoff, gaussian_copula(float(rho0)), m_x, m_y, **quad)
-        p_w = pricing.price(payoff, FRECHET_LOWER, m_x, m_y, **quad)
-        p_m = pricing.price(payoff, FRECHET_UPPER, m_x, m_y, **quad)
-        if level < lo_r - clamp_tol or level > hi_r + clamp_tol:
-            print(
-                f"log-correlation: level {level:.6g} at rho0={rho0:.3g} is infeasible",
-                file=sys.stderr,
-            )
-            rows.append(CurveRow(float(rho0), p_m, np.nan, ref_price, np.nan, p_w))
-            continue
-        level = min(max(level, lo_r), hi_r)
-        low, up = bound_surfaces_for_level(functional, level, theta_tol=cfg.theta_tol)
-        p_low = pricing.price(payoff, low, m_x, m_y, **quad)
-        p_up = pricing.price(payoff, up, m_x, m_y, **quad)
-        # spread decreases in concordance: upper surface prices the lower end
-        rows.append(
-            CurveRow(
-                axis=float(rho0),
-                frechet_lower=p_m,
-                improved_lower=p_up,
-                reference=ref_price,
-                improved_upper=p_low,
-                frechet_upper=p_w,
-            )
-        )
+        low, up = bounds_at(float(rho0))
+        surfaces = (FRECHET_LOWER, low, gaussian_copula(float(rho0)), up, FRECHET_UPPER)
+        rows += _priced_rows([rho0], [payoff], surfaces, m_x, m_y, cfg.bound_panels)
     return rows
 
 
@@ -399,24 +335,11 @@ def validate_scenario_surfaces(cfg: ScenarioConfig) -> list:
         _, _, _, low, up = _scenario2_pieces(cfg)
         grid = cfg.grid_n
     elif cfg.scenario == "single-price":
-        m_x, m_y = _lognormals(cfg)
-        level = pricing.price(
-            pricing.spread(0.0), gaussian_copula(cfg.rho), m_x, m_y, panels=cfg.panels
-        )
-        functional = MonotoneFunctional(
-            lambda x, y: -np.maximum(x - y, 0.0), m_x, m_y,
-            kink=lambda x, y: x - y, panels=cfg.rho_panels,
-        )
-        low, up = bound_surfaces_for_level(functional, -level, theta_tol=cfg.theta_tol)
+        _, _, _, low, up = _scenario3_pieces(cfg)
         grid = min(cfg.grid_n, 50)
     else:
-        m_x, m_y = _lognormals(cfg)
-        functional = MonotoneFunctional(
-            lambda x, y: np.log(x) * np.log(y), m_x, m_y, panels=cfg.rho_panels
-        )
-        level = cfg.rho * np.sqrt(m_x.log_var * m_y.log_var) + m_x.log_mean * m_y.log_mean
-        level = min(max(level, functional.value_countermonotone), functional.value_comonotone)
-        low, up = bound_surfaces_for_level(functional, level, theta_tol=cfg.theta_tol)
+        _, _, bounds_at = _scenario4_pieces(cfg)
+        low, up = bounds_at(cfg.rho)
         grid = min(cfg.grid_n, 50)
     for surf in (low, up):
         rep = (

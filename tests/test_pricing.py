@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copulabounds as cb
 from copulabounds.pricing import InconsistentIntervalError
 from copulabounds.quadrature import QuadratureError
 
-from _oracles import margrabe_price, sample_gaussian_lognormals
+from _oracles import margrabe_price, random_point_set, sample_gaussian_lognormals
 
 ALL_TABLE_KINDS = [
     cb.basket(1.0, 1.0, 190.0),
@@ -265,6 +267,45 @@ class TestPriceInterval:
             cb.price_interval(
                 cb.call_on_min(100.0), cb.FRECHET_UPPER, cb.FRECHET_LOWER, mx, my
             )
+
+
+class TestPriceBatch:
+    SURFACES = (cb.FRECHET_LOWER, cb.PRODUCT, cb.gaussian_copula(0.4), cb.FRECHET_UPPER)
+
+    def assert_matches_price(self, payoffs, mx, my):
+        got = cb.price_batch(payoffs, self.SURFACES, mx, my)
+        assert got.shape == (len(payoffs), len(self.SURFACES))
+        for i, p in enumerate(payoffs):
+            for j, surf in enumerate(self.SURFACES):
+                assert got[i, j] == pytest.approx(cb.price(p, surf, mx, my), abs=1e-8)
+
+    def test_every_catalog_kind_matches_price(self, lognormal_marginals):
+        self.assert_matches_price(ALL_TABLE_KINDS + [cb.product_xy()], *lognormal_marginals)
+
+    def test_mixed_one_strike_batch_matches_price(self, lognormal_marginals):
+        # one shared diagonal rule; a strike off its panel edge shows as ~1e-2
+        payoffs = [
+            make(K)
+            for make in (cb.call_on_min, cb.put_on_min, cb.call_on_max, cb.put_on_max)
+            for K in (0.0, 80.0, 100.0, 125.0)
+        ]
+        self.assert_matches_price(payoffs, *lognormal_marginals)
+
+    def test_log_product_still_raises(self, lognormal_marginals):
+        mx, my = lognormal_marginals
+        with pytest.raises(QuadratureError):
+            cb.price_batch([cb.spread(0.0), cb.log_product()], [cb.PRODUCT], mx, my)
+
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12))
+    @settings(max_examples=8, deadline=None)
+    def test_point_set_envelopes_give_ordered_rows(self, lognormal_marginals, seed, size):
+        mx, my = lognormal_marginals
+        pts = random_point_set(np.random.default_rng(seed), size, "none")
+        surfaces = (cb.FRECHET_LOWER, cb.lower_bound(pts), cb.upper_bound(pts), cb.FRECHET_UPPER)
+        payoffs = ALL_TABLE_KINDS + [cb.call_on_max(80.0), cb.put_on_min(120.0), cb.product_xy()]
+        prices = cb.price_batch(payoffs, surfaces, mx, my, panels=200, panels_2d=40)
+        signs = np.array([cb.payoff_sign(p) for p in payoffs], dtype=float)
+        assert np.all(np.diff(signs[:, None] * prices, axis=1) >= -1e-9)
 
 
 class TestDigitalDefaults:

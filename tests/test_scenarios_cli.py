@@ -10,6 +10,7 @@ import copulabounds as cb
 from copulabounds.cli import main
 from copulabounds.scenarios import (
     ScenarioConfig,
+    _scenario4_pieces,
     check_rows,
     run_scenario,
     sweep_grid,
@@ -149,6 +150,22 @@ class TestLogCorrelation:
         assert lo_row.improved_lower == pytest.approx(lo_row.frechet_upper, abs=5e-3)
         assert hi_row.improved_upper == pytest.approx(hi_row.frechet_lower, abs=5e-3)
         assert_matches_golden(rows, "log-correlation")
+
+    @pytest.mark.parametrize(
+        "sigma_x, sigma_y, maturity",
+        [(0.05, 0.05, 1.0), (0.2, 0.3, 1.0), (1.0, 1.5, 1.0), (0.2, 0.3, 10.0),
+         (2.0, 0.1, 5.0), (0.01, 3.0, 1.0)],
+    )
+    def test_extreme_correlations_are_attainable(self, sigma_x, sigma_y, maturity):
+        # the +-1 levels fall within the functional's slack of the attainable
+        # range, so they are clamped, not rejected; the envelopes are lazy,
+        # so no inversion runs here
+        cfg = ScenarioConfig(
+            scenario="log-correlation", sigma_x=sigma_x, sigma_y=sigma_y, maturity=maturity
+        )
+        _, _, bounds_at = _scenario4_pieces(cfg)
+        for rho0 in (-1.0, 1.0):
+            bounds_at(rho0)
 
 
 class TestDeterminism:
