@@ -80,7 +80,6 @@ def build_parser() -> _Parser:
 
 
 def _parse_config_value(key: str, raw: str):
-    kind = _CONFIG_KEYS[key].type
     raw = raw.strip()
     if key == "validate":
         return raw.lower() in ("1", "true", "yes", "on")

@@ -17,11 +17,10 @@ The integrand ``f0`` must be 2-increasing (this is spot-checked); for a
 2-decreasing payoff pass its negative and negate the level, which leaves
 the constrained set of copulas unchanged.
 
-Inversion uses bisection on a monotone predicate so that flat segments
-resolve to the extreme root (largest for the lower map, smallest for the
-upper map).  Bound surfaces cache one inversion per evaluation point;
-the cache is a plain dict, safe under the usual interpreter lock, and
-evaluation points are independent so callers may parallelize.
+Inversion bisects a monotone predicate (``quadrature.bisect``) so that
+flat segments resolve to the extreme root (largest for the lower map,
+smallest for the upper map).  Each call of a bound surface inverts its
+points in one batch and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from .marginals import Marginal
 from .quadrature import (
     DEFAULT_EPS,
     QuadratureError,
+    bisect,
     gauss_legendre_01,
     mapped_nodes,
     refine_sign_changes,
@@ -41,6 +41,8 @@ from .quadrature import (
     unit_rule,
 )
 from .surfaces import (
+    FRECHET_LOWER,
+    FRECHET_UPPER,
     CopulaSurface,
     frechet_lower,
     frechet_upper,
@@ -60,7 +62,6 @@ __all__ = [
 
 _THETA_TOL = 1e-10
 _BISECT_ITERS = 36
-_KINK_PROBES = 33
 _KINK_ITERS = 50
 _SHIFT_TABLE_N = 2001
 
@@ -146,17 +147,11 @@ class _ShiftRootTable:
         self.root2 = self._bisect(func, u, d, last, has, s)
 
     def _bisect(self, func, u, d, idx, has, s):
-        rows = np.arange(s.size)
-        left = u[idx]
-        right = u[idx + 1]
-        fleft = d[rows, idx]
-        for _ in range(_KINK_ITERS):
-            mid = 0.5 * (left + right)
-            fmid = func._kink_on_path(mid, s, self.anti)
-            goleft = fleft * fmid <= 0
-            right = np.where(goleft, mid, right)
-            left = np.where(goleft, left, mid)
-            fleft = np.where(goleft, fleft, fmid)
+        sign = np.sign(d[np.arange(s.size), idx])
+        left, right = bisect(
+            lambda mid: sign * func._kink_on_path(mid, s, self.anti) > 0,
+            u[idx], u[idx + 1], _KINK_ITERS,
+        )
         return np.where(has, 0.5 * (left + right), np.nan)
 
     def __call__(self, shift):
@@ -404,16 +399,12 @@ class SurfaceFunctional:
     @property
     def value_comonotone(self) -> float:
         if self._rho_m is None:
-            from .surfaces import FRECHET_UPPER
-
             self._rho_m = float(self.fn(FRECHET_UPPER))
         return self._rho_m
 
     @property
     def value_countermonotone(self) -> float:
         if self._rho_w is None:
-            from .surfaces import FRECHET_LOWER
-
             self._rho_w = float(self.fn(FRECHET_LOWER))
         return self._rho_w
 
@@ -443,37 +434,32 @@ def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
     lo = frechet_lower(a, b)
     hi = frechet_upper(a, b)
     eps_r = functional.level_slack
+    # The lower map's copula at theta = W(a, b) is W and the upper map's at
+    # theta = M(a, b) is M; only the other bracket end needs the map.
     if side == "lower":
         fmap = functional.at_one_point_lower
-        pred = lambda th: np.asarray(fmap(a, b, th), dtype=float) <= level + eps_r
+        f_lo = functional.value_countermonotone
+        f_hi = np.asarray(fmap(a, b, hi), dtype=float)
+        # Keep map(left) <= level; converge to the rightmost root.
+        go_right = lambda th: np.asarray(fmap(a, b, th), dtype=float) <= level + eps_r
     elif side == "upper":
         fmap = functional.at_one_point_upper
-        pred = lambda th: np.asarray(fmap(a, b, th), dtype=float) >= level - eps_r
+        f_lo = np.asarray(fmap(a, b, lo), dtype=float)
+        f_hi = functional.value_comonotone
+        # Keep map(right) >= level; converge to the leftmost root.
+        go_right = lambda th: np.asarray(fmap(a, b, th), dtype=float) < level - eps_r
     else:  # pragma: no cover
         raise ValueError(side)
-    f_lo = np.asarray(fmap(a, b, lo), dtype=float)
-    f_hi = np.asarray(fmap(a, b, hi), dtype=float)
     feasible = (level >= f_lo - eps_r) & (level <= f_hi + eps_r)
     saturated = (level > f_hi + eps_r) if side == "lower" else (level < f_lo - eps_r)
 
-    left, right = lo.copy(), hi.copy()
-    for _ in range(_BISECT_ITERS):
-        if np.all(right - left <= theta_tol):
-            break
-        mid = 0.5 * (left + right)
-        ok = pred(mid)
-        if side == "lower":
-            # Keep the invariant pred(left); converge to the rightmost root.
-            left = np.where(ok, mid, left)
-            right = np.where(ok, right, mid)
-        else:
-            # Keep the invariant pred(right); converge to the leftmost root.
-            right = np.where(ok, mid, right)
-            left = np.where(ok, left, mid)
+    left, right = bisect(go_right, lo, hi, _BISECT_ITERS, theta_tol)
+    # A bracket end that moved has failed the predicate; one that never
+    # moved passes it exactly where the map at that end does.
     if side == "lower":
-        theta = np.where(np.asarray(pred(right)), right, left)
+        theta = np.where((right == hi) & (f_hi <= level + eps_r), right, left)
     else:
-        theta = np.where(np.asarray(pred(left)), left, right)
+        theta = np.where((left == lo) & (f_lo >= level - eps_r), left, right)
     theta = np.clip(theta, lo, hi)
     return theta, feasible, saturated
 
@@ -504,7 +490,9 @@ def bound_surfaces_for_level(
     At each point the upper envelope is the inverted lower map where the
     level is reachable there and the comonotone bound otherwise (dually
     for the lower envelope).  The envelopes need not be copulas, so price
-    bounds derived from them are valid but not always sharp.
+    bounds derived from them are valid but not always sharp.  Each call
+    of an envelope inverts all of its points in one batch; nothing is kept
+    between calls.
     """
     rho_w = functional.value_countermonotone
     rho_m = functional.value_comonotone
@@ -517,35 +505,10 @@ def bound_surfaces_for_level(
     level = min(max(level, rho_w), rho_m)
 
     def make(side: str) -> CopulaSurface:
-        cache: dict[tuple[float, float], float] = {}
-
         def fn(u, v):
-            uu, vv = np.broadcast_arrays(
-                np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-            )
-            shape = uu.shape
-            uu, vv = uu.ravel(), vv.ravel()
-            out = np.empty(uu.shape)
-            keys = list(zip(uu.tolist(), vv.tolist()))
-            todo = {}
-            for i, key in enumerate(keys):
-                hit = cache.get(key)
-                if hit is None:
-                    todo.setdefault(key, []).append(i)
-                else:
-                    out[i] = hit
-            if todo:
-                pts = np.asarray(list(todo.keys()), dtype=float)
-                pu, pv = pts[:, 0], pts[:, 1]
-                theta, _, saturated = _invert_batch(functional, pu, pv, level, side, theta_tol)
-                fallback = frechet_upper(pu, pv) if side == "lower" else frechet_lower(pu, pv)
-                vals = np.where(saturated, fallback, theta)
-                for key, val in zip(todo.keys(), vals.tolist()):
-                    cache[key] = val
-                    for i in todo[key]:
-                        out[i] = val
-            out = out.reshape(shape)
-            return out if out.ndim else float(out)
+            theta, _, saturated = _invert_batch(functional, u, v, level, side, theta_tol)
+            fallback = frechet_upper(u, v) if side == "lower" else frechet_lower(u, v)
+            return np.where(saturated, fallback, theta)
 
         name = "functional-upper" if side == "lower" else "functional-lower"
         return CopulaSurface(

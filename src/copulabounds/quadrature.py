@@ -25,6 +25,7 @@ __all__ = [
     "interval_rule",
     "gauss_legendre_01",
     "mapped_nodes",
+    "bisect",
     "refine_sign_changes",
     "DEFAULT_PANELS",
     "DEFAULT_ORDER",
@@ -57,10 +58,6 @@ class Rule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        vals = np.asarray(fn(self.nodes), dtype=float)
-        return float(self.weights @ vals)
 
     def integrate_checked(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
         """Integrate and raise QuadratureError on non-finite values or
@@ -177,6 +174,23 @@ def mapped_nodes(
     return nodes, weights
 
 
+def bisect(go_right, left: np.ndarray, right: np.ndarray, iters: int, tol: float = 0.0):
+    """Halve every bracket ``[left, right]`` up to ``iters`` times.
+
+    Each step keeps the right half where ``go_right(mid)`` holds and the
+    left half elsewhere; it stops early once every bracket is at most
+    ``tol`` wide.  Returns the final ``(left, right)``.
+    """
+    for _ in range(iters):
+        if np.all(right - left <= tol):
+            break
+        mid = 0.5 * (left + right)
+        ok = go_right(mid)
+        left = np.where(ok, mid, left)
+        right = np.where(ok, right, mid)
+    return left, right
+
+
 def refine_sign_changes(
     fn: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -198,13 +212,5 @@ def refine_sign_changes(
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if idx.size == 0:
         return np.empty(0)
-    a, b = grid[idx].copy(), grid[idx + 1].copy()
-    fa = vals[idx].copy()
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        fm = np.asarray(fn(mid), dtype=float)
-        left = fa * fm <= 0
-        b = np.where(left, mid, b)
-        a = np.where(left, a, mid)
-        fa = np.where(left, fa, fm)
+    a, b = bisect(lambda mid: sign[idx] * fn(mid) > 0, grid[idx], grid[idx + 1], iters)
     return 0.5 * (a + b)

@@ -99,6 +99,8 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be positive")
         if self.panels < 8 or self.bound_panels < 8 or self.rho_panels < 8:
             raise ValueError("panel counts must be at least 8")
+        if self.grid_n < 2:
+            raise ValueError("grid_n (the validation lattice size) must be at least 2")
 
 
 def sweep_bounds(cfg: ScenarioConfig) -> tuple[float, float, int]:

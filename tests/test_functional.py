@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copulabounds as cb
 from copulabounds.functional import LevelRangeError, _invert_batch
 
-from _oracles import expectation_by_disintegration
+from _oracles import TwoPointPenalty, expectation_by_disintegration, random_point_set
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +146,7 @@ class TestInversion:
     def test_flat_segments_resolve_to_extreme_roots(self):
         # penalty functional is exactly zero on a whole theta interval, the
         # classic flat case: the lower inverse must return the right end
-        pen = _TwoPointPenalty([(0.3, 0.4, 0.2), (0.7, 0.6, 0.5)])
+        pen = TwoPointPenalty([(0.3, 0.4, 0.2), (0.7, 0.6, 0.5)])
         theta = cb.invert_lower(pen, 0.5, 0.5, 0.0)
         expected = min(
             0.5,
@@ -153,54 +155,22 @@ class TestInversion:
         )
         assert theta == pytest.approx(expected, abs=1e-9)
 
-
-class _TwoPointPenalty:
-    """sum_i (C(a_i, b_i) - theta_i)^+ as a vectorized surface functional."""
-
-    def __init__(self, points):
-        self.points = points
-
-    def _on_lower(self, a, b, theta, ai, bi):
-        return np.maximum(
-            np.maximum(0.0, ai + bi - 1.0),
-            theta - np.maximum(a - ai, 0.0) - np.maximum(b - bi, 0.0),
-        )
-
-    def _on_upper(self, a, b, theta, ai, bi):
-        return np.minimum(
-            np.minimum(ai, bi),
-            theta + np.maximum(ai - a, 0.0) + np.maximum(bi - b, 0.0),
-        )
-
-    def at_one_point_lower(self, a, b, theta):
-        a, b, theta = np.broadcast_arrays(
-            np.asarray(a, float), np.asarray(b, float), np.asarray(theta, float)
-        )
-        out = np.zeros_like(theta)
-        for ai, bi, ti in self.points:
-            out += np.maximum(self._on_lower(a, b, theta, ai, bi) - ti, 0.0)
-        return out
-
-    def at_one_point_upper(self, a, b, theta):
-        a, b, theta = np.broadcast_arrays(
-            np.asarray(a, float), np.asarray(b, float), np.asarray(theta, float)
-        )
-        out = np.zeros_like(theta)
-        for ai, bi, ti in self.points:
-            out += np.maximum(self._on_upper(a, b, theta, ai, bi) - ti, 0.0)
-        return out
-
-    @property
-    def value_comonotone(self):
-        return sum(max(min(ai, bi) - ti, 0.0) for ai, bi, ti in self.points)
-
-    @property
-    def value_countermonotone(self):
-        return 0.0
-
-    @property
-    def level_slack(self):
-        return 1e-9 * max(1.0, self.value_comonotone)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 5),
+        kind=st.sampled_from(["increasing", "decreasing", "none"]),
+        a=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        b=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_zero_level_resolves_to_point_set_upper_bound(self, seed, size, kind, a, b):
+        # the penalty is zero on the whole theta interval below the point-set
+        # upper bound, so the lower inverse of level 0 must return its right end
+        points = random_point_set(np.random.default_rng(seed), size, kind)
+        pen = TwoPointPenalty(points)
+        theta = cb.invert_lower(pen, a, b, 0.0)
+        expected = float(cb.upper_bound(points)(a, b))
+        assert abs(theta - expected) <= 1e-10 + 2 * pen.level_slack
 
 
 class TestBoundSurfaces:
@@ -251,7 +221,7 @@ class TestBoundSurfaces:
         # the functional counting exceedances over two point constraints has
         # zero-level upper envelope equal to the two-point upper bound
         points = [(0.3, 0.4, 0.2), (0.7, 0.6, 0.5)]
-        pen = _TwoPointPenalty(points)
+        pen = TwoPointPenalty(points)
         _, upper = cb.bound_surfaces_for_level(pen, 0.0)
         A = cb.upper_bound(points)
         g = np.linspace(0.0, 1.0, 21)
@@ -262,7 +232,7 @@ class TestBoundSurfaces:
         # the generic surface-functional wrapper reproduces the vectorized
         # penalty on a small grid
         points = [(0.35, 0.5, 0.3)]
-        pen_fast = _TwoPointPenalty(points)
+        pen_fast = TwoPointPenalty(points)
 
         def penalty(surface):
             (a, b, t) = points[0]
@@ -285,6 +255,51 @@ class TestBoundSurfaces:
         first = upper(0.37, 0.59)
         again = upper(0.37, 0.59)
         assert first == again
+
+
+class _CountingPenalty(TwoPointPenalty):
+    """Penalty functional that counts the points its one-point maps see."""
+
+    def __init__(self, points):
+        super().__init__(points)
+        self.map_points = 0
+
+    def _count(self, a, b, theta):
+        self.map_points += np.broadcast(np.asarray(a), np.asarray(b), np.asarray(theta)).size
+
+    def at_one_point_lower(self, a, b, theta):
+        self._count(a, b, theta)
+        return super().at_one_point_lower(a, b, theta)
+
+    def at_one_point_upper(self, a, b, theta):
+        self._count(a, b, theta)
+        return super().at_one_point_upper(a, b, theta)
+
+
+class TestMapEvaluationCount:
+    # On [W, M] = [0, 0.5] the 1e-10 tolerance takes 33 bisection steps; the
+    # only other map point per inversion is the bracket end whose value is
+    # not a Frechet-bound value.
+    POINTS = [(0.3, 0.4, 0.2), (0.7, 0.6, 0.5)]
+
+    def test_scalar_inversions(self):
+        pen = _CountingPenalty(self.POINTS)
+        cb.invert_lower(pen, 0.5, 0.5, 0.0)
+        assert pen.map_points == 34
+        pen.map_points = 0
+        cb.invert_upper(pen, 0.5, 0.5, 0.1)
+        assert pen.map_points == 34
+
+    def test_envelope_call(self):
+        pen = _CountingPenalty(self.POINTS)
+        lower, upper = cb.bound_surfaces_for_level(pen, 0.0)
+        u = np.array([0.2, 0.4, 0.6, 0.8])
+        v = np.array([0.3, 0.5, 0.7, 0.9])
+        for surface in (lower, upper):
+            pen.map_points = 0
+            surface(u, v)
+            # the widest bracket, [0, 0.4] at (0.4, 0.5), takes 32 steps for all 4
+            assert pen.map_points == 4 * (1 + 32)
 
 
 class TestInvertBatchBranches:

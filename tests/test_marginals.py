@@ -164,6 +164,7 @@ class TestDiagonalExpectation:
         with pytest.raises(QuadratureError):
             cb.expect_on_diagonal(mx, my, lambda x, y: 1.0 / np.maximum(x, 1e-300))
 
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
     def test_nonfinite_integrand_reported(self, exp_marginals):
         mx, my = exp_marginals
         with pytest.raises(QuadratureError):

@@ -54,6 +54,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="sweep"):
             cfg.check()
 
+    def test_grid_n_at_least_2(self):
+        with pytest.raises(ValueError, match="grid_n"):
+            ScenarioConfig(scenario="second-to-default", grid_n=1).check()
+
     def test_default_sweeps(self):
         grid = sweep_grid(ScenarioConfig(scenario="second-to-default"))
         assert grid[0] == 0.0 and grid[-1] == 10.0 and grid.size == 101
@@ -228,6 +232,14 @@ class TestCli:
         cfgfile.write_text("scenario=second-to-default\nmaturity_steps=4\n")
         assert main(["--config", str(cfgfile), "--out", str(out), "--maturity-steps", "3"]) == 0
         assert len(out.read_text().splitlines()) == 4
+
+    def test_validate_grid_too_small_is_config_error(self, tmp_path):
+        out = tmp_path / "g.csv"
+        code = main(
+            ["--scenario", "second-to-default", "--validate", "--grid", "1", "--out", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
