@@ -8,8 +8,10 @@ Usage:
 
 A config file holds ``key=value`` lines (``#`` comments allowed) with the
 same names as the long flags (dashes or underscores); explicit flags
-override file values.  Exit codes: 0 success, 1 configuration error,
-2 numerical failure.
+override file values.  The sweep flags of each scenario's family come
+from ``scenarios.SCENARIOS``, and sweep keys of another family are
+errors wherever they are given.  Exit codes: 0 success, 1 configuration
+error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import fields
 
 from .constrained import ConstraintError
 from .functional import LevelRangeError
-from .pricing import InconsistentIntervalError
 from .quadrature import QuadratureError
 from .scenarios import (
     SCENARIOS,
@@ -37,15 +38,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
-# sweep flag family accepted per scenario
-_SWEEP_FAMILY = {
-    "second-to-default": "maturity",
-    "max-known": "strike",
-    "single-price": "strike",
-    "log-correlation": "corr",
+# sweep key named by family (e.g. strike_min) -> (family, ScenarioConfig field)
+_SWEEP_KEYS = {
+    f"{spec.family}_{end}": (spec.family, f"sweep_{end}")
+    for spec in SCENARIOS.values()
+    for end in ("min", "max", "steps")
 }
-
 _CONFIG_KEYS = {f.name: f for f in fields(ScenarioConfig)}
+_FLAG_KEYS = ("scenario", "rho", "out", "panels", "grid_n", "theta_tol", "validate",
+              *_SWEEP_KEYS)
 
 
 class UsageError(Exception):
@@ -59,17 +60,19 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     p = _Parser(prog="copulabounds", add_help=True, description=__doc__)
-    p.add_argument("--scenario", choices=SCENARIOS)
+    p.add_argument("--scenario", choices=tuple(SCENARIOS))
     p.add_argument("--rho", type=float, help="reference-model correlation")
     p.add_argument("--out", help="output CSV path (default out.csv)")
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--panels", type=int, help="pricing quadrature panels")
     p.add_argument("--grid", type=int, dest="grid_n", help="validation lattice size")
     p.add_argument("--tol", type=float, dest="theta_tol", help="bisection tolerance in theta")
-    for fam, what in (("strike", "strike"), ("maturity", "maturity"), ("corr", "correlation")):
-        p.add_argument(f"--{fam}-min", type=float, help=f"sweep start ({what} axis)")
-        p.add_argument(f"--{fam}-max", type=float, help=f"sweep end ({what} axis)")
-        p.add_argument(f"--{fam}-steps", type=int, help=f"sweep point count ({what} axis)")
+    for key, (fam, field) in _SWEEP_KEYS.items():
+        p.add_argument(
+            "--" + key.replace("_", "-"),
+            type=int if field == "sweep_steps" else float,
+            help=f"{field.replace('_', ' ')} ({fam} axis)",
+        )
     p.add_argument(
         "--validate",
         action="store_true",
@@ -81,20 +84,23 @@ def build_parser() -> _Parser:
 
 def _parse_config_value(key: str, raw: str):
     raw = raw.strip()
-    if key == "validate":
-        return raw.lower() in ("1", "true", "yes", "on")
-    if key == "constraint_maturities":
+    field = _SWEEP_KEYS[key][1] if key in _SWEEP_KEYS else key
+    kind = _CONFIG_KEYS[field].type  # the annotation, e.g. "int | None"
+    if kind == "bool":
+        if raw.lower() in ("1", "true", "yes", "on"):
+            return True
+        if raw.lower() in ("0", "false", "no", "off"):
+            return False
+        raise ValueError(f"expected true/false, got {raw!r}")
+    if kind == "tuple":
         return tuple(float(v) for v in raw.split())
-    if key in ("scenario", "out"):
+    if kind == "str":
         return raw
-    if key in ("panels", "bound_panels", "rho_panels", "grid_n", "sweep_steps",
-               "constraint_strikes"):
-        return int(raw)
-    return float(raw)
+    return int(raw) if kind.startswith("int") else float(raw)
 
 
-def load_config_file(path) -> dict:
-    """Flat key=value file mirroring the flags; unknown keys are errors."""
+def _read_config(path) -> dict:
+    """Values of a key=value file; sweep keys keep their family names."""
     out = {}
     try:
         with open(path) as fh:
@@ -109,10 +115,7 @@ def load_config_file(path) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
         key, raw = body.split("=", 1)
         key = key.strip().replace("-", "_")
-        for fam in ("strike", "maturity", "corr"):
-            if key in (f"{fam}_min", f"{fam}_max", f"{fam}_steps"):
-                key = "sweep_" + key.split("_", 1)[1]
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_KEYS and key not in _SWEEP_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             out[key] = _parse_config_value(key, raw)
@@ -121,43 +124,48 @@ def load_config_file(path) -> dict:
     return out
 
 
-def _sweep_overrides(args, scenario: str) -> dict:
-    fam = _SWEEP_FAMILY.get(scenario)
-    out = {}
-    for other in ("strike", "maturity", "corr"):
-        triple = [getattr(args, f"{other}_{suffix}") for suffix in ("min", "max", "steps")]
-        if all(v is None for v in triple):
-            continue
-        if other != fam:
-            raise UsageError(
-                f"--{other}-* flags do not apply to scenario {scenario!r} "
-                f"(its sweep axis is {fam})"
-            )
-        for suffix, val in zip(("min", "max", "steps"), triple):
-            if val is not None:
-                out[f"sweep_{suffix}"] = val
+def _config_settings(settings: dict) -> dict:
+    """ScenarioConfig keywords from ``settings``, whose sweep keys are named
+    by family; the family must be the one of the scenario in ``settings``."""
+    scenario = settings.get("scenario")
+    own = SCENARIOS[scenario].family if scenario in SCENARIOS else None
+    out = {k: v for k, v in settings.items() if k not in _SWEEP_KEYS}
+    for key, val in settings.items():
+        if key in _SWEEP_KEYS:
+            fam, field = _SWEEP_KEYS[key]
+            if fam != own:
+                raise UsageError(
+                    f"{fam} sweep settings do not apply to scenario {scenario!r} "
+                    f"(its sweep axis is {own})"
+                )
+            out[field] = val
     return out
+
+
+def load_config_file(path) -> dict:
+    """ScenarioConfig keywords from a flat key=value file mirroring the
+    flags; unknown keys and sweep keys of another scenario's family are
+    errors."""
+    return _config_settings(_read_config(path))
+
+
+def _config_from_args(args) -> ScenarioConfig:
+    """The run's configuration: the config file's values, overridden by flags."""
+    settings = _read_config(args.config) if args.config else {}
+    for key in _FLAG_KEYS:
+        val = getattr(args, key)
+        if val is not None:
+            settings[key] = val
+    if not settings.get("scenario"):
+        raise UsageError("--scenario is required (or a config file that sets it)")
+    return ScenarioConfig(**_config_settings(settings))
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        settings = {}
-        if args.config:
-            settings.update(load_config_file(args.config))
-        for key in ("scenario", "rho", "out", "panels", "grid_n", "theta_tol", "validate"):
-            val = getattr(args, key)
-            if val is not None:
-                settings[key] = val
-        if "scenario" not in settings or not settings["scenario"]:
-            raise UsageError("--scenario is required (or a config file that sets it)")
-        settings.update(_sweep_overrides(args, settings["scenario"]))
-        cfg = ScenarioConfig(**settings)
+        cfg = _config_from_args(build_parser().parse_args(argv))
         cfg.check()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, TypeError) as exc:
+    except (UsageError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -176,10 +184,10 @@ def main(argv=None) -> int:
                 failed = failed or not rep.passed
             if failed:
                 return EXIT_NUMERICAL
-    except (ConstraintError,) as exc:
+    except ConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, LevelRangeError, InconsistentIntervalError, FloatingPointError) as exc:
+    except (QuadratureError, LevelRangeError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

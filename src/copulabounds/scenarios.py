@@ -1,18 +1,23 @@
 """Scenario computations behind the command-line driver.
 
-Each scenario builds its pieces once (marginals, the Gaussian-copula
-reference model that synthesizes the "known" dependence information, and
-the improved bound surfaces) and sweeps an axis emitting five curves per
-row: the unconstrained Frechet band, the improved band, and the
-reference model value.  The pricing scenarios get all five curves of a
-row from one ``pricing.price_batch`` call, so the curves share one
-quadrature node set and their ordering is exact; the payoff's concordance
-sign decides which surface prices which end of each band.
+``SCENARIOS`` maps each scenario name to its ``Scenario`` record, the only
+place a scenario is declared: sweep-flag family, default and admissible
+sweep, pieces builder, payoff per sweep point, and whether the band holds
+functional envelopes.  A pieces builder returns ``(m_x, m_y, band)``, the
+marginals and ``band(axis) -> (improved lower, reference, improved upper)``;
+the reference is the Gaussian-copula model that synthesizes the "known"
+dependence information.  Each row holds five curves: the Frechet band, the
+improved band and the reference.  Without a payoff they are surface values
+at the sweep point's marginal probabilities; with one, the whole sweep is
+priced by one ``pricing.price_batch`` call, so the curves share one node
+set and their ordering is exact, and the payoff's concordance sign decides
+which surface prices which end of each band.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -22,8 +27,6 @@ from .marginals import exponential, lognormal_martingale
 from .surfaces import (
     FRECHET_LOWER,
     FRECHET_UPPER,
-    frechet_lower,
-    frechet_upper,
     gaussian_copula,
     validate_copula,
     validate_quasi_copula,
@@ -31,27 +34,16 @@ from .surfaces import (
 
 __all__ = [
     "SCENARIOS",
+    "Scenario",
     "ScenarioConfig",
     "CurveRow",
+    "sweep_bounds",
     "sweep_grid",
     "run_scenario",
-    "run_second_to_default",
-    "run_max_known",
-    "run_single_price",
-    "run_log_correlation",
     "write_rows",
     "check_rows",
     "validate_scenario_surfaces",
 ]
-
-SCENARIOS = ("second-to-default", "max-known", "single-price", "log-correlation")
-
-_DEFAULT_SWEEPS = {
-    "second-to-default": (0.0, 10.0, 101),
-    "max-known": (-50.0, 50.0, 101),
-    "single-price": (0.0, 200.0, 41),
-    "log-correlation": (-1.0, 1.0, 21),
-}
 
 
 @dataclass
@@ -81,19 +73,19 @@ class ScenarioConfig:
     validate: bool = False
 
     def check(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; pick one of {SCENARIOS}")
+        spec = SCENARIOS.get(self.scenario)
+        if spec is None:
+            raise ValueError(
+                f"unknown scenario {self.scenario!r}; pick one of {tuple(SCENARIOS)}"
+            )
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")
         lo, hi, steps = sweep_bounds(self)
-        if steps < 1 or hi < lo:
-            raise ValueError("sweep grid must be nonempty and sorted")
-        if self.scenario == "single-price" and lo < 0:
-            raise ValueError("single-price sweeps max-option strikes, which must be nonnegative")
-        if self.scenario == "second-to-default" and lo < 0:
-            raise ValueError("maturities must be nonnegative")
-        if self.scenario == "log-correlation" and (lo < -1 or hi > 1):
-            raise ValueError("log-return correlations must lie in [-1, 1]")
+        if steps < 1 or hi < lo or not np.isfinite([lo, hi]).all():
+            raise ValueError("sweep grid must be finite, nonempty and sorted")
+        a, b = spec.admissible
+        if lo < a or hi > b:
+            raise ValueError(f"{self.scenario} sweeps {spec.family} values in [{a:g}, {b:g}]")
         for name in ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "spot", "maturity"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -101,10 +93,14 @@ class ScenarioConfig:
             raise ValueError("panel counts must be at least 8")
         if self.grid_n < 2:
             raise ValueError("grid_n (the validation lattice size) must be at least 2")
+        if not all(0.0 <= T < np.inf for T in self.constraint_maturities):
+            raise ValueError("constraint_maturities must be finite and nonnegative")
+        if self.constraint_strikes < 0:
+            raise ValueError("constraint_strikes must be nonnegative")
 
 
 def sweep_bounds(cfg: ScenarioConfig) -> tuple[float, float, int]:
-    d_lo, d_hi, d_n = _DEFAULT_SWEEPS.get(cfg.scenario, (0.0, 1.0, 2))
+    d_lo, d_hi, d_n = SCENARIOS[cfg.scenario].default_sweep
     lo = d_lo if cfg.sweep_min is None else float(cfg.sweep_min)
     hi = d_hi if cfg.sweep_max is None else float(cfg.sweep_max)
     n = d_n if cfg.sweep_steps is None else int(cfg.sweep_steps)
@@ -138,10 +134,8 @@ class CurveRow:
         return all(vals[i] <= vals[i + 1] + tol for i in range(4))
 
 
-# -- scenario 1: digital both-default quotes at a few maturities -----------
-
-
 def _scenario1_pieces(cfg: ScenarioConfig):
+    """Both-default digital probability bands versus maturity."""
     m_x = exponential(cfg.lambda_x)
     m_y = exponential(cfg.lambda_y)
     ref = gaussian_copula(cfg.rho)
@@ -150,30 +144,7 @@ def _scenario1_pieces(cfg: ScenarioConfig):
         for T in cfg.constraint_maturities
     ]
     low, up = constrained.bounds_from_second_to_default(quotes, m_x, m_y)
-    return m_x, m_y, ref, low, up
-
-
-def run_second_to_default(cfg: ScenarioConfig) -> list[CurveRow]:
-    """Both-default digital price bands as a function of maturity."""
-    m_x, m_y, ref, low, up = _scenario1_pieces(cfg)
-    rows = []
-    for T in sweep_grid(cfg):
-        u = float(m_x.cdf(T))
-        v = float(m_y.cdf(T))
-        rows.append(
-            CurveRow(
-                axis=float(T),
-                frechet_lower=float(frechet_lower(u, v)),
-                improved_lower=float(low(u, v)),
-                reference=float(ref(u, v)),
-                improved_upper=float(up(u, v)),
-                frechet_upper=float(frechet_upper(u, v)),
-            )
-        )
-    return rows
-
-
-# -- scenario 2: full diagonal of the joint CDF known ----------------------
+    return m_x, m_y, lambda _: (low, ref, up)
 
 
 def _lognormals(cfg: ScenarioConfig):
@@ -182,54 +153,22 @@ def _lognormals(cfg: ScenarioConfig):
     return m_x, m_y
 
 
-def _constraint_strike_grid(cfg, m_x, m_y) -> np.ndarray:
-    lo = min(float(m_x.quantile(1e-4)), float(m_y.quantile(1e-4)))
-    hi = max(float(m_x.quantile(1.0 - 1e-4)), float(m_y.quantile(1.0 - 1e-4)))
-    return np.linspace(lo, hi, cfg.constraint_strikes)
-
-
 def _scenario2_pieces(cfg: ScenarioConfig):
+    """Spread option price bands versus strike when the whole diagonal of
+    the joint CDF is pinned by max-option quotes."""
     m_x, m_y = _lognormals(cfg)
     ref = gaussian_copula(cfg.rho)
     curve = lambda K: float(ref(float(m_x.cdf(K)), float(m_y.cdf(K))))
-    low, up = constrained.bounds_from_max_options(
-        curve, m_x, m_y, _constraint_strike_grid(cfg, m_x, m_y)
-    )
-    return m_x, m_y, ref, low, up
-
-
-def _priced_rows(axes, payoffs, surfaces, m_x, m_y, panels) -> list[CurveRow]:
-    """One row per payoff from its prices under ``surfaces``, which are
-    (W, improved lower, reference, improved upper, M), pointwise increasing.
-
-    Prices of supermodular payoffs increase along that order and those of
-    submodular ones decrease, so the latter are read backwards.
-    """
-    prices = pricing.price_batch(payoffs, surfaces, m_x, m_y, panels=panels)
-    rows = []
-    for axis, payoff, row in zip(axes, payoffs, prices.tolist()):
-        if pricing.payoff_sign(payoff) < 0:
-            row = row[::-1]
-        rows.append(CurveRow(float(axis), *row))
-    return rows
-
-
-def run_max_known(cfg: ScenarioConfig) -> list[CurveRow]:
-    """Spread option price bands versus strike when the whole diagonal of
-    the joint CDF is pinned by max-option quotes."""
-    m_x, m_y, ref, low, up = _scenario2_pieces(cfg)
-    strikes = sweep_grid(cfg)
-    payoffs = [pricing.spread(float(K)) for K in strikes]
-    surfaces = (FRECHET_LOWER, low, ref, up, FRECHET_UPPER)
-    return _priced_rows(strikes, payoffs, surfaces, m_x, m_y, cfg.panels)
-
-
-# -- scenarios 3 and 4: a single functional value is known -----------------
+    lo = min(float(m_x.quantile(1e-4)), float(m_y.quantile(1e-4)))
+    hi = max(float(m_x.quantile(1.0 - 1e-4)), float(m_y.quantile(1.0 - 1e-4)))
+    strikes = np.linspace(lo, hi, cfg.constraint_strikes)
+    low, up = constrained.bounds_from_max_options(curve, m_x, m_y, strikes)
+    return m_x, m_y, lambda _: (low, ref, up)
 
 
 def _scenario3_pieces(cfg: ScenarioConfig):
-    """Envelopes of the copulas that reproduce the reference model's
-    zero-strike spread price.
+    """Max-option call price bands versus strike when only the reference
+    model's zero-strike spread price is known.
 
     The spread payoff decreases under the concordance order, so the
     functional machinery runs on its negative with the negated level; the
@@ -243,25 +182,16 @@ def _scenario3_pieces(cfg: ScenarioConfig):
         kink=lambda x, y: x - y, panels=cfg.rho_panels,
     )
     low, up = bound_surfaces_for_level(functional, -level, theta_tol=cfg.theta_tol)
-    return m_x, m_y, ref, low, up
-
-
-def run_single_price(cfg: ScenarioConfig) -> list[CurveRow]:
-    """Max-option call price bands versus strike when only the zero-strike
-    spread price is known."""
-    m_x, m_y, ref, low, up = _scenario3_pieces(cfg)
-    strikes = sweep_grid(cfg)
-    payoffs = [pricing.call_on_max(float(K)) for K in strikes]
-    surfaces = (FRECHET_LOWER, low, ref, up, FRECHET_UPPER)
-    return _priced_rows(strikes, payoffs, surfaces, m_x, m_y, cfg.bound_panels)
+    return m_x, m_y, lambda _: (low, ref, up)
 
 
 def _scenario4_pieces(cfg: ScenarioConfig):
-    """Marginals and the builder of the envelopes of the copulas with a
-    given log-return correlation.
+    """Zero-strike spread price bands versus the known log-return
+    correlation, whose reference is the Gaussian copula of that
+    correlation.
 
     The correlation pins E[log X log Y] through the fixed marginal
-    moments; that expectation is the constraint functional.  The builder
+    moments; that expectation is the constraint functional.  The band
     raises LevelRangeError for levels outside the attainable range beyond
     the functional's slack.
     """
@@ -272,50 +202,86 @@ def _scenario4_pieces(cfg: ScenarioConfig):
     cov_scale = np.sqrt(m_x.log_var * m_y.log_var)
     mean_term = m_x.log_mean * m_y.log_mean
 
-    def bounds_at(rho0: float):
+    def band(rho0: float):
         level = rho0 * cov_scale + mean_term
-        return bound_surfaces_for_level(functional, level, theta_tol=cfg.theta_tol)
+        low, up = bound_surfaces_for_level(functional, level, theta_tol=cfg.theta_tol)
+        return low, gaussian_copula(rho0), up
 
-    return m_x, m_y, bounds_at
-
-
-def run_log_correlation(cfg: ScenarioConfig) -> list[CurveRow]:
-    """Zero-strike spread price bands versus the known log-return correlation.
-
-    Each level's envelopes are priced and dropped before the next level is
-    built, so their inversion caches do not accumulate.
-    """
-    m_x, m_y, bounds_at = _scenario4_pieces(cfg)
-    payoff = pricing.spread(0.0)
-    rows = []
-    for rho0 in sweep_grid(cfg):
-        low, up = bounds_at(float(rho0))
-        surfaces = (FRECHET_LOWER, low, gaussian_copula(float(rho0)), up, FRECHET_UPPER)
-        rows += _priced_rows([rho0], [payoff], surfaces, m_x, m_y, cfg.bound_panels)
-    return rows
+    return m_x, m_y, band
 
 
-_RUNNERS = {
-    "second-to-default": run_second_to_default,
-    "max-known": run_max_known,
-    "single-price": run_single_price,
-    "log-correlation": run_log_correlation,
+@dataclass(frozen=True)
+class Scenario:
+    """One CLI scenario.  ``family`` names the sweep flags
+    (``--{family}-min/-max/-steps``); ``admissible`` is the closed range of
+    the sweep points.  ``payoff=None`` makes the curves surface values
+    (probabilities).  Functional envelopes invert one bisection per point,
+    so a band of them is priced at ``bound_panels`` and validated on a
+    capped lattice."""
+
+    family: str
+    default_sweep: tuple[float, float, int]
+    admissible: tuple[float, float]
+    pieces: Callable[[ScenarioConfig], tuple]
+    payoff: Callable[[float], pricing.PayoffSpec] | None
+    functional_envelopes: bool
+
+
+SCENARIOS = {
+    "second-to-default": Scenario(
+        "maturity", (0.0, 10.0, 101), (0.0, np.inf), _scenario1_pieces, None, False
+    ),
+    "max-known": Scenario(
+        "strike", (-50.0, 50.0, 101), (-np.inf, np.inf), _scenario2_pieces,
+        pricing.spread, False,
+    ),
+    "single-price": Scenario(
+        "strike", (0.0, 200.0, 41), (0.0, np.inf), _scenario3_pieces,
+        pricing.call_on_max, True,
+    ),
+    "log-correlation": Scenario(
+        "corr", (-1.0, 1.0, 21), (-1.0, 1.0), _scenario4_pieces,
+        lambda _: pricing.spread(0.0), True,
+    ),
 }
 
 
 def run_scenario(cfg: ScenarioConfig) -> list[CurveRow]:
+    """One row per sweep point, each with the curves
+    (W, improved lower, reference, improved upper, M) in increasing order."""
     cfg.check()
-    return _RUNNERS[cfg.scenario](cfg)
-
-
-def row_tolerance(cfg: ScenarioConfig) -> float:
-    # probability-valued curves in scenario 1, money-valued elsewhere
-    return 1e-9 if cfg.scenario == "second-to-default" else 1e-6
+    spec = SCENARIOS[cfg.scenario]
+    m_x, m_y, band = spec.pieces(cfg)
+    axes = [float(a) for a in sweep_grid(cfg)]
+    surfaces = [(FRECHET_LOWER, *band(a), FRECHET_UPPER) for a in axes]
+    rows = []
+    if spec.payoff is None:
+        for a, row in zip(axes, surfaces):
+            u, v = float(m_x.cdf(a)), float(m_y.cdf(a))
+            rows.append(CurveRow(a, *(float(s(u, v)) for s in row)))
+        return rows
+    # Surfaces hold arrays and do not hash, so they are told apart by identity.
+    payoffs = [spec.payoff(a) for a in axes]
+    payoff_col = {p: i for i, p in enumerate(dict.fromkeys(payoffs))}
+    distinct = {id(s): s for row in surfaces for s in row}
+    surface_col = {key: j for j, key in enumerate(distinct)}
+    prices = pricing.price_batch(
+        list(payoff_col), list(distinct.values()), m_x, m_y,
+        panels=cfg.bound_panels if spec.functional_envelopes else cfg.panels,
+    )
+    for a, p, row in zip(axes, payoffs, surfaces):
+        values = [float(prices[payoff_col[p], surface_col[id(s)]]) for s in row]
+        # prices of submodular payoffs decrease along the surface order
+        if pricing.payoff_sign(p) < 0:
+            values.reverse()
+        rows.append(CurveRow(a, *values))
+    return rows
 
 
 def check_rows(cfg: ScenarioConfig, rows: list[CurveRow]) -> list[str]:
-    """Ordering violations among the five curves, one message per bad row."""
-    tol = row_tolerance(cfg)
+    """Ordering violations among the five curves, one message per bad row;
+    the slack is 1e-9 for probabilities and 1e-6 for money."""
+    tol = 1e-9 if SCENARIOS[cfg.scenario].payoff is None else 1e-6
     return [
         f"row ordering violated at axis={row.axis!r} within {tol}"
         for row in rows
@@ -324,51 +290,24 @@ def check_rows(cfg: ScenarioConfig, rows: list[CurveRow]) -> list[str]:
 
 
 def validate_scenario_surfaces(cfg: ScenarioConfig) -> list:
-    """Grid validation reports for the scenario's bound surfaces.
+    """Grid validation reports for the improved band at ``cfg.rho``.
 
-    Functional bound surfaces invert one bisection per lattice node, so
-    they are checked on a capped lattice to stay interactive.
+    Functional envelopes invert one bisection per lattice node, so they
+    are checked on a lattice capped at 50 to stay interactive.
     """
-    reports = []
-    if cfg.scenario == "second-to-default":
-        _, _, _, low, up = _scenario1_pieces(cfg)
-        grid = cfg.grid_n
-    elif cfg.scenario == "max-known":
-        _, _, _, low, up = _scenario2_pieces(cfg)
-        grid = cfg.grid_n
-    elif cfg.scenario == "single-price":
-        _, _, _, low, up = _scenario3_pieces(cfg)
-        grid = min(cfg.grid_n, 50)
-    else:
-        _, _, bounds_at = _scenario4_pieces(cfg)
-        low, up = bounds_at(cfg.rho)
-        grid = min(cfg.grid_n, 50)
-    for surf in (low, up):
-        rep = (
-            validate_copula(surf, grid_n=grid)
-            if surf.is_copula
-            else validate_quasi_copula(surf, grid_n=grid)
-        )
-        reports.append(rep)
-    return reports
+    spec = SCENARIOS[cfg.scenario]
+    low, _, up = spec.pieces(cfg)[2](cfg.rho)
+    grid = min(cfg.grid_n, 50) if spec.functional_envelopes else cfg.grid_n
+    return [
+        (validate_copula if s.is_copula else validate_quasi_copula)(s, grid_n=grid)
+        for s in (low, up)
+    ]
 
 
 def write_rows(rows: list[CurveRow], path) -> None:
     """Write sweep rows as CSV; numeric-only, deterministic formatting."""
+    names = [f.name for f in fields(CurveRow)]
     with open(path, "w", newline="") as fh:
-        fh.write("axis,frechet_lower,improved_lower,reference,improved_upper,frechet_upper\n")
+        fh.write(",".join(names) + "\n")
         for r in rows:
-            fh.write(
-                ",".join(
-                    repr(float(v))
-                    for v in (
-                        r.axis,
-                        r.frechet_lower,
-                        r.improved_lower,
-                        r.reference,
-                        r.improved_upper,
-                        r.frechet_upper,
-                    )
-                )
-                + "\n"
-            )
+            fh.write(",".join(repr(float(getattr(r, n))) for n in names) + "\n")

@@ -1,12 +1,14 @@
 import dataclasses
 import filecmp
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import copulabounds as cb
+from copulabounds import cli, pricing
 from copulabounds.cli import main
 from copulabounds.scenarios import (
     ScenarioConfig,
@@ -23,11 +25,24 @@ FAST_S3 = dict(
 )
 FAST_S4 = dict(sweep_min=-1.0, sweep_max=1.0, sweep_steps=5, bound_panels=48,
                rho_panels=16, panels=401)
+# each scenario's sweep-flag family
+SWEEP_FAMILY = {"second-to-default": "maturity", "max-known": "strike",
+                "single-price": "strike", "log-correlation": "corr"}
+# small sweeps of each scenario, as config-file settings
+SMALL_RUNS = {
+    "second-to-default": dict(rho=0.0, sweep_steps=5),
+    "max-known": dict(rho=-0.7, sweep_min=-10.0, sweep_max=10.0, sweep_steps=3,
+                      panels=401, constraint_strikes=100),
+    "single-price": dict(rho=-0.7, **FAST_S3),
+    "log-correlation": FAST_S4,
+}
+
 
 # Small-sweep outputs written by write_rows(run_scenario(cfg), path) for the
 # configs of the tests below.  A golden file changes only together with
 # evidence that the new numbers are closer to a higher-resolution run.
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 PROBABILITY_TOL = 1e-12
 MONEY_TOL = 1e-8
 
@@ -260,15 +275,81 @@ class TestCli:
         code = main(["--scenario", "second-to-default", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    def test_validate_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scenario", list(SWEEP_FAMILY))
+    def test_validate_flag(self, tmp_path, capsys, scenario):
         out = tmp_path / "v.csv"
-        code = main(
-            [
-                "--scenario", "second-to-default", "--rho", "0",
-                "--maturity-steps", "5", "--grid", "60",
-                "--out", str(out), "--validate",
-            ]
-        )
+        cfgfile = tmp_path / "v.cfg"
+        settings = dict(scenario=scenario, **SMALL_RUNS[scenario])
+        cfgfile.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        code = main(["--config", str(cfgfile), "--grid", "10", "--out", str(out), "--validate"])
         assert code == 0
         err = capsys.readouterr().err
         assert "quasi-copula check" in err or "copula check" in err
+        # one report block per improved surface
+        assert err.count("check on 11x11 grid: pass") == 2
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("scenario", list(SWEEP_FAMILY))
+    def test_sweep_keys_of_another_family(self, tmp_path, scenario, where):
+        fam = next(f for f in ("strike", "maturity", "corr") if f != SWEEP_FAMILY[scenario])
+        out = tmp_path / "f.csv"
+        cfgfile = tmp_path / "run.cfg"
+        argv = ["--config", str(cfgfile), "--out", str(out)]
+        if where == "flag":
+            cfgfile.write_text(f"scenario={scenario}\n")
+            argv += [f"--{fam}-min", "1", f"--{fam}-max", "2", f"--{fam}-steps", "3"]
+        else:
+            cfgfile.write_text(
+                f"scenario={scenario}\n{fam}_min=1\n{fam}_max=2\n{fam}_steps=3\n"
+            )
+        assert main(argv) == 1
+        assert not out.exists()
+
+    def test_file_sweep_keys_follow_the_flag_scenario(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("scenario=max-known\nstrike_min=1\nstrike_steps=3\n")
+        assert main(["--config", str(cfgfile), "--scenario", "second-to-default"]) == 1
+        cfgfile.write_text("scenario=second-to-default\nstrike_min=1\nstrike_steps=3\n")
+        args = cli.build_parser().parse_args(["--config", str(cfgfile), "--scenario", "max-known"])
+        cfg = cli._config_from_args(args)
+        assert (cfg.scenario, cfg.sweep_min, cfg.sweep_steps) == ("max-known", 1.0, 3)
+
+    @pytest.mark.parametrize(
+        "scenario, line",
+        [
+            ("second-to-default", "constraint_maturities=-1 2"),
+            ("max-known", "constraint_strikes=-1"),
+            ("second-to-default", "validate=maybe"),
+            ("second-to-default", "sweep_min=nan"),
+        ],
+    )
+    def test_bad_config_values_are_config_errors(self, tmp_path, capsys, scenario, line):
+        out = tmp_path / "c.csv"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"scenario={scenario}\nsweep_steps=3\npanels=101\n{line}\n")
+        assert main(["--config", str(cfgfile), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_examples_are_valid(self):
+        # every CLI example of the README parses and configures a valid run
+        block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("copulabounds ")]
+        assert lines
+        for line in lines:
+            args = cli.build_parser().parse_args(shlex.split(line)[1:])
+            cli._config_from_args(args).check()
+
+
+def test_log_correlation_sweep_prices_in_one_batch(monkeypatch):
+    calls = []
+    price_batch = pricing.price_batch
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return price_batch(*args, **kwargs)
+
+    monkeypatch.setattr(pricing, "price_batch", counting)
+    rows = run_scenario(ScenarioConfig(scenario="log-correlation", **FAST_S4))
+    assert len(rows) == 5
+    assert len(calls) == 1
