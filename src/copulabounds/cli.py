@@ -66,7 +66,10 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--panels", type=int, help="pricing quadrature panels")
     p.add_argument("--grid", type=int, dest="grid_n", help="validation lattice size")
-    p.add_argument("--tol", type=float, dest="theta_tol", help="bisection tolerance in theta")
+    p.add_argument(
+        "--tol", type=float, dest="theta_tol",
+        help="absolute theta tolerance of the functional inversion (at least 1e-15)",
+    )
     for key, (fam, field) in _SWEEP_KEYS.items():
         p.add_argument(
             "--" + key.replace("_", "-"),

@@ -17,10 +17,14 @@ The integrand ``f0`` must be 2-increasing (this is spot-checked); for a
 2-decreasing payoff pass its negative and negate the level, which leaves
 the constrained set of copulas unchanged.
 
-Inversion bisects a monotone predicate (``quadrature.bisect``) so that
-flat segments resolve to the extreme root (largest for the lower map,
-smallest for the upper map).  Each call of a bound surface inverts its
-points in one batch and keeps nothing between calls.
+Inversion shrinks a bracket on the Frechet interval of each point onto
+the edge of a monotone predicate (``quadrature.solve_brackets``, ITP
+steps), so that flat segments resolve to the extreme root (largest for
+the lower map, smallest for the upper map).  A point whose level is out
+of reach is decided from the map at one bracket end and costs one map
+evaluation.  Each call of a bound surface inverts its points in one batch,
+every point stopping at its own tolerance, and keeps nothing between
+calls.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from .marginals import Marginal
 from .quadrature import (
     DEFAULT_EPS,
     QuadratureError,
-    bisect,
     gauss_legendre_01,
     mapped_nodes,
+    refine_roots,
     refine_sign_changes,
+    solve_brackets,
     unit_panel_edges,
     unit_rule,
 )
@@ -61,8 +66,8 @@ __all__ = [
 ]
 
 _THETA_TOL = 1e-10
-_BISECT_ITERS = 36
-_KINK_ITERS = 50
+# theta lies in [0, 1], where doubles are about 2e-16 apart.
+_THETA_TOL_MIN = 1e-15
 _SHIFT_TABLE_N = 2001
 
 
@@ -142,17 +147,19 @@ class _ShiftRootTable:
         # last bracket of each row (identical when there is one root).
         first = np.argmax(change, axis=1)
         last = change.shape[1] - 1 - np.argmax(change[:, ::-1], axis=1)
-        has = change.any(axis=1)
-        self.root1 = self._bisect(func, u, d, first, has, s)
-        self.root2 = self._bisect(func, u, d, last, has, s)
+        rows = np.flatnonzero(change.any(axis=1))
+        self.root1 = self._refine(func, u, d, rows, first[rows], s)
+        self.root2 = self._refine(func, u, d, rows, last[rows], s)
 
-    def _bisect(self, func, u, d, idx, has, s):
-        sign = np.sign(d[np.arange(s.size), idx])
-        left, right = bisect(
-            lambda mid: sign * func._kink_on_path(mid, s, self.anti) > 0,
-            u[idx], u[idx + 1], _KINK_ITERS,
+    def _refine(self, func, u, d, rows, idx, s):
+        """Kink root in probe bracket ``idx`` of each shift row in ``rows``;
+        NaN for the rows without a sign change."""
+        root = np.full(s.size, np.nan)
+        root[rows] = refine_roots(
+            lambda x, i: func._kink_on_path(x, s[rows[i]], self.anti),
+            u[idx], u[idx + 1], d[rows, idx], d[rows, idx + 1],
         )
-        return np.where(has, 0.5 * (left + right), np.nan)
+        return root
 
     def __call__(self, shift):
         shift = np.asarray(shift, dtype=float)
@@ -416,8 +423,17 @@ class SurfaceFunctional:
         return float(self.fn(surface))
 
 
+def check_theta_tol(theta_tol) -> None:
+    """Raise ValueError unless ``theta_tol`` is a finite tolerance the
+    inversion can reach: at least 1e-15, a few ulps of theta <= 1."""
+    if not (np.isfinite(theta_tol) and theta_tol >= _THETA_TOL_MIN):
+        raise ValueError(
+            f"theta_tol must be finite and at least {_THETA_TOL_MIN:g}, got {theta_tol!r}"
+        )
+
+
 def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
-    """Vectorized extreme-root bisection of the one-point maps.
+    """Vectorized extreme-root inversion of the one-point maps.
 
     side='lower': largest theta with map_lower(theta) = level.
     side='upper': smallest theta with map_upper(theta) = level.
@@ -425,7 +441,9 @@ def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
     Returns ``(theta, feasible, saturated)``.  ``feasible`` is the full
     bracket check for the scalar API; ``saturated`` marks points where
     the level exceeds what the map can reach there (the envelope falls
-    back to the matching Frechet bound at those points).
+    back to the matching Frechet bound at those points).  Each point costs
+    one map evaluation at a bracket end, plus the steps of its own bracket
+    when the level is inside the map's range there.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -440,33 +458,31 @@ def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
         fmap = functional.at_one_point_lower
         f_lo = functional.value_countermonotone
         f_hi = np.asarray(fmap(a, b, hi), dtype=float)
-        # Keep map(left) <= level; converge to the rightmost root.
-        go_right = lambda th: np.asarray(fmap(a, b, th), dtype=float) <= level + eps_r
+        # map <= level + slack holds left of the rightmost root.
+        target = level + eps_r
     elif side == "upper":
         fmap = functional.at_one_point_upper
         f_lo = np.asarray(fmap(a, b, lo), dtype=float)
         f_hi = functional.value_comonotone
-        # Keep map(right) >= level; converge to the leftmost root.
-        go_right = lambda th: np.asarray(fmap(a, b, th), dtype=float) < level - eps_r
+        # map < level - slack holds left of the leftmost root.
+        target = level - eps_r
     else:  # pragma: no cover
         raise ValueError(side)
     feasible = (level >= f_lo - eps_r) & (level <= f_hi + eps_r)
     saturated = (level > f_hi + eps_r) if side == "lower" else (level < f_lo - eps_r)
 
-    left, right = bisect(go_right, lo, hi, _BISECT_ITERS, theta_tol)
-    # A bracket end that moved has failed the predicate; one that never
-    # moved passes it exactly where the map at that end does.
-    if side == "lower":
-        theta = np.where((right == hi) & (f_hi <= level + eps_r), right, left)
-    else:
-        theta = np.where((left == lo) & (f_lo >= level - eps_r), left, right)
-    theta = np.clip(theta, lo, hi)
-    return theta, feasible, saturated
+    a_flat, b_flat, t_flat = a.ravel(), b.ravel(), np.ravel(target)
+    left, right = solve_brackets(
+        lambda th, i: np.asarray(fmap(a_flat[i], b_flat[i], th), dtype=float) - t_flat[i],
+        lo, hi, f_lo - target, f_hi - target, theta_tol, strict=side == "upper",
+    )
+    return (left if side == "lower" else right), feasible, saturated
 
 
 def invert_lower(functional, a: float, b: float, level: float, theta_tol: float = _THETA_TOL) -> float:
     """Largest theta in the Frechet interval at (a, b) whose smallest-copula
     functional value equals ``level``; flat segments give the right end."""
+    check_theta_tol(theta_tol)
     theta, feasible, _ = _invert_batch(functional, a, b, level, "lower", theta_tol)
     if not bool(np.all(feasible)):
         raise LevelRangeError(f"level {level} unattainable by the lower map at ({a}, {b})")
@@ -475,6 +491,7 @@ def invert_lower(functional, a: float, b: float, level: float, theta_tol: float 
 
 def invert_upper(functional, a: float, b: float, level: float, theta_tol: float = _THETA_TOL) -> float:
     """Smallest theta whose largest-copula functional value equals ``level``."""
+    check_theta_tol(theta_tol)
     theta, feasible, _ = _invert_batch(functional, a, b, level, "upper", theta_tol)
     if not bool(np.all(feasible)):
         raise LevelRangeError(f"level {level} unattainable by the upper map at ({a}, {b})")
@@ -492,8 +509,10 @@ def bound_surfaces_for_level(
     for the lower envelope).  The envelopes need not be copulas, so price
     bounds derived from them are valid but not always sharp.  Each call
     of an envelope inverts all of its points in one batch; nothing is kept
-    between calls.
+    between calls.  Raises ValueError for a ``theta_tol`` that is not
+    finite or below 1e-15.
     """
+    check_theta_tol(theta_tol)
     rho_w = functional.value_countermonotone
     rho_m = functional.value_comonotone
     eps_r = functional.level_slack

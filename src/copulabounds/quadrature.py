@@ -25,7 +25,8 @@ __all__ = [
     "interval_rule",
     "gauss_legendre_01",
     "mapped_nodes",
-    "bisect",
+    "solve_brackets",
+    "refine_roots",
     "refine_sign_changes",
     "DEFAULT_PANELS",
     "DEFAULT_ORDER",
@@ -174,21 +175,97 @@ def mapped_nodes(
     return nodes, weights
 
 
-def bisect(go_right, left: np.ndarray, right: np.ndarray, iters: int, tol: float = 0.0):
-    """Halve every bracket ``[left, right]`` up to ``iters`` times.
+# ITP constants (Oliveira & Takahashi, ACM TOMS 2020): kappa1 = _ITP_K1 / w0
+# for a bracket of starting width w0, kappa2 = 2, n0 = 1.  Over kappa1 w0 in
+# {0.05, 0.1, 0.2, 0.4, 0.8} and n0 in {0, 1, 2}, no setting took more than
+# 5% fewer map evaluations in the functional inversions of the single-price
+# and log-correlation sweeps; n0 = 1 allows one evaluation more than halving.
+_ITP_K1 = 0.2
+_ITP_N0 = 1
+# Brackets within a few ulps of their ends' magnitude cannot shrink further.
+_ULPS = 4
+# Sign-change roots are refined to this fraction of their bracket's width.
+_ROOT_REL_TOL = 2.0**-40
 
-    Each step keeps the right half where ``go_right(mid)`` holds and the
-    left half elsewhere; it stops early once every bracket is at most
-    ``tol`` wide.  Returns the final ``(left, right)``.
+
+def solve_brackets(g, left, right, g_left, g_right, tol, strict: bool = False):
+    """Shrink each bracket ``[left, right]`` onto the edge of the set where
+    ``g(x) <= 0`` holds (``g(x) < 0`` when ``strict``).
+
+    The predicate must hold on a left part of each bracket and fail on the
+    rest; ``g_left`` and ``g_right`` are ``g`` at the ends.  Brackets are
+    decided from their end values first, at no cost: one whose predicate
+    holds at its right end collapses onto that end, and one whose predicate
+    fails at its left end collapses onto that end.  Every other bracket
+    takes ITP steps until it is at most ``tol`` plus 4 ulps of its ends
+    wide, which takes at most ``ceil(log2(w0 / tol)) + 1`` evaluations for a
+    starting width ``w0``.  ``g(x, idx)`` evaluates ``g`` at one point ``x``
+    of each unconverged bracket ``idx`` (flat indices into the broadcast
+    inputs), so each bracket stops on its own.
+
+    Returns the final ``(left, right)`` in the broadcast shape; the predicate
+    holds at ``left`` and fails at ``right`` unless the two are equal.
     """
-    for _ in range(iters):
-        if np.all(right - left <= tol):
-            break
-        mid = 0.5 * (left + right)
-        ok = go_right(mid)
-        left = np.where(ok, mid, left)
-        right = np.where(ok, right, mid)
-    return left, right
+    arrays = np.broadcast_arrays(left, right, g_left, g_right, tol)
+    shape = arrays[0].shape
+    left, right, g_left, g_right, tol = (np.array(x, dtype=float).ravel() for x in arrays)
+    holds = (lambda y: y < 0) if strict else (lambda y: y <= 0)
+    at_right = holds(g_right)
+    at_left = ~holds(g_left) & ~at_right
+    left[at_right] = right[at_right]
+    right[at_left] = left[at_left]
+    stop = tol + _ULPS * np.spacing(np.maximum(np.abs(left), np.abs(right)))
+
+    idx = np.flatnonzero(right - left > stop)
+    a, b, ya, yb = left[idx], right[idx], g_left[idx], g_right[idx]
+    tol, stop = tol[idx], stop[idx]
+    k1 = _ITP_K1 / (b - a)
+    n_max = np.ceil(np.log2((b - a) / tol)) + _ITP_N0
+    step = 0
+    while idx.size:
+        w = b - a
+        mid = a + 0.5 * w
+        # A step leaves at most half the width plus r, and r shrinks so that
+        # every bracket is within tol after n_max steps.
+        r = np.maximum(tol * 2.0 ** (n_max - step - 1) - 0.5 * w, 0.0)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            x_f = a - ya * w / (yb - ya)
+        x_f = np.where(np.isfinite(x_f), x_f, mid)
+        sigma = np.sign(mid - x_f)
+        delta = k1 * w * w
+        x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
+        x = np.where(np.abs(x_t - mid) <= r, x_t, mid - sigma * r)
+        # Half the stopping width away from both ends: a bracket with one end
+        # on the root then stops after one more step instead of creeping.
+        x = np.clip(x, a + 0.5 * stop, b - 0.5 * stop)
+        y = np.asarray(g(x, idx), dtype=float)
+        ok = holds(y)
+        a = np.where(ok, x, a)
+        ya = np.where(ok, y, ya)
+        b = np.where(ok, b, x)
+        yb = np.where(ok, yb, y)
+        left[idx] = a
+        right[idx] = b
+        keep = b - a > stop
+        idx, a, b, ya, yb, tol, stop, k1, n_max = (
+            v[keep] for v in (idx, a, b, ya, yb, tol, stop, k1, n_max)
+        )
+        step += 1
+    return left.reshape(shape), right.reshape(shape)
+
+
+def refine_roots(fn, left, right, f_left, f_right) -> np.ndarray:
+    """Roots of ``fn`` in brackets ``[left, right]`` whose end values
+    ``f_left`` and ``f_right`` have opposite signs, refined by
+    ``solve_brackets`` to 2**-40 of each bracket's width; ``fn(x, idx)``
+    evaluates at points ``x`` of the brackets ``idx``."""
+    sign = np.sign(f_left)
+    a, b = solve_brackets(
+        lambda x, i: -sign[i] * np.asarray(fn(x, i), dtype=float),
+        left, right, -np.abs(f_left), np.abs(f_right),
+        _ROOT_REL_TOL * (right - left), strict=True,
+    )
+    return 0.5 * (a + b)
 
 
 def refine_sign_changes(
@@ -196,9 +273,9 @@ def refine_sign_changes(
     lo: float,
     hi: float,
     probes: int = 257,
-    iters: int = 60,
 ) -> np.ndarray:
-    """Roots of ``fn`` on [lo, hi] located by probing then bisection.
+    """Roots of ``fn`` on [lo, hi] located by probing, then refined by
+    ``refine_roots``.
 
     Only sign changes between adjacent probe points are found; tangential
     roots are ignored, which is adequate for the CDF-crossing and payoff
@@ -212,5 +289,6 @@ def refine_sign_changes(
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if idx.size == 0:
         return np.empty(0)
-    a, b = bisect(lambda mid: sign[idx] * fn(mid) > 0, grid[idx], grid[idx + 1], iters)
-    return 0.5 * (a + b)
+    return refine_roots(
+        lambda x, i: fn(x), grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]
+    )

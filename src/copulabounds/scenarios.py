@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import constrained, pricing
-from .functional import MonotoneFunctional, bound_surfaces_for_level
+from .functional import MonotoneFunctional, bound_surfaces_for_level, check_theta_tol
 from .marginals import exponential, lognormal_martingale
 from .surfaces import (
     FRECHET_LOWER,
@@ -93,6 +93,7 @@ class ScenarioConfig:
             raise ValueError("panel counts must be at least 8")
         if self.grid_n < 2:
             raise ValueError("grid_n (the validation lattice size) must be at least 2")
+        check_theta_tol(self.theta_tol)
         if not all(0.0 <= T < np.inf for T in self.constraint_maturities):
             raise ValueError("constraint_maturities must be finite and nonnegative")
         if self.constraint_strikes < 0:
@@ -215,9 +216,9 @@ class Scenario:
     """One CLI scenario.  ``family`` names the sweep flags
     (``--{family}-min/-max/-steps``); ``admissible`` is the closed range of
     the sweep points.  ``payoff=None`` makes the curves surface values
-    (probabilities).  Functional envelopes invert one bisection per point,
-    so a band of them is priced at ``bound_panels`` and validated on a
-    capped lattice."""
+    (probabilities).  Functional envelopes invert a one-point map at every
+    point they are evaluated at, so a band of them is priced at
+    ``bound_panels`` and validated on a capped lattice."""
 
     family: str
     default_sweep: tuple[float, float, int]
@@ -290,17 +291,25 @@ def check_rows(cfg: ScenarioConfig, rows: list[CurveRow]) -> list[str]:
 
 
 def validate_scenario_surfaces(cfg: ScenarioConfig) -> list:
-    """Grid validation reports for the improved band at ``cfg.rho``.
+    """Grid validation reports for the distinct improved surfaces of the
+    sweep, in sweep order (lower before upper); distinct by identity, as in
+    ``run_scenario``, so a band that does not vary along the sweep gives
+    one pair.
 
-    Functional envelopes invert one bisection per lattice node, so they
-    are checked on a lattice capped at 50 to stay interactive.
+    Functional envelopes invert a one-point map at every lattice node, so
+    they are checked on a lattice capped at 50 to stay interactive.
     """
     spec = SCENARIOS[cfg.scenario]
-    low, _, up = spec.pieces(cfg)[2](cfg.rho)
+    band = spec.pieces(cfg)[2]
+    distinct = {}
+    for a in sweep_grid(cfg):
+        low, _, up = band(float(a))
+        distinct.setdefault(id(low), low)
+        distinct.setdefault(id(up), up)
     grid = min(cfg.grid_n, 50) if spec.functional_envelopes else cfg.grid_n
     return [
         (validate_copula if s.is_copula else validate_quasi_copula)(s, grid_n=grid)
-        for s in (low, up)
+        for s in distinct.values()
     ]
 
 

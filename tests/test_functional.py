@@ -143,6 +143,16 @@ class TestInversion:
         with pytest.raises(LevelRangeError):
             cb.invert_upper(F, 0.4, 0.7, F.value_countermonotone - 1.0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, 1e-16])
+    def test_unreachable_theta_tolerance_raises(self, product_functional, tol):
+        F = product_functional
+        level = 0.5 * (F.value_comonotone + F.value_countermonotone)
+        for call in (cb.invert_lower, cb.invert_upper):
+            with pytest.raises(ValueError, match="theta_tol"):
+                call(F, 0.4, 0.7, level, theta_tol=tol)
+        with pytest.raises(ValueError, match="theta_tol"):
+            cb.bound_surfaces_for_level(F, level, theta_tol=tol)
+
     def test_flat_segments_resolve_to_extreme_roots(self):
         # penalty functional is exactly zero on a whole theta interval, the
         # classic flat case: the lower inverse must return the right end
@@ -248,7 +258,7 @@ class TestBoundSurfaces:
             )
         assert pen_lib.value_countermonotone == 0.0
 
-    def test_caching_returns_identical_values(self, neg_spread_functional):
+    def test_repeated_calls_return_identical_values(self, neg_spread_functional):
         F = neg_spread_functional
         level = 0.4 * F.value_comonotone + 0.6 * F.value_countermonotone
         _, upper = cb.bound_surfaces_for_level(F, level)
@@ -277,29 +287,39 @@ class _CountingPenalty(TwoPointPenalty):
 
 
 class TestMapEvaluationCount:
-    # On [W, M] = [0, 0.5] the 1e-10 tolerance takes 33 bisection steps; the
-    # only other map point per inversion is the bracket end whose value is
-    # not a Frechet-bound value.
+    # An inversion evaluates the map once at the bracket end whose value is
+    # not a Frechet-bound value; a point whose level that end value decides
+    # takes no step, and every other point takes the steps of its own bracket.
     POINTS = [(0.3, 0.4, 0.2), (0.7, 0.6, 0.5)]
 
     def test_scalar_inversions(self):
         pen = _CountingPenalty(self.POINTS)
+        # the lower map at theta = M(0.5, 0.5) = 0.5 is within level 0's slack
         cb.invert_lower(pen, 0.5, 0.5, 0.0)
-        assert pen.map_points == 34
+        assert pen.map_points == 1
         pen.map_points = 0
         cb.invert_upper(pen, 0.5, 0.5, 0.1)
-        assert pen.map_points == 34
+        assert pen.map_points == 7
 
     def test_envelope_call(self):
         pen = _CountingPenalty(self.POINTS)
-        lower, upper = cb.bound_surfaces_for_level(pen, 0.0)
-        u = np.array([0.2, 0.4, 0.6, 0.8])
-        v = np.array([0.3, 0.5, 0.7, 0.9])
-        for surface in (lower, upper):
+        level = 0.05
+        lower, upper = cb.bound_surfaces_for_level(pen, level)
+        u = np.array([0.1, 0.3, 0.4, 0.5, 0.2])
+        v = np.array([0.1, 0.3, 0.4, 0.5, 0.6])
+        # the lower envelope inverts the upper map and vice versa
+        for surface, side, own in ((lower, "upper", [1, 1, 9, 7, 9]),
+                                   (upper, "lower", [1, 10, 8, 1, 1])):
+            counts = []
+            for a, b in zip(u, v):
+                pen.map_points = 0
+                _invert_batch(pen, a, b, level, side, 1e-10)
+                counts.append(pen.map_points)
+            assert counts == own
             pen.map_points = 0
             surface(u, v)
-            # the widest bracket, [0, 0.4] at (0.4, 0.5), takes 32 steps for all 4
-            assert pen.map_points == 4 * (1 + 32)
+            # each point of the batch takes its own count, not the batch maximum
+            assert pen.map_points == sum(own)
 
 
 class TestInvertBatchBranches:

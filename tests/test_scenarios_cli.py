@@ -10,8 +10,10 @@ import pytest
 import copulabounds as cb
 from copulabounds import cli, pricing
 from copulabounds.cli import main
+from copulabounds.functional import MonotoneFunctional
 from copulabounds.scenarios import (
     ScenarioConfig,
+    _scenario3_pieces,
     _scenario4_pieces,
     check_rows,
     run_scenario,
@@ -285,8 +287,35 @@ class TestCli:
         assert code == 0
         err = capsys.readouterr().err
         assert "quasi-copula check" in err or "copula check" in err
-        # one report block per improved surface
-        assert err.count("check on 11x11 grid: pass") == 2
+        # one report block per distinct improved surface of the sweep: the
+        # log-correlation band changes with each of its 5 levels
+        blocks = 10 if scenario == "log-correlation" else 2
+        assert err.count("check on 11x11 grid: pass") == blocks
+
+    def test_log_correlation_validates_the_swept_levels(self, tmp_path, capsys):
+        # --rho does not enter the log-correlation sweep, so neither CSV nor
+        # report may depend on it
+        cfgfile = tmp_path / "v.cfg"
+        cfgfile.write_text("".join(f"{k}={v}\n" for k, v in FAST_S4.items()))
+        reports = []
+        for rho in ("0", "0.9"):
+            out = tmp_path / f"v{rho}.csv"
+            argv = ["--config", str(cfgfile), "--scenario", "log-correlation", "--rho", rho,
+                    "--grid", "10", "--out", str(out), "--validate"]
+            assert main(argv) == 0
+            reports.append(capsys.readouterr().err.replace(str(out), "OUT"))
+        assert filecmp.cmp(tmp_path / "v0.csv", tmp_path / "v0.9.csv", shallow=False)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-16"])
+    def test_theta_tolerance_must_be_reachable(self, tmp_path, capsys, tol):
+        out = tmp_path / "t.csv"
+        cfgfile = tmp_path / "t.cfg"
+        settings = dict(scenario="single-price", **SMALL_RUNS["single-price"])
+        cfgfile.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        assert main(["--config", str(cfgfile), "--tol", tol, "--out", str(out)]) == 1
+        assert "error: theta_tol" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     @pytest.mark.parametrize("scenario", list(SWEEP_FAMILY))
@@ -353,3 +382,27 @@ def test_log_correlation_sweep_prices_in_one_batch(monkeypatch):
     rows = run_scenario(ScenarioConfig(scenario="log-correlation", **FAST_S4))
     assert len(rows) == 5
     assert len(calls) == 1
+
+
+def test_single_price_envelope_map_points(monkeypatch):
+    # Count guard on the inversion: one single-price envelope call on its
+    # bound_panels pricing nodes (about 1.8k points) stays under 8000 map
+    # points per side.  The inversion takes 1.9k and 4.7k; halving every
+    # point to the batch's widest bracket took 61.5k per side.
+    cfg = ScenarioConfig(scenario="single-price", rho=-0.7)
+    m_x, m_y, band = _scenario3_pieces(cfg)
+    low, _, up = band(None)
+    seen = [0]
+    for name in ("at_one_point_lower", "at_one_point_upper"):
+        original = getattr(MonotoneFunctional, name)
+
+        def counting(self, a, b, theta, original=original):
+            seen[0] += np.broadcast(np.asarray(a), np.asarray(b), np.asarray(theta)).size
+            return original(self, a, b, theta)
+
+        monkeypatch.setattr(MonotoneFunctional, name, counting)
+    payoffs = [pricing.call_on_max(float(k)) for k in sweep_grid(cfg)]
+    for surface in (low, up):
+        seen[0] = 0
+        pricing.price_batch(payoffs, [surface], m_x, m_y, panels=cfg.bound_panels)
+        assert 0 < seen[0] < 8000
