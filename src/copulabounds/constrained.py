@@ -8,9 +8,17 @@ envelope subtracts it and takes the maximum.  When the point set is
 decreasing the upper envelope is itself a copula (and hence sharp for
 copulas too); when it is increasing the lower envelope is.
 
-Evaluation cost is O(|S|) numpy operations per call; the shipped
-scenarios use at most a few hundred constraints, so no spatial indexing
-is attempted.
+When the point set is a chain (increasing: every pair ordered the same
+way in both coordinates), sorting it by (a, b) makes both coordinates
+nondecreasing.  Two binary searches per point then split the constraints
+into four index ranges, on each of which a term is a per-constraint key
+plus a function of the point alone.  The best term is therefore among
+three candidates: a prefix best, a suffix best, and the range best of
+the one middle range that can be nonempty, read from a sparse table of
+best indices.  Set-up is O(n log n) per envelope, and each point costs
+two binary searches and three terms, computed with the same formula as
+the direct path.  Other point sets use the direct formula, O(n) numpy
+operations per point.
 """
 
 from __future__ import annotations
@@ -37,6 +45,15 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+# Entries per block of the pairwise compatibility check (8 bytes each).
+_BLOCK_ELEMENTS = 1 << 17
+# Points per block of a chain envelope evaluation: bounds its temporaries
+# (about 130 bytes a point) and keeps them in cache.
+_BLOCK_POINTS = 1 << 13
+
+
+def _nondecreasing(x: np.ndarray) -> bool:
+    return bool(np.all(x[1:] >= x[:-1]))
 
 
 class ConstraintError(ValueError):
@@ -84,13 +101,22 @@ class ConstraintSet:
                 f"constraint {i}: value {t[i]} at ({a[i]}, {b[i]}) outside "
                 f"Frechet bounds [{lo[i]}, {hi[i]}]"
             )
-        # Pairwise directed Lipschitz: theta_j - theta_i <= (da)^+ + (db)^+.
-        da = a[None, :] - a[:, None]
-        db = b[None, :] - b[:, None]
-        dt = t[None, :] - t[:, None]
-        excess = dt - np.maximum(da, 0.0) - np.maximum(db, 0.0)
-        if np.any(excess > _TOL):
-            i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
+        # Pairwise directed Lipschitz: theta_j - theta_i <= (da)^+ + (db)^+,
+        # checked in row blocks; the worst pair is the first in row-major
+        # order among those with the largest excess.
+        worst, i, j = -np.inf, 0, 0
+        rows = max(1, _BLOCK_ELEMENTS // max(a.size, 1))
+        for r0 in range(0, a.size, rows):
+            sl = slice(r0, r0 + rows)
+            da = a[None, :] - a[sl, None]
+            db = b[None, :] - b[sl, None]
+            dt = t[None, :] - t[sl, None]
+            excess = dt - np.maximum(da, 0.0) - np.maximum(db, 0.0)
+            k = int(np.argmax(excess))
+            if excess.flat[k] > worst:
+                worst = excess.flat[k]
+                i, j = r0 + k // a.size, k % a.size
+        if worst > _TOL:
             raise ConstraintError(
                 f"constraints {i} and {j} are incompatible: no quasi-copula takes "
                 f"value {t[i]} at ({a[i]}, {b[i]}) and {t[j]} at ({a[j]}, {b[j]})"
@@ -104,15 +130,15 @@ class ConstraintSet:
 
     @property
     def is_increasing(self) -> bool:
-        da = self.a[None, :] - self.a[:, None]
-        db = self.b[None, :] - self.b[:, None]
-        return bool(np.all(da * db >= 0.0))
+        """Every pair satisfies (a_i - a_j)(b_i - b_j) >= 0: sorted by
+        (a, b), b is nondecreasing."""
+        return _nondecreasing(self.b[np.lexsort((self.b, self.a))])
 
     @property
     def is_decreasing(self) -> bool:
-        da = self.a[None, :] - self.a[:, None]
-        db = self.b[None, :] - self.b[:, None]
-        return bool(np.all(da * db <= 0.0))
+        """Every pair satisfies (a_i - a_j)(b_i - b_j) <= 0: sorted by
+        (a, -b), b is nonincreasing."""
+        return _nondecreasing(-self.b[np.lexsort((-self.b, self.a))])
 
     def reflected(self) -> "ConstraintSet":
         """Image under (a, b, theta) -> (a, 1-b, a-theta); swaps the roles of
@@ -141,6 +167,111 @@ def _as_constraints(constraints) -> ConstraintSet:
     return ConstraintSet.from_points(constraints)
 
 
+def _upper_term(t, a, b, u, v):
+    return t + np.maximum(u - a, 0.0) + np.maximum(v - b, 0.0)
+
+
+def _lower_term(t, a, b, u, v):
+    return t - np.maximum(a - u, 0.0) - np.maximum(b - v, 0.0)
+
+
+def _direct_envelope(cs: ConstraintSet, bound, term, best):
+    """The envelope by its definition: ``best`` of the Frechet ``bound``
+    and every constraint's term, one constraint at a time."""
+
+    def fn(u, v):
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        out = bound(u, v)
+        for ak, bk, tk in zip(cs.a, cs.b, cs.theta):
+            out = best(out, term(tk, ak, bk, u, v))
+        return out
+
+    return fn
+
+
+class _RangeBest:
+    """Index of the best key over index ranges of the rows of ``keys``
+    (m x n), from a sparse table of best indices: entry [r, k, p] is the
+    index of the best key in ``keys[r, p:p + 2**k]``, the earliest on ties
+    (entries with p > n - 2**k are unused).  O(n log n) to build; a range
+    query reads two overlapping power-of-two windows."""
+
+    def __init__(self, keys: np.ndarray, better):
+        m, n = keys.shape
+        levels = [np.tile(np.arange(n), (m, 1))]
+        w = 1
+        while 2 * w <= n:
+            prev = levels[-1]
+            left, right = prev[:, : n - w], prev[:, w:]
+            take = better(np.take_along_axis(keys, right, 1), np.take_along_axis(keys, left, 1))
+            level = prev.copy()
+            level[:, : n - w] = np.where(take, right, left)
+            levels.append(level)
+            w *= 2
+        # flat storage: one gather per lookup instead of a multi-index one
+        self.table = np.stack(levels, axis=1).ravel()  # [r, k, p] at (r * depth + k) * n + p
+        self.keys = keys.ravel()  # [r, p] at r * n + p
+        self.n, self.depth, self.better = n, len(levels), better
+        # floor(log2(length)) and 2**floor(log2(length)) for lengths 1..n
+        self.log2 = np.frexp(np.arange(n + 1))[1] - 1
+        self.pow2 = 1 << np.maximum(self.log2, 0)
+
+    def __call__(self, row, lo, hi) -> np.ndarray:
+        """Best index in ``keys[row, lo:hi]``; any index where the range is empty."""
+        n = self.n
+        start = np.minimum(lo, n - 1)
+        length = np.maximum(hi - lo, 1)
+        window = (row * self.depth + self.log2[length]) * n + start
+        c1 = self.table[window]
+        c2 = self.table[window + length - self.pow2[length]]
+        return np.where(self.better(self.keys[row * n + c2], self.keys[row * n + c1]), c2, c1)
+
+
+def _chain_envelope(cs: ConstraintSet, bound, term, best, better, keys):
+    """The envelope of a chain, equal to ``_direct_envelope``.
+
+    Sorted by (a, b), a chain has both coordinates nondecreasing, so with
+    i = #{a_k <= u} and j = #{b_k <= v} each term is ``keys(a, b, t)[r]``
+    plus a function of (u, v) on index range r: k < min(i, j), then
+    i <= k < j or j <= k < i, then k >= max(i, j).  (A constraint with
+    a_k = u or b_k = v has the same term in either neighbouring range.)
+    Each point evaluates ``term`` on the best index of each nonempty range.
+    """
+    order = np.lexsort((cs.b, cs.a))
+    a, b, t = cs.a[order], cs.b[order], cs.theta[order]
+    n = a.size
+    best_in = _RangeBest(np.stack(keys(a, b, t)), better)
+    every = np.arange(n)
+    prefix = best_in(0, np.zeros(n, dtype=int), every + 1)
+    suffix = best_in(3, every, np.full(n, n))
+
+    def block(u, v, out):
+        # tightens ``out``, a view of the result, in place
+        i = np.searchsorted(a, u, side="right")
+        j = np.searchsorted(b, v, side="right")
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        middle = best_in(1 + (j < i), lo, hi)
+        for k, nonempty in (
+            (prefix[lo - 1], lo > 0),
+            (middle, lo < hi),
+            (suffix[np.minimum(hi, n - 1)], hi < n),
+        ):
+            best(out, term(t[k], a[k], b[k], u, v), out=out, where=nonempty)
+
+    def fn(u, v):
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        shape = u.shape
+        u, v = u.ravel(), v.ravel()
+        out = bound(u, v)
+        for p in range(0, out.size, _BLOCK_POINTS):
+            sl = slice(p, p + _BLOCK_POINTS)
+            block(u[sl], v[sl], out[sl])
+        return out.reshape(shape)
+
+    return fn
+
+
 def upper_bound(constraints) -> CopulaSurface:
     """Pointwise largest quasi-copula matching the constraint values.
 
@@ -148,18 +279,14 @@ def upper_bound(constraints) -> CopulaSurface:
     in general only a quasi-copula.
     """
     cs = _as_constraints(constraints)
-    a, b, t = cs.a, cs.b, cs.theta
-
-    def fn(u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = frechet_upper(u, v)
-        for ak, bk, tk in zip(a, b, t):
-            out = np.minimum(
-                out, tk + np.maximum(u - ak, 0.0) + np.maximum(v - bk, 0.0)
-            )
-        return out
-
+    if len(cs) and cs.is_increasing:
+        # term = t + (u - a)^+ + (v - b)^+, smallest wins
+        fn = _chain_envelope(
+            cs, frechet_upper, _upper_term, np.minimum, np.less,
+            lambda a, b, t: (t - a - b, t - b, t - a, t),
+        )
+    else:
+        fn = _direct_envelope(cs, frechet_upper, _upper_term, np.minimum)
     tag = "known-copula" if cs.is_decreasing else "quasi-copula"
     return CopulaSurface(
         fn, tag=tag, name=f"constrained-upper(n={len(cs)})", structure=("point-set-upper", cs)
@@ -172,19 +299,16 @@ def lower_bound(constraints) -> CopulaSurface:
     A copula (tagged ``known-copula``) when the point set is increasing.
     """
     cs = _as_constraints(constraints)
-    a, b, t = cs.a, cs.b, cs.theta
-
-    def fn(u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = frechet_lower(u, v)
-        for ak, bk, tk in zip(a, b, t):
-            out = np.maximum(
-                out, tk - np.maximum(ak - u, 0.0) - np.maximum(bk - v, 0.0)
-            )
-        return out
-
-    tag = "known-copula" if cs.is_increasing else "quasi-copula"
+    increasing = cs.is_increasing
+    if len(cs) and increasing:
+        # term = t - (a - u)^+ - (b - v)^+, largest wins
+        fn = _chain_envelope(
+            cs, frechet_lower, _lower_term, np.maximum, np.greater,
+            lambda a, b, t: (t, t - a, t - b, t - a - b),
+        )
+    else:
+        fn = _direct_envelope(cs, frechet_lower, _lower_term, np.maximum)
+    tag = "known-copula" if increasing else "quasi-copula"
     return CopulaSurface(
         fn, tag=tag, name=f"constrained-lower(n={len(cs)})", structure=("point-set-lower", cs)
     )
@@ -208,7 +332,7 @@ def bounds_from_second_to_default(
 
 
 def bounds_from_max_options(
-    curve: Callable[[float], float],
+    curve: Callable[[np.ndarray], np.ndarray],
     m_x: Marginal,
     m_y: Marginal,
     strike_grid: Sequence[float],
@@ -217,13 +341,14 @@ def bounds_from_max_options(
 
     Prices of options on the maximum (or minimum) of the two assets at all
     strikes determine F(K, K); sampling that curve on ``strike_grid`` pins
-    the copula on the increasing set (F_X(K), F_Y(K)).  Returns
-    ``(lower, upper)`` with the lower bound a copula.
+    the copula on the increasing set (F_X(K), F_Y(K)).  ``curve`` is
+    called once, on the whole strike array, and must return the array of
+    F(K, K) values; the marginal CDFs are evaluated once on the same
+    array.  Returns ``(lower, upper)`` with the lower bound a copula.
     """
-    pts = [
-        (float(m_x.cdf(K)), float(m_y.cdf(K)), float(curve(K))) for K in strike_grid
-    ]
-    cs = ConstraintSet.from_points(pts)
+    strikes = np.asarray(strike_grid, dtype=float)
+    theta = np.broadcast_to(np.asarray(curve(strikes), dtype=float), strikes.shape)
+    cs = ConstraintSet.from_points(zip(m_x.cdf(strikes), m_y.cdf(strikes), theta))
     return lower_bound(cs), upper_bound(cs)
 
 

@@ -159,7 +159,7 @@ def _scenario2_pieces(cfg: ScenarioConfig):
     the joint CDF is pinned by max-option quotes."""
     m_x, m_y = _lognormals(cfg)
     ref = gaussian_copula(cfg.rho)
-    curve = lambda K: float(ref(float(m_x.cdf(K)), float(m_y.cdf(K))))
+    curve = lambda K: ref(m_x.cdf(K), m_y.cdf(K))
     lo = min(float(m_x.quantile(1e-4)), float(m_y.quantile(1e-4)))
     hi = max(float(m_x.quantile(1.0 - 1e-4)), float(m_y.quantile(1.0 - 1e-4)))
     strikes = np.linspace(lo, hi, cfg.constraint_strikes)

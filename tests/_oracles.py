@@ -62,6 +62,20 @@ def random_point_set(rng, size, kind):
     return list(zip(a.tolist(), b.tolist(), theta.tolist()))
 
 
+def direct_envelopes(points, u, v):
+    """(upper, lower) point-set envelopes at (u, v) by their definition: the
+    Frechet bounds tightened by every constraint's Lipschitz cone, with all
+    constraints broadcast along a trailing axis."""
+    a, b, t = (np.asarray(col, dtype=float) for col in zip(*points))
+    u = np.asarray(u, dtype=float)[..., None]
+    v = np.asarray(v, dtype=float)[..., None]
+    upper = t + np.maximum(u - a, 0.0) + np.maximum(v - b, 0.0)
+    lower = t - np.maximum(a - u, 0.0) - np.maximum(b - v, 0.0)
+    upper = np.minimum(np.minimum(u, v)[..., 0], upper.min(axis=-1))
+    lower = np.maximum(np.maximum(0.0, u + v - 1.0)[..., 0], lower.max(axis=-1))
+    return upper, lower
+
+
 class TwoPointPenalty:
     """sum_i (C(a_i, b_i) - theta_i)^+ as a vectorized surface functional.
 

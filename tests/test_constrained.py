@@ -1,10 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copulabounds as cb
+from copulabounds import constrained
 from copulabounds.constrained import ConstraintError
 
-from _oracles import mixture_values, random_point_set
+from _oracles import direct_envelopes, mixture_values, random_point_set
+
+# a few shared values, so that drawn points tie in a, in b and on the edges
+_COORD = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
 
 
 def grid(n=101):
@@ -39,9 +47,25 @@ class TestClassify:
         assert cs.is_increasing and cs.is_decreasing
         assert cb.classify(cs) == "increasing"
 
+    def test_tiny_differences_keep_their_order(self):
+        # (da)(db) underflows to -0.0 here; the order itself is unambiguous
+        cs = cb.ConstraintSet.from_points([(0.0, 1e-170, 0.0), (1e-170, 0.0, 0.0)])
+        assert not cs.is_increasing and cs.is_decreasing
+        assert cb.classify(cs) == "decreasing"
+
     def test_empty_and_singleton(self):
         assert cb.classify(cb.ConstraintSet.from_points([])) == "increasing"
         assert cb.classify(cb.ConstraintSet.from_points([(0.3, 0.4, 0.2)])) == "increasing"
+
+    @given(ab=st.lists(st.tuples(_COORD, _COORD), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_order_predicates_match_pairwise_definition(self, ab):
+        a = np.array([p[0] for p in ab])
+        b = np.array([p[1] for p in ab])
+        cs = cb.ConstraintSet.from_points(zip(a, b, a * b))
+        order = np.sign(a[:, None] - a[None, :]) * np.sign(b[:, None] - b[None, :])
+        assert cs.is_increasing == bool(np.all(order >= 0))
+        assert cs.is_decreasing == bool(np.all(order <= 0))
 
 
 class TestConstraintValidation:
@@ -56,6 +80,28 @@ class TestConstraintValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(ConstraintError):
             cb.ConstraintSet.from_points([(0.2, float("nan"), 0.1)])
+
+    def test_blocked_check_reports_the_full_matrix_pair(self, rng, monkeypatch):
+        # the worst pair, first in row-major order, whatever the block size
+        monkeypatch.setattr(constrained, "_BLOCK_ELEMENTS", 7)
+        seen = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            a = rng.choice([0.2, 0.5, 0.8], n)
+            b = rng.choice([0.2, 0.5, 0.8], n)
+            t = np.maximum(0.0, a + b - 1.0) + rng.choice([0.0, 0.1], n) * np.minimum(a, b)
+            excess = (
+                t[None, :] - t[:, None]
+                - np.maximum(a[None, :] - a[:, None], 0.0)
+                - np.maximum(b[None, :] - b[:, None], 0.0)
+            )
+            if excess.max() <= 1e-12:
+                continue
+            i, j = np.unravel_index(int(np.argmax(excess)), excess.shape)
+            with pytest.raises(ConstraintError, match=f"constraints {i} and {j} "):
+                cb.ConstraintSet.from_points(zip(a, b, t))
+            seen += 1
+        assert seen > 50
 
     def test_mixture_sets_always_compatible(self, rng):
         for kind in ("increasing", "decreasing", "none"):
@@ -152,6 +198,66 @@ class TestEnvelopes:
             assert np.all(B2 >= B1 - 1e-15)
 
 
+@st.composite
+def _chains(draw):
+    """Increasing point sets with ties in a and in b, points on the edges of
+    the square and copula values from a Frechet/product mixture."""
+    n = draw(st.integers(1, 40))
+    a = np.sort(draw(st.lists(_COORD, min_size=n, max_size=n)))
+    b = np.sort(draw(st.lists(_COORD, min_size=n, max_size=n)))
+    w = np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3))) + 1e-3
+    w = w / w.sum()
+    t = w[0] * np.maximum(0.0, a + b - 1.0) + w[1] * a * b + w[2] * np.minimum(a, b)
+    perm = draw(st.permutations(range(n)))
+    return [(a[k], b[k], t[k]) for k in perm]
+
+
+class TestChainPath:
+    @given(points=_chains(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_chain_envelopes_match_the_definition(self, points, data):
+        cs = cb.ConstraintSet.from_points(points)
+        assert cs.is_increasing
+        # query coordinates on the constraints' own a and b values too
+        coord = st.one_of(st.sampled_from([c for p in points for c in p[:2]]), _COORD)
+        size = data.draw(st.integers(1, 60), label="size")
+        u = np.array(data.draw(st.lists(coord, min_size=size, max_size=size), label="u"))
+        v = np.array(data.draw(st.lists(coord, min_size=size, max_size=size), label="v"))
+        want_upper, want_lower = direct_envelopes(points, u, v)
+        assert np.max(np.abs(cb.upper_bound(cs)(u, v) - want_upper)) <= 2.3e-16
+        assert np.max(np.abs(cb.lower_bound(cs)(u, v) - want_lower)) <= 2.3e-16
+
+    def test_blocks_cover_every_point(self, rng, monkeypatch):
+        monkeypatch.setattr(constrained, "_BLOCK_POINTS", 7)
+        points = random_point_set(rng, 30, "increasing")
+        cs = cb.ConstraintSet.from_points(points)
+        U, V = grid(11)
+        want_upper, want_lower = direct_envelopes(points, U, V)
+        assert np.max(np.abs(cb.upper_bound(cs)(U, V) - want_upper)) <= 2.3e-16
+        assert np.max(np.abs(cb.lower_bound(cs)(U, V) - want_lower)) <= 2.3e-16
+
+    def test_shapes_follow_the_arguments(self):
+        cs = cb.ConstraintSet.from_points([(0.2, 0.3, 0.1), (0.6, 0.7, 0.5)])
+        U, V = grid(5)
+        for env in (cb.upper_bound(cs), cb.lower_bound(cs)):
+            assert env(U, V).shape == (5, 5)
+            assert env(U[:, :1], 0.5).shape == (5, 1)
+            assert isinstance(env(0.4, 0.5), float)
+
+    def test_memory_is_bounded(self):
+        # a 4000-point chain, both envelopes and classify, under 32 MB traced
+        g = np.linspace(0.0, 1.0, 4000)
+        points = list(zip(g.tolist(), (g * g).tolist(), (g * (g * g)).tolist()))
+        tracemalloc.start()
+        try:
+            cs = cb.ConstraintSet.from_points(points)
+            cb.lower_bound(cs), cb.upper_bound(cs), cb.classify(cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
 class TestBuilders:
     def test_second_to_default_matches_quotes(self, exp_marginals):
         mx, my = exp_marginals
@@ -188,7 +294,7 @@ class TestBuilders:
     def test_max_options_builder(self, lognormal_marginals):
         mx, my = lognormal_marginals
         ref = cb.gaussian_copula(0.5)
-        curve = lambda K: float(ref(float(mx.cdf(K)), float(my.cdf(K))))
+        curve = lambda K: ref(mx.cdf(K), my.cdf(K))
         strikes = np.linspace(40.0, 250.0, 50)
         low, up = cb.bounds_from_max_options(curve, mx, my, strikes)
         assert low.is_copula
@@ -197,11 +303,24 @@ class TestBuilders:
             assert float(low(u, v)) == pytest.approx(curve(K), abs=1e-12)
             assert float(up(u, v)) == pytest.approx(curve(K), abs=1e-12)
 
+    def test_max_options_curve_called_once_on_the_strikes(self, lognormal_marginals):
+        mx, my = lognormal_marginals
+        ref = cb.gaussian_copula(0.5)
+        calls = []
+
+        def curve(K):
+            calls.append(np.array(K))
+            return ref(mx.cdf(K), my.cdf(K))
+
+        strikes = np.linspace(40.0, 250.0, 50)
+        cb.bounds_from_max_options(curve, mx, my, strikes)
+        assert len(calls) == 1 and np.array_equal(calls[0], strikes)
+
     def test_one_point_grid_reduces_to_prop1(self, lognormal_marginals):
         mx, my = lognormal_marginals
         U, V = grid(41)
         ref = cb.gaussian_copula(0.3)
-        curve = lambda K: float(ref(float(mx.cdf(K)), float(my.cdf(K))))
+        curve = lambda K: ref(mx.cdf(K), my.cdf(K))
         low, up = cb.bounds_from_max_options(curve, mx, my, [100.0])
         a, b = float(mx.cdf(100.0)), float(my.cdf(100.0))
         theta = curve(100.0)
