@@ -173,7 +173,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        rows = run_scenario(cfg)
+        pieces = SCENARIOS[cfg.scenario].pieces(cfg)
+        rows = run_scenario(cfg, pieces)
         problems = check_rows(cfg, rows)
         write_rows(rows, cfg.out)
         if problems:
@@ -182,7 +183,7 @@ def main(argv=None) -> int:
             return EXIT_NUMERICAL
         if cfg.validate:
             failed = False
-            for rep in validate_scenario_surfaces(cfg):
+            for rep in validate_scenario_surfaces(cfg, pieces):
                 print(rep.summary(), file=sys.stderr)
                 failed = failed or not rep.passed
             if failed:

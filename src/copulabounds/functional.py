@@ -94,10 +94,10 @@ class _RunningIntegral:
         breaks: list[float] = []
         if func.kink is not None:
             breaks = refine_sign_changes(
-                lambda u: func._kink_on_path(u, np.full_like(u, shift), anti),
+                lambda u, _: func._kink_on_path(u, np.full_like(u, shift), anti),
                 func.eps,
                 1.0 - func.eps,
-            ).tolist()
+            )[0].tolist()
         edges = unit_panel_edges(self._PANELS, eps=func.eps, breakpoints=breaks)
         t, w = gauss_legendre_01(self._TAIL_ORDER)
         width = np.diff(edges)
@@ -368,7 +368,7 @@ def value_of(functional, surface: CopulaSurface) -> float:
             np.clip(functional._t, functional.eps, 1 - functional.eps)
         )
         vals = np.asarray(functional.integrand(x[:, None], y[None, :]), dtype=float)
-        return float(functional._w @ vals @ functional._w)
+        return float(np.einsum("i,ij,j->", functional._w, vals, functional._w))
     raise ValueError(f"no one-dimensional reduction for surface {surface.name!r}")
 
 

@@ -126,7 +126,8 @@ class LognormalMartingale(Marginal):
         arr = self._check_x(x)
         out = np.zeros_like(arr)
         pos = arr > 0.0
-        z = (np.log(arr[pos] / self.spot) + self._half_var) / self._sig_sqrt_t
+        with np.errstate(divide="ignore"):  # x / spot may underflow to 0: cdf 0
+            z = (np.log(arr[pos] / self.spot) + self._half_var) / self._sig_sqrt_t
         out[pos] = ndtr(z)
         return out if out.ndim else float(out)
 

@@ -28,6 +28,7 @@ scenario rate is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,22 +230,22 @@ def _edge_expectation(m: Marginal, fn, kink_xs, panels, order, eps) -> float:
     return rule.integrate_checked(lambda u: np.asarray(fn(m.quantile(u)), dtype=float))
 
 
-def _path_crossings(m_x, m_y, x_of_z, y_of_z, lo, hi) -> np.ndarray:
-    # Split panels where F_X(x(z)) crosses F_Y(y(z)) or their sum crosses 1;
-    # these are the kink curves of the Frechet surfaces along the path.
-    def fx(z):
-        return m_x.cdf(np.maximum(x_of_z(z), 0.0))
+class _Segment(NamedTuple):
+    """Support of a payoff's curvature measure: the points ``lo < z < hi``
+    of the line ``x = cx*z + dx``, ``y = cy*z + dy``, with the measure's
+    sign."""
 
-    def fy(z):
-        return m_y.cdf(np.maximum(y_of_z(z), 0.0))
+    lo: float
+    hi: float
+    cx: float
+    dx: float
+    cy: float
+    dy: float
+    sign: int
 
-    r1 = refine_sign_changes(lambda z: fx(z) - fy(z), lo, hi)
-    r2 = refine_sign_changes(lambda z: fx(z) + fy(z) - 1.0, lo, hi)
-    return np.concatenate([r1, r2])
 
-
-def _mu_segment(p: PayoffSpec, m_x: Marginal, m_y: Marginal, eps: float):
-    """Support of the payoff curvature measure as (lo, hi, x_of_z, y_of_z, sign).
+def _mu_segment(p: PayoffSpec, m_x: Marginal, m_y: Marginal, eps: float) -> _Segment:
+    """Curvature support of ``p``.
 
     Infinite upper limits are truncated where either marginal's survival
     drops below ``eps``; the integrand is dominated by those survivals.
@@ -255,8 +256,7 @@ def _mu_segment(p: PayoffSpec, m_x: Marginal, m_y: Marginal, eps: float):
     if k == "basket":
         a, b, K = p.alpha, p.beta, p.strike
         sign = 1 if a * b > 0 else -1
-        x_of = lambda z: z / a
-        y_of = lambda z: (K - z) / b
+        line = (1.0 / a, 0.0, -1.0 / b, K / b)  # x = z / a, y = (K - z) / b
         if a > 0 and b > 0:
             lo, hi = max(0.0, K - b * cy), min(K, a * cx)
         elif a > 0 and b < 0:
@@ -265,67 +265,83 @@ def _mu_segment(p: PayoffSpec, m_x: Marginal, m_y: Marginal, eps: float):
             lo, hi = max(a * cx, K - b * cy), min(0.0, K)
         else:  # a < 0 and b < 0: the support line meets the quadrant only if K < 0
             lo, hi = max(K, a * cx), min(0.0, K - b * cy)
-        return lo, hi, x_of, y_of, sign
+        return _Segment(lo, hi, *line, sign)
     if k in _KINDS_ONE_STRIKE:
-        x_of = y_of = lambda z: z
         diag_hi = min(cx, cy)
-        if k == "call-on-min":
-            return p.strike, diag_hi, x_of, y_of, 1
-        if k == "call-on-max":
-            return p.strike, diag_hi, x_of, y_of, -1
-        if k == "put-on-max":
-            return 0.0, min(p.strike, diag_hi), x_of, y_of, 1
-        return 0.0, min(p.strike, diag_hi), x_of, y_of, -1  # put-on-min
+        lo, hi = (p.strike, diag_hi) if k.startswith("call") else (0.0, min(p.strike, diag_hi))
+        sign = 1 if k in ("call-on-min", "put-on-max") else -1
+        return _Segment(lo, hi, 1.0, 0.0, 1.0, 0.0, sign)
     if k in _KINDS_TWO_STRIKE:
         if k in ("worst-off-call", "best-off-call"):
-            x_of = lambda z: z + p.strike1
-            y_of = lambda z: z + p.strike2
             hi = min(cx - p.strike1, cy - p.strike2)
             sign = 1 if k == "worst-off-call" else -1
-            return 0.0, max(hi, 0.0), x_of, y_of, sign
-        x_of = lambda z: p.strike1 - z
-        y_of = lambda z: p.strike2 - z
+            return _Segment(0.0, max(hi, 0.0), 1.0, p.strike1, 1.0, p.strike2, sign)
         sign = 1 if k == "worst-off-put" else -1
-        return 0.0, min(p.strike1, p.strike2), x_of, y_of, sign
+        hi = min(p.strike1, p.strike2)
+        return _Segment(0.0, hi, -1.0, p.strike1, -1.0, p.strike2, sign)
     raise ValueError(f"no one-dimensional reduction for payoff kind {k!r}")
+
+
+def _shared_path(segments) -> _Segment:
+    """One path covering the union of segments that lie on the same line."""
+    nonempty = [s for s in segments if s.hi > s.lo]
+    lo = min((s.lo for s in nonempty), default=0.0)
+    hi = max((s.hi for s in nonempty), default=0.0)
+    return segments[0]._replace(lo=lo, hi=hi)
+
+
+def _path_crossings(m_x, m_y, paths) -> list[np.ndarray]:
+    """Where each path crosses the kinks of the Frechet surfaces: F_X(x(z))
+    crosses F_Y(y(z)), or their sum crosses 1.  One ``refine_sign_changes``
+    call per kink family covers every path."""
+    lo, hi, cx, dx, cy, dy = np.array([p[:6] for p in paths], dtype=float).reshape(-1, 6).T
+
+    def fx(z, i):
+        return m_x.cdf(np.maximum(cx[i] * z + dx[i], 0.0))
+
+    def fy(z, i):
+        return m_y.cdf(np.maximum(cy[i] * z + dy[i], 0.0))
+
+    r1, i1 = refine_sign_changes(lambda z, i: fx(z, i) - fy(z, i), lo, hi)
+    r2, i2 = refine_sign_changes(lambda z, i: fx(z, i) + fy(z, i) - 1.0, lo, hi)
+    roots, rows = np.concatenate([r1, r2]), np.concatenate([i1, i2])
+    return [roots[rows == j] for j in range(len(paths))]
 
 
 def _mu_terms(u, v, weights: np.ndarray, surfaces) -> np.ndarray:
     """``weights @ G`` under each surface, G the survival weight at (u, v).
 
     ``weights`` has one row per payoff and one column per point of the
-    flattened (u, v) grid; each surface is called once on the grid.
+    flattened (u, v) grid; each surface is called once on the grid.  The
+    sums are einsum reductions: a BLAS product would wake a thread pool
+    that spins on the other cores.
     """
     out = np.zeros((weights.shape[0], len(surfaces)))
     if weights.size:
         for j, surface in enumerate(surfaces):
-            out[:, j] = weights @ np.clip(1.0 - u - v + surface(u, v), 0.0, 1.0).ravel()
+            g = np.clip(1.0 - u - v + surface(u, v), 0.0, 1.0).ravel()
+            out[:, j] = np.einsum("ij,j->i", weights, g)
     return out
 
 
-def _path_terms(payoffs, surfaces, m_x, m_y, panels, order, eps) -> np.ndarray:
+def _path_terms(payoffs, segments, path, crossings, surfaces, m_x, m_y, panels, order):
     """Curvature terms, shape ``(len(payoffs), len(surfaces))``, of payoffs
-    whose curvature measures share one path: a single payoff, or one-strike
+    whose curvature measures lie on one path: a single payoff, or one-strike
     payoffs on the diagonal x = y = z.
 
-    One rule covers the union of their segments, split at the strikes and
-    where the path crosses the kinks of the Frechet surfaces.  Segment ends
-    are panel edges, so each payoff's term is the exact partial sum over the
-    nodes inside its own segment.
+    One rule covers the path, split at the strikes and at the path's
+    crossings of the Frechet kinks.  Segment ends are panel edges, so each
+    payoff's term is the exact partial sum over the nodes inside its own
+    segment.
     """
-    segments = [_mu_segment(p, m_x, m_y, eps) for p in payoffs]
-    x_of, y_of = segments[0][2:4]
-    nonempty = [(a, b) for a, b, *_ in segments if b > a] or [(0.0, 0.0)]
-    lo = min(a for a, _ in nonempty)
-    hi = max(b for _, b in nonempty)
-    breaks = [p.strike for p in payoffs] + list(_path_crossings(m_x, m_y, x_of, y_of, lo, hi))
-    rule = interval_rule(lo, hi, panels, order, breakpoints=breaks)
+    breaks = [p.strike for p in payoffs] + crossings.tolist()
+    rule = interval_rule(path.lo, path.hi, panels, order, breakpoints=breaks)
     z = rule.nodes
     weights = np.array(
-        [sign * np.where((z > a) & (z < b), rule.weights, 0.0) for a, b, _, _, sign in segments]
+        [s.sign * np.where((z > s.lo) & (z < s.hi), rule.weights, 0.0) for s in segments]
     )
-    u = m_x.cdf(np.maximum(x_of(z), 0.0))
-    v = m_y.cdf(np.maximum(y_of(z), 0.0))
+    u = m_x.cdf(np.maximum(path.cx * z + path.dx, 0.0))
+    v = m_y.cdf(np.maximum(path.cy * z + path.dy, 0.0))
     return _mu_terms(u, v, weights, surfaces)
 
 
@@ -346,10 +362,11 @@ def price_batch(
 
     Works for any surface (copula or quasi-copula); only pointwise values
     of the surfaces enter.  The payoff-only work (edge expectations,
-    curvature support, kink crossings, quadrature rule) is done once per
-    payoff, and each surface is called once per rule.  One-strike payoffs
-    (calls and puts on the minimum or maximum) share one rule on the
-    diagonal.  Raises QuadratureError on boundary-integrability violations.
+    curvature support, quadrature rule) is done once per payoff, the kink
+    crossings of all paths are found together, and each surface is called
+    once per rule.  One-strike payoffs (calls and puts on the minimum or
+    maximum) share one rule on the diagonal.  Raises QuadratureError on
+    boundary-integrability violations.
     """
     payoffs = list(payoffs)
     surfaces = list(surfaces)
@@ -360,9 +377,16 @@ def price_batch(
         )
     out = np.empty((len(payoffs), len(surfaces)))
     diagonal = [i for i, p in enumerate(payoffs) if p.kind in _KINDS_ONE_STRIKE]
-    if diagonal:
-        out[diagonal] = _path_terms(
-            [payoffs[i] for i in diagonal], surfaces, m_x, m_y, panels, order, eps
+    groups = [diagonal] if diagonal else []
+    groups += [[i] for i, p in enumerate(payoffs)
+               if p.kind not in _KINDS_ONE_STRIKE and p.kind != "product-xy"]
+    segments = [[_mu_segment(payoffs[i], m_x, m_y, eps) for i in g] for g in groups]
+    paths = [_shared_path(s) for s in segments]
+    for g, segs, path, crossings in zip(
+        groups, segments, paths, _path_crossings(m_x, m_y, paths)
+    ):
+        out[g] = _path_terms(
+            [payoffs[i] for i in g], segs, path, crossings, surfaces, m_x, m_y, panels, order
         )
     for i, p in enumerate(payoffs):
         if p.kind == "product-xy":
@@ -371,10 +395,9 @@ def price_batch(
             u = m_x.cdf(rx.nodes)[:, None]
             v = m_y.cdf(ry.nodes)[None, :]
             out[i] = _mu_terms(u, v, np.outer(rx.weights, ry.weights).reshape(1, -1), surfaces)[0]
-        elif p.kind not in _KINDS_ONE_STRIKE:
-            out[[i]] = _path_terms([p], surfaces, m_x, m_y, panels, order, eps)
-        # The edge expectations come after the surface calls, so that their
-        # cached unit rules are not held while functional envelopes invert.
+    # The edge expectations come after the surface calls, so that their
+    # cached unit rules are not held while functional envelopes invert.
+    for i, p in enumerate(payoffs):
         kinks = _strike_candidates(p)
         ex = _edge_expectation(m_x, lambda x: payoff_value(p, x, 0.0), kinks, panels, order, eps)
         ey = _edge_expectation(m_y, lambda y: payoff_value(p, 0.0, y), kinks, panels, order, eps)
@@ -398,7 +421,7 @@ def _diag_breakpoints(p: PayoffSpec, m_x, m_y, direction: str, eps: float) -> li
         xu = m_x.quantile(1.0 - u) if direction == "counter" else m_x.quantile(u)
         return xu - m_y.quantile(u)
 
-    breaks.extend(refine_sign_changes(gap, eps, 1.0 - eps).tolist())
+    breaks.extend(refine_sign_changes(lambda u, _: gap(u), eps, 1.0 - eps)[0].tolist())
     return breaks
 
 

@@ -66,7 +66,7 @@ class Rule:
         vals = np.asarray(fn(self.nodes), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("integrand is non-finite at a quadrature node")
-        total = float(self.weights @ vals)
+        total = float(np.einsum("i,i->", self.weights, vals))  # no BLAS threads woken
         _check_tail_divergence(self.nodes, self.weights * vals, total)
         return total
 
@@ -268,27 +268,35 @@ def refine_roots(fn, left, right, f_left, f_right) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def refine_sign_changes(
-    fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    probes: int = 257,
-) -> np.ndarray:
-    """Roots of ``fn`` on [lo, hi] located by probing, then refined by
-    ``refine_roots``.
+def refine_sign_changes(fn, lo, hi, probes: int = 257) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of ``fn`` on each interval ``[lo[i], hi[i]]``, located by
+    probing and refined by ``refine_roots``.
+
+    ``lo`` and ``hi`` are scalars (one interval) or 1-d arrays; an interval
+    with ``hi <= lo`` has no roots.  ``fn(z, rows)`` evaluates the function
+    of interval ``rows`` at ``z`` (the two broadcast), so one call finds the
+    roots of a whole family of functions.  Each interval is probed at
+    ``np.linspace(lo[i], hi[i], probes)`` and its roots do not depend on the
+    other intervals.  Returns the roots and their interval indices, ordered
+    by interval and then by root.
 
     Only sign changes between adjacent probe points are found; tangential
     roots are ignored, which is adequate for the CDF-crossing and payoff
     kink curves this is used on.
     """
-    if not hi > lo:
-        return np.empty(0)
-    grid = np.linspace(lo, hi, probes)
-    vals = np.asarray(fn(grid), dtype=float)
+    lo, hi = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (lo, hi))
+    # Empty intervals stay out of the grid: one zero width would make
+    # linspace build every row by another formula.
+    live = np.flatnonzero(hi > lo)
+    grid = np.linspace(lo[live], hi[live], probes, axis=-1)
+    vals = np.asarray(fn(grid, live[:, None]), dtype=float)
     sign = np.sign(vals)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if idx.size == 0:
-        return np.empty(0)
-    return refine_roots(
-        lambda x, i: fn(x), grid[idx], grid[idx + 1], vals[idx], vals[idx + 1]
+    row, col = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    rows = live[row]
+    if rows.size == 0:
+        return np.empty(0), rows
+    roots = refine_roots(
+        lambda x, i: fn(x, rows[i]),
+        grid[row, col], grid[row, col + 1], vals[row, col], vals[row, col + 1],
     )
+    return roots, rows

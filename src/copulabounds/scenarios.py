@@ -247,12 +247,15 @@ SCENARIOS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig) -> list[CurveRow]:
+def run_scenario(cfg: ScenarioConfig, pieces: tuple | None = None) -> list[CurveRow]:
     """One row per sweep point, each with the curves
-    (W, improved lower, reference, improved upper, M) in increasing order."""
+    (W, improved lower, reference, improved upper, M) in increasing order.
+
+    ``pieces`` is the scenario's ``(m_x, m_y, band)``, built from ``cfg``
+    when not given."""
     cfg.check()
     spec = SCENARIOS[cfg.scenario]
-    m_x, m_y, band = spec.pieces(cfg)
+    m_x, m_y, band = pieces or spec.pieces(cfg)
     axes = [float(a) for a in sweep_grid(cfg)]
     surfaces = [(FRECHET_LOWER, *band(a), FRECHET_UPPER) for a in axes]
     rows = []
@@ -290,17 +293,17 @@ def check_rows(cfg: ScenarioConfig, rows: list[CurveRow]) -> list[str]:
     ]
 
 
-def validate_scenario_surfaces(cfg: ScenarioConfig) -> list:
+def validate_scenario_surfaces(cfg: ScenarioConfig, pieces: tuple | None = None) -> list:
     """Grid validation reports for the distinct improved surfaces of the
     sweep, in sweep order (lower before upper); distinct by identity, as in
     ``run_scenario``, so a band that does not vary along the sweep gives
-    one pair.
+    one pair.  ``pieces`` as in ``run_scenario``.
 
     Functional envelopes invert a one-point map at every lattice node, so
     they are checked on a lattice capped at 50 to stay interactive.
     """
     spec = SCENARIOS[cfg.scenario]
-    band = spec.pieces(cfg)[2]
+    band = (pieces or spec.pieces(cfg))[2]
     distinct = {}
     for a in sweep_grid(cfg):
         low, _, up = band(float(a))

@@ -18,6 +18,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
 
+from .quadrature import gauss_legendre_01
+
 __all__ = [
     "CopulaSurface",
     "Rectangle",
@@ -197,19 +199,43 @@ def survival_value(surface: CopulaSurface, u, v):
     return uu + vv - 1.0 + surface(1.0 - uu, 1.0 - vv)
 
 
-def bivariate_normal_cdf(h, k, rho: float):
-    """P(Z1 <= h, Z2 <= k) for standard normals with correlation rho.
+# Gauss-Legendre orders of the Drezner-Wesolowsky integral by |rho| below
+# each limit (Genz, Stat. Comput. 14, 2004); Owen's T above the last.
+_DW_ORDERS = ((0.3, 6), (0.75, 12), (0.925, 20))
 
-    Uses Owen's T function, which is exact to near machine precision and
-    vectorizes; equivalent to the single-integral reduction
-    int_0^u Phi((ndtri(v) - rho*ndtri(t)) / sqrt(1-rho^2)) dt.
+
+def _drezner_wesolowsky(h, k, rho: float, order: int):
+    """(1 / 2 pi) times the integral over theta in [0, arcsin(rho)] of
+    exp(-(h^2 + k^2 - 2 h k sin(theta)) / (2 cos(theta)^2)), by an
+    ``order``-node Gauss-Legendre rule; every term has the sign of rho."""
+    t, w = gauss_legendre_01(order)
+    asr = np.arcsin(rho)
+    sn = np.sin(asr * t)
+    hk = h * k
+    hs = 0.5 * (h * h + k * k)
+    total = np.zeros_like(hk)
+    term = np.empty_like(hk)
+    for s, c, wi in zip(sn, 1.0 / (1.0 - sn * sn), w * (asr / (2.0 * np.pi))):
+        np.multiply(hk, s, out=term)
+        term -= hs
+        term *= c
+        np.exp(term, out=term)
+        term *= wi
+        total += term
+    return total
+
+
+def _bvn(h, k, rho: float, ph, pk):
+    """P(Z1 <= h, Z2 <= k) for finite h, k and 0 < |rho| < 1, given
+    ph = Phi(h) and pk = Phi(k), unclipped.
+
+    For |rho| below 0.3, 0.75 or 0.925 it is Genz's (Stat. Comput. 14,
+    2004) form of the Drezner-Wesolowsky integral, ph * pk plus a
+    Gauss-Legendre sum of 6, 12 or 20 nodes; above, Owen's T function.
     """
-    if not -1.0 < rho < 1.0:
-        raise ValueError("rho must lie strictly inside (-1, 1) here")
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    if rho == 0.0:
-        return ndtr(h) * ndtr(k)
+    order = next((n for limit, n in _DW_ORDERS if abs(rho) < limit), None)
+    if order is not None:
+        return ph * pk + _drezner_wesolowsky(h, k, rho, order)
     s = np.sqrt(1.0 - rho * rho)
     # Zero arguments would make the T-function arguments blow up; nudging by
     # 1e-15 changes the CDF by < 1e-15 (density is bounded by 1/sqrt(2*pi)).
@@ -220,7 +246,31 @@ def bivariate_normal_cdf(h, k, rho: float):
         a2 = (hh - rho * kk) / (kk * s)
     t = owens_t(hh, a1) + owens_t(kk, a2)
     delta = np.where(hh * kk > 0.0, 0.0, 0.5)
-    out = 0.5 * (ndtr(hh) + ndtr(kk)) - t - delta
+    return 0.5 * (ph + pk) - t - delta
+
+
+def bivariate_normal_cdf(h, k, rho: float):
+    """P(Z1 <= h, Z2 <= k) for standard normals with correlation rho.
+
+    Genz's Gauss-Legendre form of the Drezner-Wesolowsky integral for
+    |rho| < 0.925 and Owen's T function above; the two agree within 6e-16
+    for |rho| up to 0.999 and probabilities down to 1e-12.  Infinite
+    arguments give the limits: 0 when either is -inf, Phi of the other
+    when one is +inf.
+    """
+    if not -1.0 < rho < 1.0:
+        raise ValueError("rho must lie strictly inside (-1, 1) here")
+    h, k = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float))
+    if rho == 0.0:
+        return ndtr(h) * ndtr(k)
+    finite = np.isfinite(h) & np.isfinite(k)
+    hf = np.where(finite, h, 0.0)
+    kf = np.where(finite, k, 0.0)
+    out = _bvn(hf, kf, rho, ndtr(hf), ndtr(kf))
+    if not finite.all():
+        limit = np.where(h == np.inf, ndtr(k), np.where(k == np.inf, ndtr(h), np.nan))
+        limit = np.where(np.isneginf(h) | np.isneginf(k), 0.0, limit)
+        out = np.where(finite, out, limit)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -245,9 +295,10 @@ def gaussian_copula(rho: float) -> CopulaSurface:
         out = np.minimum(u, v)
         interior = (u > 0.0) & (u < 1.0) & (v > 0.0) & (v < 1.0)
         if np.any(interior):
-            out[interior] = bivariate_normal_cdf(
-                ndtri(u[interior]), ndtri(v[interior]), rho
-            )
+            # u and v stand for Phi(ndtri(u)) and Phi(ndtri(v)): exact, and the
+            # copula then lies on the side of the product that rho's sign says.
+            ui, vi = u[interior], v[interior]
+            out[interior] = np.clip(_bvn(ndtri(ui), ndtri(vi), rho, ui, vi), 0.0, 1.0)
         return out.reshape(shape)
 
     return CopulaSurface(

@@ -26,6 +26,12 @@ class TestCdf:
         assert m.cdf(100.0) == pytest.approx(float(ndtr(0.1)), abs=1e-12)
         assert m.cdf(0.0) == 0.0
 
+    def test_lognormal_at_subnormal_x(self):
+        # x / spot underflows to 0; the cdf is 0 there, without a warning
+        m = cb.lognormal_martingale(0.2, 100.0, 1.0)
+        assert m.cdf(5e-324) == 0.0
+        assert m.cdf(np.array([5e-324, 1e-300]))[0] == 0.0
+
     def test_rejects_bad_arguments(self):
         m = cb.exponential(0.2)
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import copulabounds as cb
+from copulabounds import pricing, quadrature
 from copulabounds.pricing import InconsistentIntervalError
-from copulabounds.quadrature import QuadratureError
+from copulabounds.quadrature import DEFAULT_EPS, QuadratureError, refine_roots
+from copulabounds.scenarios import ScenarioConfig, sweep_grid
 
 from _oracles import margrabe_price, random_point_set, sample_gaussian_lognormals
 
@@ -307,6 +309,23 @@ class TestPriceBatch:
         signs = np.array([cb.payoff_sign(p) for p in payoffs], dtype=float)
         assert np.all(np.diff(signs[:, None] * prices, axis=1) >= -1e-9)
 
+    @given(strikes=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=12),
+           rhos=st.lists(st.floats(-0.99, 0.99), min_size=2, max_size=2, unique=True))
+    @settings(max_examples=40, deadline=None)
+    def test_spread_sweep_prices_ordered_in_rho(self, lognormal_marginals, strikes, rhos):
+        # W <= Gauss(rho1) <= Gauss(rho2) <= M pointwise, so the spread prices,
+        # which fall with dependence, come out in the reverse order exactly.
+        # The kernel resolves the copula to about 5e-16, so rho a few doubles
+        # apart can price up to 3e-14 out of order; 1e-6 apart they differ by
+        # far more than that.
+        r1, r2 = sorted(rhos)
+        assume(r2 - r1 >= 1e-6)
+        surfaces = [cb.FRECHET_LOWER, cb.gaussian_copula(r1), cb.gaussian_copula(r2),
+                    cb.FRECHET_UPPER]
+        payoffs = [cb.spread(k) for k in strikes]
+        prices = cb.price_batch(payoffs, surfaces, *lognormal_marginals, panels=200)
+        assert np.all(np.diff(prices, axis=1) <= 0.0)
+
 
 class TestDigitalDefaults:
     def test_product_closed_form(self, exp_marginals):
@@ -337,3 +356,93 @@ class TestDigitalDefaults:
         mx, my = exp_marginals
         with pytest.raises(ValueError):
             cb.digital_default_prices(cb.PRODUCT, mx, my, -1.0)
+
+
+def _crossings_of_one_path(m_x, m_y, path, probes=257):
+    """Kink crossings of one path found on its own: a scalar probe grid,
+    then ``refine_roots`` on its sign changes, for each kink family."""
+    if not path.hi > path.lo:
+        return np.empty(0)
+    grid = np.linspace(path.lo, path.hi, probes)
+
+    def fx(z):
+        return m_x.cdf(np.maximum(path.cx * z + path.dx, 0.0))
+
+    def fy(z):
+        return m_y.cdf(np.maximum(path.cy * z + path.dy, 0.0))
+
+    roots = []
+    for g in (lambda z: fx(z) - fy(z), lambda z: fx(z) + fy(z) - 1.0):
+        vals = g(grid)
+        sign = np.sign(vals)
+        i = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        if i.size:
+            roots.append(
+                refine_roots(lambda x, _: g(x), grid[i], grid[i + 1], vals[i], vals[i + 1])
+            )
+    return np.concatenate(roots) if roots else np.empty(0)
+
+
+_WEIGHTS = st.floats(0.25, 3.0).flatmap(lambda w: st.sampled_from([w, -w]))
+_STRIKES = st.floats(0.0, 250.0)
+_PAYOFFS = st.one_of(
+    st.builds(cb.basket, _WEIGHTS, _WEIGHTS, st.floats(-250.0, 250.0)),
+    st.builds(lambda k: cb.call_on_min(k), _STRIKES),
+    st.builds(lambda k: cb.put_on_max(k), _STRIKES),
+    st.builds(cb.worst_off_call, _STRIKES, _STRIKES),
+    st.builds(cb.best_off_call, _STRIKES, _STRIKES),
+    st.builds(cb.worst_off_put, _STRIKES, _STRIKES),
+    st.builds(cb.best_off_put, _STRIKES, _STRIKES),
+)
+
+
+class TestKinkCrossings:
+    @given(
+        draws=st.lists(
+            st.tuples(_PAYOFFS, st.one_of(st.none(), st.tuples(st.floats(0.5, 2.0),
+                                                               st.floats(0.01, 0.99)))),
+            min_size=1, max_size=10,
+        ),
+        sigmas=st.tuples(st.floats(0.05, 0.6), st.floats(0.05, 0.6)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batched_roots_equal_per_path_roots(self, draws, sigmas):
+        # Paths of baskets in all four sign quadrants with negative strikes,
+        # of the diagonal and of two-strike calls and puts, solved together.
+        # A cut path runs from d before its first crossing r to just past r,
+        # so that r lies in its last probe bracket.  With d up to past zero,
+        # lo + (hi - lo) need not round to hi, so a probe grid that does not
+        # hit the exact ends of a path shows.
+        mx = cb.lognormal_martingale(sigmas[0], 100.0, 1.0)
+        my = cb.lognormal_martingale(sigmas[1], 100.0, 1.0)
+        paths = []
+        for payoff, cut in draws:
+            path = pricing._mu_segment(payoff, mx, my, DEFAULT_EPS)
+            roots = _crossings_of_one_path(mx, my, path)
+            if cut is not None and roots.size:
+                r = roots[0]
+                d = cut[0] * (abs(r) + r - path.lo)
+                path = path._replace(lo=r - d, hi=min(r + cut[1] * d / 255.0, path.hi))
+            paths.append(path)
+        batched = pricing._path_crossings(mx, my, paths)
+        assert len(batched) == len(paths)
+        for path, roots in zip(paths, batched):
+            np.testing.assert_array_equal(roots, _crossings_of_one_path(mx, my, path))
+
+    def test_default_spread_sweep_solves_two_bracket_batches(
+        self, lognormal_marginals, monkeypatch
+    ):
+        # Count guard: one bracket solve per kink family for the whole sweep
+        # (one per path and family with a sign change took 167).
+        calls = []
+        solve = quadrature.solve_brackets
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "solve_brackets", counting)
+        payoffs = [cb.spread(float(k)) for k in sweep_grid(ScenarioConfig(scenario="max-known"))]
+        assert len(payoffs) == 101
+        cb.price_batch(payoffs, [cb.FRECHET_LOWER, cb.FRECHET_UPPER], *lognormal_marginals)
+        assert 0 < len(calls) <= 2

@@ -12,6 +12,7 @@ from copulabounds import cli, pricing
 from copulabounds.cli import main
 from copulabounds.functional import MonotoneFunctional
 from copulabounds.scenarios import (
+    SCENARIOS,
     ScenarioConfig,
     _scenario3_pieces,
     _scenario4_pieces,
@@ -270,12 +271,30 @@ class TestCli:
         import copulabounds.cli as cli_mod
         from copulabounds.quadrature import QuadratureError
 
-        def boom(cfg):
+        def boom(cfg, pieces=None):
             raise QuadratureError("synthetic failure")
 
         monkeypatch.setattr(cli_mod, "run_scenario", boom)
         code = main(["--scenario", "second-to-default", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("scenario", list(SWEEP_FAMILY))
+    def test_validate_builds_the_pieces_once(self, tmp_path, monkeypatch, scenario):
+        # the run and the validation share one (m_x, m_y, band)
+        spec = SCENARIOS[scenario]
+        built = []
+
+        def counting(cfg):
+            built.append(cfg.scenario)
+            return spec.pieces(cfg)
+
+        monkeypatch.setitem(SCENARIOS, scenario, dataclasses.replace(spec, pieces=counting))
+        cfgfile = tmp_path / "v.cfg"
+        settings = dict(scenario=scenario, **SMALL_RUNS[scenario])
+        cfgfile.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        out = str(tmp_path / "v.csv")
+        assert main(["--config", str(cfgfile), "--grid", "10", "--out", out, "--validate"]) == 0
+        assert built == [scenario]
 
     @pytest.mark.parametrize("scenario", list(SWEEP_FAMILY))
     def test_validate_flag(self, tmp_path, capsys, scenario):

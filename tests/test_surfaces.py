@@ -7,6 +7,11 @@ import copulabounds as cb
 from copulabounds.quadrature import unit_rule
 from copulabounds.surfaces import bivariate_normal_cdf
 
+from _oracles import owens_t_bivariate_normal_cdf
+
+# rho on both sides of each limit where the kernel changes its rule
+REGIME_EDGES = (0.2999, 0.3001, 0.7499, 0.7501, 0.9249, 0.9251)
+
 
 class TestFrechet:
     def test_values(self):
@@ -150,10 +155,31 @@ class TestGaussianCopula:
     def test_concordance_ordering_in_rho(self):
         g = np.linspace(0.0, 1.0, 41)
         U, V = np.meshgrid(g, g, indexing="ij")
-        rhos = (-0.9, -0.5, 0.0, 0.5, 0.9)
+        rhos = sorted({-0.9, -0.5, 0.0, 0.5, 0.9} | {s * r for r in REGIME_EDGES for s in (-1, 1)})
         vals = [cb.gaussian_copula(r)(U, V) for r in rhos]
         for lo, hi in zip(vals, vals[1:]):
             assert np.all(hi - lo >= -1e-12)
+
+    @pytest.mark.parametrize("rho", [s * r for r in REGIME_EDGES for s in (-1, 1)])
+    def test_kernel_across_regimes(self, rho):
+        # quantiles of probabilities from 1e-12 to 1 - 1e-12, all pairs
+        p = np.concatenate([10.0 ** -np.arange(12.0, 1.0, -1.5), np.linspace(0.05, 0.95, 19)])
+        z = ndtri(np.concatenate([p, 1.0 - p]))
+        h, k = (a.ravel() for a in np.meshgrid(z, z))
+        got = bivariate_normal_cdf(h, k, rho)
+        assert np.max(np.abs(got - owens_t_bivariate_normal_cdf(h, k, rho))) <= 1e-15
+        mv = multivariate_normal(mean=[0, 0], cov=[[1, rho], [rho, 1]])
+        assert np.max(np.abs(got - mv.cdf(np.column_stack([h, k])))) <= 1e-15
+
+    @pytest.mark.parametrize("rho", [-0.7, -0.2, 0.0, 0.5, 0.8, 0.95])
+    def test_infinite_arguments_give_the_limits(self, rho):
+        # 0 when either argument is -inf, Phi(other) when one is +inf
+        inf = np.inf
+        h = np.array([-inf, 0.3, -inf, inf, 0.3, inf, inf, -inf])
+        k = np.array([0.3, -inf, inf, -inf, inf, -0.4, inf, -inf])
+        want = [0.0, 0.0, 0.0, 0.0, ndtr(0.3), ndtr(-0.4), 1.0, 0.0]
+        np.testing.assert_array_equal(bivariate_normal_cdf(h, k, rho), want)
+        assert np.isnan(bivariate_normal_cdf([np.nan, 0.5], [0.5, np.nan], rho)).all()
 
     def test_rho_out_of_range(self):
         with pytest.raises(ValueError):
