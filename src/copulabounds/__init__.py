@@ -26,7 +26,6 @@ from .marginals import (
     LognormalMartingale,
     Marginal,
     Tabulated,
-    expect_on_diagonal,
     exponential,
     from_call_prices,
     lognormal_martingale,
@@ -43,14 +42,11 @@ from .pricing import (
     call_on_max,
     call_on_min,
     digital_default_prices,
-    log_product,
     payoff_sign,
     payoff_value,
     price,
     price_batch,
     price_interval,
-    price_under_M,
-    price_under_W,
     product_xy,
     put_on_max,
     put_on_min,

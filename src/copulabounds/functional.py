@@ -69,6 +69,8 @@ _THETA_TOL = 1e-10
 # theta lies in [0, 1], where doubles are about 2e-16 apart.
 _THETA_TOL_MIN = 1e-15
 _SHIFT_TABLE_N = 2001
+# Gauss-Legendre order per panel of the one-point maps' mapped rule.
+_MAP_ORDER = 7
 
 
 class LevelRangeError(ValueError):
@@ -95,10 +97,10 @@ class _RunningIntegral:
         if func.kink is not None:
             breaks = refine_sign_changes(
                 lambda u, _: func._kink_on_path(u, np.full_like(u, shift), anti),
-                func.eps,
-                1.0 - func.eps,
+                DEFAULT_EPS,
+                1.0 - DEFAULT_EPS,
             )[0].tolist()
-        edges = unit_panel_edges(self._PANELS, eps=func.eps, breakpoints=breaks)
+        edges = unit_panel_edges(self._PANELS, breakpoints=breaks)
         t, w = gauss_legendre_01(self._TAIL_ORDER)
         width = np.diff(edges)
         nodes = edges[:-1, None] + width[:, None] * t[None, :]
@@ -124,12 +126,13 @@ class _RunningIntegral:
 
 
 class _ShiftRootTable:
-    """Root of the payoff kink along a shifted path, tabulated over shifts.
+    """Roots of the payoff kink along a shifted path, tabulated over shifts.
 
     Splitting a segment at an approximate kink location is always valid
     (the integrand is continuous), so interpolation error here only
-    perturbs where the panel boundary lands.  At most one root per shift
-    is tracked; shifts without a root give no split.
+    perturbs where the panel boundary lands.  At most two roots per shift
+    are tracked, and a kink with more sign changes along any path raises
+    QuadratureError; shifts without a root give no split.
     """
 
     _PROBES = 129
@@ -138,10 +141,16 @@ class _ShiftRootTable:
         self.anti = anti
         lo, hi = (0.0, 2.0) if anti else (-1.0, 1.0)
         s = np.linspace(lo, hi, _SHIFT_TABLE_N)
-        u = np.linspace(func.eps, 1.0 - func.eps, self._PROBES)
+        u = np.linspace(DEFAULT_EPS, 1.0 - DEFAULT_EPS, self._PROBES)
         d = func._kink_on_path(u[None, :], s[:, None], anti)
         sign = np.sign(d)
         change = sign[:, :-1] * sign[:, 1:] < 0
+        most = int(change.sum(axis=1).max())
+        if most > 2:
+            raise QuadratureError(
+                f"payoff kink changes sign {most} times along a shifted path; "
+                "at most two roots per path are supported"
+            )
         self.s = s
         # Shifted quantile curves can cross twice; refine the first and the
         # last bracket of each row (identical when there is one root).
@@ -183,9 +192,13 @@ class MonotoneFunctional:
     kink:
         Optional signed function whose zero set is the only curve where
         ``integrand`` is not smooth (for example ``x - y`` for spread-type
-        payoffs).  Integration segments are split at its roots.
-    panels, order, eps:
-        Quadrature controls for the one-dimensional reductions.
+        payoffs).  Integration segments are split at its roots, of which
+        each shifted path may cross at most two.
+    panels:
+        Panels of the mapped rule on the shifted segments.
+
+    The integrand is spot-checked for 2-increasingness on sampled
+    rectangles at construction.
     """
 
     def __init__(
@@ -196,27 +209,22 @@ class MonotoneFunctional:
         *,
         kink: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         panels: int = 28,
-        order: int = 7,
-        eps: float = DEFAULT_EPS,
-        check: bool = True,
     ):
         self.integrand = integrand
         self.m_x = m_x
         self.m_y = m_y
         self.kink = kink
-        self.eps = float(eps)
         # Inversion evaluates these integrals tens of times per surface
         # point, so the shifted segments use a small mapped rule: heavy
         # endpoint grading plus a high order per panel (segments are smooth
         # once kinks are split).  The two unshifted segments of each map
         # reduce to a precomputed running integral along the (anti)diagonal.
-        rule = unit_rule(panels=panels, order=order, eps=eps, edge_per_decade=1)
+        rule = unit_rule(panels=panels, order=_MAP_ORDER, edge_per_decade=1)
         self._t = rule.nodes
         self._w = rule.weights
         self._rho_m: float | None = None
         self._rho_w: float | None = None
-        if check:
-            self._spot_check_two_increasing()
+        self._spot_check_two_increasing()
         self._diag = _RunningIntegral(self, shift=0.0, anti=False)
         self._anti = _RunningIntegral(self, shift=1.0, anti=True)
         self._root_co = _ShiftRootTable(self, anti=False) if kink else None
@@ -240,7 +248,7 @@ class MonotoneFunctional:
     # -- quantile-space helpers ------------------------------------------
 
     def _xy(self, u: np.ndarray, yarg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.eps, 1.0 - self.eps
+        lo, hi = DEFAULT_EPS, 1.0 - DEFAULT_EPS
         x = self.m_x.quantile_unchecked(np.clip(u, lo, hi))
         y = self.m_y.quantile_unchecked(np.clip(yarg, lo, hi))
         return x, y
@@ -361,12 +369,9 @@ def value_of(functional, surface: CopulaSurface) -> float:
     if kind == "one-point-lower":
         return float(functional.at_one_point_lower(s[1], s[2], s[3]))
     if kind == "product" and isinstance(functional, MonotoneFunctional):
-        x = functional.m_x.quantile_unchecked(
-            np.clip(functional._t, functional.eps, 1 - functional.eps)
-        )
-        y = functional.m_y.quantile_unchecked(
-            np.clip(functional._t, functional.eps, 1 - functional.eps)
-        )
+        u = np.clip(functional._t, DEFAULT_EPS, 1 - DEFAULT_EPS)
+        x = functional.m_x.quantile_unchecked(u)
+        y = functional.m_y.quantile_unchecked(u)
         vals = np.asarray(functional.integrand(x[:, None], y[None, :]), dtype=float)
         return float(np.einsum("i,ij,j->", functional._w, vals, functional._w))
     raise ValueError(f"no one-dimensional reduction for surface {surface.name!r}")

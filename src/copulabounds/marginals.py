@@ -13,18 +13,12 @@ The generalized inverse follows the usual convention
 from __future__ import annotations
 
 import csv
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .quadrature import (
-    DEFAULT_EPS,
-    DEFAULT_ORDER,
-    DEFAULT_PANELS,
-    QuadratureError,
-    unit_rule,
-)
+from .quadrature import DEFAULT_EPS
 
 __all__ = [
     "Marginal",
@@ -35,7 +29,6 @@ __all__ = [
     "lognormal_martingale",
     "tabulated",
     "from_call_prices",
-    "expect_on_diagonal",
     "marginal_from_csv",
 ]
 
@@ -268,36 +261,6 @@ def from_call_prices(
         slope[-1] = slope[0]
     F = np.clip(1.0 + np.exp(rate * maturity) * slope, 0.0, 1.0)
     return Tabulated(K, np.maximum.accumulate(F))
-
-
-def expect_on_diagonal(
-    m1: Marginal,
-    m2: Marginal,
-    g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    direction: str = "co",
-    panels: int = DEFAULT_PANELS,
-    order: int = DEFAULT_ORDER,
-    breakpoints: Iterable[float] = (),
-    eps: float = DEFAULT_EPS,
-) -> float:
-    """Quantile-transform expectation of ``g`` along a monotone coupling.
-
-    ``co``:       integral of g(q1(u), q2(u)) over (0, 1)
-    ``counter``:  integral of g(q1(1-u), q2(u)) over (0, 1)
-
-    Divergent or non-finite integrands near the endpoints raise
-    QuadratureError rather than being truncated silently.
-    """
-    if direction not in ("co", "counter"):
-        raise ValueError("direction must be 'co' or 'counter'")
-    rule = unit_rule(panels=panels, order=order, eps=eps, breakpoints=breakpoints)
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        x = m1.quantile(1.0 - u) if direction == "counter" else m1.quantile(u)
-        y = m2.quantile(u)
-        return np.asarray(g(x, y), dtype=float)
-
-    return rule.integrate_checked(integrand)
 
 
 def marginal_from_csv(path, rate: float = 0.0, maturity: float = 1.0) -> Tabulated:

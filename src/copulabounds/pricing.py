@@ -34,10 +34,7 @@ import numpy as np
 
 from .marginals import Marginal
 from .quadrature import (
-    DEFAULT_EPS,
-    DEFAULT_ORDER,
     DEFAULT_PANELS,
-    QuadratureError,
     interval_rule,
     refine_sign_changes,
     unit_rule,
@@ -59,14 +56,11 @@ __all__ = [
     "best_off_call",
     "best_off_put",
     "product_xy",
-    "log_product",
     "payoff_value",
     "payoff_sign",
     "survival_weight",
     "price",
     "price_batch",
-    "price_under_M",
-    "price_under_W",
     "price_interval",
     "digital_default_prices",
 ]
@@ -91,12 +85,19 @@ class PayoffSpec:
     strike2: float = 0.0
 
 
+def _check_finite(kind: str, **params: float) -> None:
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{kind} {name} must be finite, got {value!r}")
+
+
 def basket(alpha: float, beta: float, strike: float) -> PayoffSpec:
     """(alpha*X + beta*Y - K)^+; spreads are alpha/beta of opposite sign.
 
     Either coefficient sign is accepted and so are negative strikes (the
     curvature-measure support is resolved per sign quadrant).
     """
+    _check_finite("basket", alpha=alpha, beta=beta, strike=strike)
     if alpha == 0.0 or beta == 0.0:
         raise ValueError("basket weights must be nonzero (payoff degenerates to one asset)")
     return PayoffSpec("basket", alpha=float(alpha), beta=float(beta), strike=float(strike))
@@ -108,6 +109,7 @@ def spread(strike: float) -> PayoffSpec:
 
 
 def _one_strike(kind: str, strike: float) -> PayoffSpec:
+    _check_finite(kind, strike=strike)
     if strike < 0.0:
         raise ValueError(f"{kind} strike must be nonnegative")
     return PayoffSpec(kind, strike=float(strike))
@@ -130,6 +132,7 @@ def put_on_max(strike: float) -> PayoffSpec:
 
 
 def _two_strike(kind: str, k1: float, k2: float) -> PayoffSpec:
+    _check_finite(kind, k1=k1, k2=k2)
     if k1 < 0.0 or k2 < 0.0:
         raise ValueError(f"{kind} strikes must be nonnegative")
     return PayoffSpec(kind, strike1=float(k1), strike2=float(k2))
@@ -153,10 +156,6 @@ def best_off_put(k1: float, k2: float) -> PayoffSpec:
 
 def product_xy() -> PayoffSpec:
     return PayoffSpec("product-xy")
-
-
-def log_product() -> PayoffSpec:
-    return PayoffSpec("log-product")
 
 
 def payoff_value(p: PayoffSpec, x, y):
@@ -184,9 +183,6 @@ def payoff_value(p: PayoffSpec, x, y):
         return np.maximum(np.maximum(p.strike1 - x, 0.0), np.maximum(p.strike2 - y, 0.0))
     if k == "product-xy":
         return x * y
-    if k == "log-product":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(x) * np.log(y)
     raise ValueError(f"unknown payoff kind {k!r}")
 
 
@@ -200,8 +196,7 @@ def payoff_sign(p: PayoffSpec) -> int:
     k = p.kind
     if k == "basket":
         return 1 if p.alpha * p.beta > 0 else -1
-    if k in ("call-on-min", "put-on-max", "worst-off-call", "worst-off-put",
-             "product-xy", "log-product"):
+    if k in ("call-on-min", "put-on-max", "worst-off-call", "worst-off-put", "product-xy"):
         return 1
     if k in ("call-on-max", "put-on-min", "best-off-call", "best-off-put"):
         return -1
@@ -224,9 +219,9 @@ def _strike_candidates(p: PayoffSpec) -> list[float]:
     return [v for v in vals if np.isfinite(v) and v > 0.0]
 
 
-def _edge_expectation(m: Marginal, fn, kink_xs, panels, order, eps) -> float:
+def _edge_expectation(m: Marginal, fn, kink_xs, panels) -> float:
     breaks = [float(m.cdf(k)) for k in kink_xs]
-    rule = unit_rule(panels=panels, order=order, eps=eps, breakpoints=breaks)
+    rule = unit_rule(panels=panels, breakpoints=breaks)
     return rule.integrate_checked(lambda u: np.asarray(fn(m.quantile(u)), dtype=float))
 
 
@@ -244,14 +239,15 @@ class _Segment(NamedTuple):
     sign: int
 
 
-def _mu_segment(p: PayoffSpec, m_x: Marginal, m_y: Marginal, eps: float) -> _Segment:
+def _mu_segment(p: PayoffSpec, m_x: Marginal, m_y: Marginal) -> _Segment:
     """Curvature support of ``p``.
 
     Infinite upper limits are truncated where either marginal's survival
-    drops below ``eps``; the integrand is dominated by those survivals.
+    drops below ``DEFAULT_EPS``; the integrand is dominated by those
+    survivals.
     """
-    cx = m_x.upper_cutoff(eps)
-    cy = m_y.upper_cutoff(eps)
+    cx = m_x.upper_cutoff()
+    cy = m_y.upper_cutoff()
     k = p.kind
     if k == "basket":
         a, b, K = p.alpha, p.beta, p.strike
@@ -279,7 +275,7 @@ def _mu_segment(p: PayoffSpec, m_x: Marginal, m_y: Marginal, eps: float) -> _Seg
         sign = 1 if k == "worst-off-put" else -1
         hi = min(p.strike1, p.strike2)
         return _Segment(0.0, hi, -1.0, p.strike1, -1.0, p.strike2, sign)
-    raise ValueError(f"no one-dimensional reduction for payoff kind {k!r}")
+    raise ValueError(f"unknown payoff kind {k!r}")
 
 
 def _shared_path(segments) -> _Segment:
@@ -324,7 +320,7 @@ def _mu_terms(u, v, weights: np.ndarray, surfaces) -> np.ndarray:
     return out
 
 
-def _path_terms(payoffs, segments, path, crossings, surfaces, m_x, m_y, panels, order):
+def _path_terms(payoffs, segments, path, crossings, surfaces, m_x, m_y, panels):
     """Curvature terms, shape ``(len(payoffs), len(surfaces))``, of payoffs
     whose curvature measures lie on one path: a single payoff, or one-strike
     payoffs on the diagonal x = y = z.
@@ -335,7 +331,7 @@ def _path_terms(payoffs, segments, path, crossings, surfaces, m_x, m_y, panels, 
     segment.
     """
     breaks = [p.strike for p in payoffs] + crossings.tolist()
-    rule = interval_rule(path.lo, path.hi, panels, order, breakpoints=breaks)
+    rule = interval_rule(path.lo, path.hi, panels, breakpoints=breaks)
     z = rule.nodes
     weights = np.array(
         [s.sign * np.where((z > s.lo) & (z < s.hi), rule.weights, 0.0) for s in segments]
@@ -352,8 +348,6 @@ def price_batch(
     m_y: Marginal,
     *,
     panels: int = DEFAULT_PANELS,
-    order: int = DEFAULT_ORDER,
-    eps: float = DEFAULT_EPS,
     panels_2d: int = 100,
 ) -> np.ndarray:
     """Prices of every payoff under every surface, shape
@@ -370,28 +364,23 @@ def price_batch(
     """
     payoffs = list(payoffs)
     surfaces = list(surfaces)
-    if any(p.kind == "log-product" for p in payoffs):
-        raise QuadratureError(
-            "log-product payoff has divergent boundary expectations E[f(X,0)]; "
-            "price it only under the comonotone/countermonotone couplings"
-        )
     out = np.empty((len(payoffs), len(surfaces)))
     diagonal = [i for i, p in enumerate(payoffs) if p.kind in _KINDS_ONE_STRIKE]
     groups = [diagonal] if diagonal else []
     groups += [[i] for i, p in enumerate(payoffs)
                if p.kind not in _KINDS_ONE_STRIKE and p.kind != "product-xy"]
-    segments = [[_mu_segment(payoffs[i], m_x, m_y, eps) for i in g] for g in groups]
+    segments = [[_mu_segment(payoffs[i], m_x, m_y) for i in g] for g in groups]
     paths = [_shared_path(s) for s in segments]
     for g, segs, path, crossings in zip(
         groups, segments, paths, _path_crossings(m_x, m_y, paths)
     ):
         out[g] = _path_terms(
-            [payoffs[i] for i in g], segs, path, crossings, surfaces, m_x, m_y, panels, order
+            [payoffs[i] for i in g], segs, path, crossings, surfaces, m_x, m_y, panels
         )
     for i, p in enumerate(payoffs):
         if p.kind == "product-xy":
-            rx = interval_rule(0.0, m_x.upper_cutoff(eps), panels_2d, order)
-            ry = interval_rule(0.0, m_y.upper_cutoff(eps), panels_2d, order)
+            rx = interval_rule(0.0, m_x.upper_cutoff(), panels_2d)
+            ry = interval_rule(0.0, m_y.upper_cutoff(), panels_2d)
             u = m_x.cdf(rx.nodes)[:, None]
             v = m_y.cdf(ry.nodes)[None, :]
             out[i] = _mu_terms(u, v, np.outer(rx.weights, ry.weights).reshape(1, -1), surfaces)[0]
@@ -399,8 +388,8 @@ def price_batch(
     # cached unit rules are not held while functional envelopes invert.
     for i, p in enumerate(payoffs):
         kinks = _strike_candidates(p)
-        ex = _edge_expectation(m_x, lambda x: payoff_value(p, x, 0.0), kinks, panels, order, eps)
-        ey = _edge_expectation(m_y, lambda y: payoff_value(p, 0.0, y), kinks, panels, order, eps)
+        ex = _edge_expectation(m_x, lambda x: payoff_value(p, x, 0.0), kinks, panels)
+        ey = _edge_expectation(m_y, lambda y: payoff_value(p, 0.0, y), kinks, panels)
         out[i] += -float(payoff_value(p, 0.0, 0.0)) + ex + ey
     return out
 
@@ -408,59 +397,6 @@ def price_batch(
 def price(p: PayoffSpec, surface: CopulaSurface, m_x: Marginal, m_y: Marginal, **quad) -> float:
     """Price of one payoff under one surface; ``quad`` as in ``price_batch``."""
     return float(price_batch([p], [surface], m_x, m_y, **quad)[0, 0])
-
-
-def _diag_breakpoints(p: PayoffSpec, m_x, m_y, direction: str, eps: float) -> list[float]:
-    breaks = []
-    for k in _strike_candidates(p):
-        fx = float(m_x.cdf(k))
-        breaks.append(1.0 - fx if direction == "counter" else fx)
-        breaks.append(float(m_y.cdf(k)))
-
-    def gap(u):
-        xu = m_x.quantile(1.0 - u) if direction == "counter" else m_x.quantile(u)
-        return xu - m_y.quantile(u)
-
-    breaks.extend(refine_sign_changes(lambda u, _: gap(u), eps, 1.0 - eps)[0].tolist())
-    return breaks
-
-
-def price_under_M(
-    p: PayoffSpec,
-    m_x: Marginal,
-    m_y: Marginal,
-    *,
-    panels: int = DEFAULT_PANELS,
-    order: int = DEFAULT_ORDER,
-    eps: float = DEFAULT_EPS,
-) -> float:
-    """Comonotone price by direct quadrature of the payoff on the diagonal."""
-    from .marginals import expect_on_diagonal
-
-    return expect_on_diagonal(
-        m_x, m_y, lambda x, y: payoff_value(p, x, y), "co",
-        panels=panels, order=order, eps=eps,
-        breakpoints=_diag_breakpoints(p, m_x, m_y, "co", eps),
-    )
-
-
-def price_under_W(
-    p: PayoffSpec,
-    m_x: Marginal,
-    m_y: Marginal,
-    *,
-    panels: int = DEFAULT_PANELS,
-    order: int = DEFAULT_ORDER,
-    eps: float = DEFAULT_EPS,
-) -> float:
-    """Countermonotone price by direct quadrature on the antidiagonal."""
-    from .marginals import expect_on_diagonal
-
-    return expect_on_diagonal(
-        m_x, m_y, lambda x, y: payoff_value(p, x, y), "counter",
-        panels=panels, order=order, eps=eps,
-        breakpoints=_diag_breakpoints(p, m_x, m_y, "counter", eps),
-    )
 
 
 @dataclass(frozen=True)

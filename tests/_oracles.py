@@ -1,15 +1,19 @@
 """Independent oracles and generators shared by the test modules.
 
 Everything here is deliberately computed through routes different from
-the library code it checks: closed forms, Monte Carlo, and a
-disintegration oracle that reads conditional laws off surface values by
-finite differences.
+the library code it checks: closed forms, Monte Carlo, adaptive
+quadrature along the Frechet couplings, and a disintegration oracle that
+reads conditional laws off surface values by finite differences.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import ndtr, owens_t
+
+from copulabounds.pricing import payoff_value
 
 
 def margrabe_price(spot_x, spot_y, sigma_x, sigma_y, rho, maturity) -> float:
@@ -167,3 +171,50 @@ def expectation_by_disintegration(
     v = np.clip(0.5 * (left + right), eps, 1.0 - eps)
     vals = np.asarray(f0(m_x.quantile(u), m_y.quantile(v)), dtype=float)
     return float(vals.mean())
+
+
+# Largest double below 1.  Nodes of ``quad`` next to an end of (0, 1) can
+# round onto it, where a quantile is infinite.
+_BELOW_ONE = 1.0 - 2.0**-53
+
+
+def coupling_expectation(g, m_x, m_y, direction="co", points=()):
+    """E[g(X, Y)] under the comonotone (``co``) or countermonotone
+    (``counter``) coupling: the integral of g(q_X(u), q_Y(u)), or of
+    g(q_X(1 - u), q_Y(u)), over (0, 1) by ``scipy.integrate.quad``, split
+    at ``points``."""
+    if direction not in ("co", "counter"):
+        raise ValueError("direction must be 'co' or 'counter'")
+
+    def integrand(u):
+        ux = 1.0 - u if direction == "counter" else u
+        x = m_x.quantile(min(max(ux, 1e-300), _BELOW_ONE))
+        return float(g(x, m_y.quantile(min(u, _BELOW_ONE))))
+
+    edges = sorted({0.0, 1.0, *(float(p) for p in points if 0.0 < p < 1.0)})
+    return sum(
+        quad(integrand, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=500)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+
+
+def coupling_price(payoff, m_x, m_y, direction="co"):
+    """Price of a catalog payoff under the comonotone or countermonotone
+    coupling, split at the strikes' CDF values and where the coupled
+    quantiles cross."""
+    strikes = [k for k in (payoff.strike, payoff.strike1, payoff.strike2) if k > 0.0]
+    fx = [float(m_x.cdf(k)) for k in strikes]
+    points = [1.0 - f for f in fx] if direction == "counter" else fx
+    points += [float(m_y.cdf(k)) for k in strikes]
+
+    def gap(u):
+        ux = 1.0 - u if direction == "counter" else u
+        return m_x.quantile(ux) - m_y.quantile(u)
+
+    u = np.linspace(1e-9, 1.0 - 1e-9, 4097)
+    d = gap(u)
+    for i in np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0):
+        points.append(brentq(gap, u[i], u[i + 1], xtol=1e-15))
+    return coupling_expectation(
+        lambda x, y: payoff_value(payoff, x, y), m_x, m_y, direction, points
+    )

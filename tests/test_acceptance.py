@@ -17,6 +17,7 @@ from copulabounds.scenarios import ScenarioConfig, check_rows, run_scenario
 
 from _oracles import (
     TwoPointPenalty,
+    coupling_price,
     margrabe_price,
     random_point_set,
     sample_gaussian_lognormals,
@@ -192,8 +193,8 @@ def test_criterion_6_diagonal_consistency(lognormal_marginals):
     for p in kinds:
         worst = max(
             worst,
-            abs(cb.price(p, cb.FRECHET_UPPER, mx, my) - cb.price_under_M(p, mx, my)),
-            abs(cb.price(p, cb.FRECHET_LOWER, mx, my) - cb.price_under_W(p, mx, my)),
+            abs(cb.price(p, cb.FRECHET_UPPER, mx, my) - coupling_price(p, mx, my, "co")),
+            abs(cb.price(p, cb.FRECHET_LOWER, mx, my) - coupling_price(p, mx, my, "counter")),
         )
     report("6 diagonal-consistency", worst <= 1e-6, f"worst gap {worst:.2e}")
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import copulabounds as cb
 from copulabounds.functional import LevelRangeError, _invert_batch
+from copulabounds.quadrature import QuadratureError
 
 from _oracles import TwoPointPenalty, expectation_by_disintegration, random_point_set
 
@@ -85,6 +86,16 @@ class TestOnePointMaps:
         mx, my = lognormal_marginals
         with pytest.raises(ValueError, match="2-increasing"):
             cb.MonotoneFunctional(lambda x, y: np.maximum(x - y, 0.0), mx, my)
+
+    def test_kink_with_three_roots_rejected(self, lognormal_marginals):
+        # the kink changes sign at x = 90, 100 and 110 along every path that
+        # spans those quantiles, and only two roots per path are split at
+        mx, my = lognormal_marginals
+        with pytest.raises(QuadratureError, match="changes sign 3 times"):
+            cb.MonotoneFunctional(
+                lambda x, y: x * y, mx, my,
+                kink=lambda x, y: (x - 90.0) * (x - 100.0) * (x - 110.0),
+            )
 
     def test_log_product_independence_factorizes(self, lognormal_marginals):
         mx, my = lognormal_marginals

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import copulabounds as cb
-from copulabounds.quadrature import QuadratureError
 
 from _oracles import black_call
 
@@ -138,48 +137,6 @@ class TestFromCallPrices:
     def test_too_few_strikes(self):
         with pytest.raises(ValueError):
             cb.from_call_prices([1.0], [2.0])
-
-
-class TestDiagonalExpectation:
-    def test_normalization(self, exp_marginals):
-        # endpoint clipping removes 2e-12 of mass by construction
-        mx, my = exp_marginals
-        assert cb.expect_on_diagonal(mx, my, lambda x, y: 1.0 + 0.0 * x) == pytest.approx(
-            1.0, abs=1e-11
-        )
-
-    def test_exponential_mean(self, exp_marginals):
-        mx, _ = exp_marginals
-        got = cb.expect_on_diagonal(mx, mx, lambda x, y: x)
-        assert got == pytest.approx(5.0, abs=1e-8)
-
-    def test_lognormal_mean(self, lognormal_marginals):
-        mx, my = lognormal_marginals
-        got = cb.expect_on_diagonal(mx, my, lambda x, y: x)
-        assert got == pytest.approx(100.0, abs=1e-8)
-        got = cb.expect_on_diagonal(mx, my, lambda x, y: y, direction="counter")
-        assert got == pytest.approx(100.0, abs=1e-8)
-
-    def test_comonotone_identical_spread_vanishes(self, exp_marginals):
-        mx, _ = exp_marginals
-        got = cb.expect_on_diagonal(mx, mx, lambda x, y: np.maximum(x - y, 0.0))
-        assert got == pytest.approx(0.0, abs=1e-12)
-
-    def test_divergent_integrand_reported(self, exp_marginals):
-        mx, my = exp_marginals
-        with pytest.raises(QuadratureError):
-            cb.expect_on_diagonal(mx, my, lambda x, y: 1.0 / np.maximum(x, 1e-300))
-
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-    def test_nonfinite_integrand_reported(self, exp_marginals):
-        mx, my = exp_marginals
-        with pytest.raises(QuadratureError):
-            cb.expect_on_diagonal(mx, my, lambda x, y: np.log(0.0 * x))
-
-    def test_bad_direction(self, exp_marginals):
-        mx, my = exp_marginals
-        with pytest.raises(ValueError):
-            cb.expect_on_diagonal(mx, my, lambda x, y: x, direction="sideways")
 
 
 class TestCsv:

@@ -6,10 +6,16 @@ from hypothesis import strategies as st
 import copulabounds as cb
 from copulabounds import pricing, quadrature
 from copulabounds.pricing import InconsistentIntervalError
-from copulabounds.quadrature import DEFAULT_EPS, QuadratureError, refine_roots
+from copulabounds.quadrature import refine_roots
 from copulabounds.scenarios import ScenarioConfig, sweep_grid
 
-from _oracles import margrabe_price, random_point_set, sample_gaussian_lognormals
+from _oracles import (
+    coupling_expectation,
+    coupling_price,
+    margrabe_price,
+    random_point_set,
+    sample_gaussian_lognormals,
+)
 
 ALL_TABLE_KINDS = [
     cb.basket(1.0, 1.0, 190.0),
@@ -69,6 +75,26 @@ class TestPayoffCatalog:
             cb.call_on_min(-1.0)
         with pytest.raises(ValueError):
             cb.worst_off_call(-5.0, 10.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "make, params",
+        [
+            pytest.param(make, params, id=make.__name__)
+            for make, params in [
+                (cb.basket, {"alpha": 1.0, "beta": 1.0, "strike": 0.0}),
+                (cb.spread, {"strike": 0.0}),
+                *[(m, {"strike": 100.0})
+                  for m in (cb.call_on_min, cb.put_on_min, cb.call_on_max, cb.put_on_max)],
+                *[(m, {"k1": 90.0, "k2": 110.0}) for m in (
+                    cb.worst_off_call, cb.worst_off_put, cb.best_off_call, cb.best_off_put)],
+            ]
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, make, params, bad):
+        for name in params:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                make(**{**params, name: bad})
 
 
 class TestSurvivalWeight:
@@ -146,10 +172,10 @@ class TestPrice:
         flipped = cb.price(cb.basket(-1.0, 1.0, -K), surf, mx, my)
         assert direct == pytest.approx(100.0 - 100.0 - K + flipped, abs=1e-6)
 
-    def test_log_product_reports_integrability(self, lognormal_marginals):
+    def test_log_product_kind_unknown(self, lognormal_marginals):
         mx, my = lognormal_marginals
-        with pytest.raises(QuadratureError):
-            cb.price(cb.log_product(), cb.PRODUCT, mx, my)
+        with pytest.raises(ValueError, match="unknown payoff kind 'log-product'"):
+            cb.price(pricing.PayoffSpec("log-product"), cb.PRODUCT, mx, my)
 
     def test_accepts_quasi_copula_surfaces(self, lognormal_marginals):
         mx, my = lognormal_marginals
@@ -164,29 +190,40 @@ class TestDiagonalPrices:
     def test_eq9_matches_diagonal_under_m_and_w(self, payoff, lognormal_marginals):
         mx, my = lognormal_marginals
         assert cb.price(payoff, cb.FRECHET_UPPER, mx, my) == pytest.approx(
-            cb.price_under_M(payoff, mx, my), abs=1e-6
+            coupling_price(payoff, mx, my, "co"), abs=1e-6
         )
         assert cb.price(payoff, cb.FRECHET_LOWER, mx, my) == pytest.approx(
-            cb.price_under_W(payoff, mx, my), abs=1e-6
+            coupling_price(payoff, mx, my, "counter"), abs=1e-6
         )
 
     def test_put_on_max_zero_strike_worthless(self, lognormal_marginals):
         mx, my = lognormal_marginals
         p = cb.put_on_max(0.0)
-        assert cb.price_under_M(p, mx, my) == 0.0
-        assert cb.price_under_W(p, mx, my) == 0.0
+        assert coupling_price(p, mx, my, "co") == 0.0
+        assert coupling_price(p, mx, my, "counter") == 0.0
 
     def test_spread_maximal_under_w(self, lognormal_marginals):
         mx, my = lognormal_marginals
         p = cb.spread(0.0)
-        w_price = cb.price_under_W(p, mx, my)
+        w_price = coupling_price(p, mx, my, "counter")
         assert w_price > cb.price(p, cb.gaussian_copula(-0.7), mx, my)
 
     def test_log_product_comonotone_closed_form(self):
-        # identical marginals: E[(log X)^2] = Var(log X) + (E log X)^2
+        # self-check of the coupling oracle on a callable integrand; identical
+        # marginals: E[(log X)^2] = Var(log X) + (E log X)^2
         m = cb.lognormal_martingale(0.2, 100.0, 1.0)
-        got = cb.price_under_M(cb.log_product(), m, m)
+        got = coupling_expectation(lambda x, y: np.log(x) * np.log(y), m, m)
         assert got == pytest.approx(m.log_var + m.log_mean**2, abs=1e-8)
+
+    def test_oracle_comonotone_identical_spread_vanishes(self, exp_marginals):
+        mx, _ = exp_marginals
+        got = coupling_expectation(lambda x, y: np.maximum(x - y, 0.0), mx, mx)
+        assert got == pytest.approx(0.0, abs=1e-12)
+
+    def test_oracle_bad_direction(self, exp_marginals):
+        mx, my = exp_marginals
+        with pytest.raises(ValueError):
+            coupling_expectation(lambda x, y: x, mx, my, direction="sideways")
 
 
 class TestConcordanceMonotonicity:
@@ -217,7 +254,7 @@ class TestProductPayoff:
     def test_diagonal_consistency_coarse(self, lognormal_marginals):
         mx, my = lognormal_marginals
         got = cb.price(cb.product_xy(), cb.FRECHET_UPPER, mx, my, panels_2d=160)
-        ref = cb.price_under_M(cb.product_xy(), mx, my)
+        ref = coupling_price(cb.product_xy(), mx, my, "co")
         assert got == pytest.approx(ref, rel=1e-3)
 
 
@@ -226,8 +263,8 @@ class TestPriceInterval:
         mx, my = lognormal_marginals
         for payoff in (cb.call_on_min(100.0), cb.spread(0.0)):
             iv = cb.price_interval(payoff, cb.FRECHET_LOWER, cb.FRECHET_UPPER, mx, my)
-            lo = cb.price_under_W(payoff, mx, my)
-            hi = cb.price_under_M(payoff, mx, my)
+            lo = coupling_price(payoff, mx, my, "counter")
+            hi = coupling_price(payoff, mx, my, "co")
             if cb.payoff_sign(payoff) < 0:
                 lo, hi = hi, lo
             assert iv.lower == pytest.approx(lo, abs=1e-6)
@@ -295,8 +332,9 @@ class TestPriceBatch:
 
     def test_log_product_still_raises(self, lognormal_marginals):
         mx, my = lognormal_marginals
-        with pytest.raises(QuadratureError):
-            cb.price_batch([cb.spread(0.0), cb.log_product()], [cb.PRODUCT], mx, my)
+        payoffs = [cb.spread(0.0), pricing.PayoffSpec("log-product")]
+        with pytest.raises(ValueError, match="unknown payoff kind"):
+            cb.price_batch(payoffs, [cb.PRODUCT], mx, my)
 
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12))
     @settings(max_examples=8, deadline=None)
@@ -417,7 +455,7 @@ class TestKinkCrossings:
         my = cb.lognormal_martingale(sigmas[1], 100.0, 1.0)
         paths = []
         for payoff, cut in draws:
-            path = pricing._mu_segment(payoff, mx, my, DEFAULT_EPS)
+            path = pricing._mu_segment(payoff, mx, my)
             roots = _crossings_of_one_path(mx, my, path)
             if cut is not None and roots.size:
                 r = roots[0]

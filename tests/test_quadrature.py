@@ -1,10 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copulabounds.quadrature import solve_brackets
+from copulabounds.quadrature import QuadratureError, solve_brackets, unit_rule
 
 
 def _ramps(data):
@@ -94,3 +95,34 @@ def test_brackets_stop_on_their_own():
     assert np.all(np.abs(left[:2] - 0.3) <= 1e-12)
     assert sizes[0] == 2 and sizes[-1] == 1
     assert sum(sizes) <= (math.ceil(math.log2(1e12)) + 1) + (math.ceil(math.log2(0.02e12)) + 1)
+
+
+class TestUnitRuleIntegrateChecked:
+    def test_normalization(self):
+        # endpoint clipping removes 2e-12 of mass by construction
+        assert unit_rule().integrate_checked(lambda u: 1.0 + 0.0 * u) == pytest.approx(
+            1.0, abs=1e-11
+        )
+
+    def test_exponential_mean(self, exp_marginals):
+        mx, _ = exp_marginals
+        assert unit_rule().integrate_checked(mx.quantile) == pytest.approx(5.0, abs=1e-8)
+
+    def test_lognormal_mean(self, lognormal_marginals):
+        # both tails of each quantile, and the reflected transform u -> 1 - u
+        mx, my = lognormal_marginals
+        rule = unit_rule()
+        assert rule.integrate_checked(mx.quantile) == pytest.approx(100.0, abs=1e-8)
+        assert rule.integrate_checked(my.quantile) == pytest.approx(100.0, abs=1e-8)
+        got = rule.integrate_checked(lambda u: mx.quantile(1.0 - u))
+        assert got == pytest.approx(100.0, abs=1e-8)
+
+    def test_divergent_integrand_reported(self, exp_marginals):
+        mx, _ = exp_marginals
+        with pytest.raises(QuadratureError, match="non-integrable"):
+            unit_rule().integrate_checked(lambda u: 1.0 / np.maximum(mx.quantile(u), 1e-300))
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_nonfinite_integrand_reported(self):
+        with pytest.raises(QuadratureError, match="non-finite"):
+            unit_rule().integrate_checked(lambda u: np.log(0.0 * u))
