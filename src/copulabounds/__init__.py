@@ -17,6 +17,7 @@ from .functional import (
     MonotoneFunctional,
     SurfaceFunctional,
     bound_surfaces_for_level,
+    bound_surfaces_for_levels,
     invert_lower,
     invert_upper,
     value_of,

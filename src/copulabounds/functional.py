@@ -22,9 +22,12 @@ the edge of a monotone predicate (``quadrature.solve_brackets``, ITP
 steps), so that flat segments resolve to the extreme root (largest for
 the lower map, smallest for the upper map).  A point whose level is out
 of reach is decided from the map at one bracket end and costs one map
-evaluation.  Each call of a bound surface inverts its points in one batch,
-every point stopping at its own tolerance, and keeps nothing between
-calls.
+evaluation.  The envelopes of one functional at several levels form a
+family: evaluating any of its members on a set of points evaluates that
+bracket end once per point and side, whatever the number of levels,
+decides every level's saturated points from it, and inverts all the
+(level, point) brackets still open in one batch, every bracket stopping
+at its own tolerance.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .surfaces import (
     frechet_upper,
     one_point_lower,
     one_point_upper,
+    unit_square_args,
 )
 
 __all__ = [
@@ -63,6 +67,7 @@ __all__ = [
     "invert_lower",
     "invert_upper",
     "bound_surfaces_for_level",
+    "bound_surfaces_for_levels",
 ]
 
 _THETA_TOL = 1e-10
@@ -71,6 +76,8 @@ _THETA_TOL_MIN = 1e-15
 _SHIFT_TABLE_N = 2001
 # Gauss-Legendre order per panel of the one-point maps' mapped rule.
 _MAP_ORDER = 7
+# Points per one-point-map call in the inversion.
+_MAP_BLOCK = 512
 
 
 class LevelRangeError(ValueError):
@@ -264,9 +271,14 @@ class MonotoneFunctional:
         return np.asarray(self.kink(x, y), dtype=float)
 
     def _plain_seg(self, lo, hi, shift, anti: bool) -> np.ndarray:
-        nodes, weights = mapped_nodes(self._t, self._w, lo, hi)
-        vals = self._path_values(nodes, np.asarray(shift)[..., None], anti)
-        return (weights * vals).sum(axis=-1)
+        """Mapped-rule integral over [lo, hi] of the path; the rule runs only
+        on the nonempty intervals, the others are exact zeros."""
+        out = np.zeros(lo.shape)
+        live = hi > lo
+        nodes, weights = mapped_nodes(self._t, self._w, lo[live], hi[live])
+        vals = self._path_values(nodes, shift[live][..., None], anti)
+        out[live] = (weights * vals).sum(axis=-1)
+        return out
 
     def _seg(self, lo, hi, shift, anti: bool) -> np.ndarray:
         lo = np.asarray(lo, dtype=float)
@@ -437,23 +449,38 @@ def check_theta_tol(theta_tol) -> None:
         )
 
 
+def _map_blocks(fmap, a, b, theta) -> np.ndarray:
+    """``fmap`` at the points of same-shape ``a``, ``b``, ``theta``, flattened,
+    in blocks of at most ``_MAP_BLOCK`` points: a map call holds several
+    node arrays per point, so this bounds its memory whatever the number of
+    levels inverted together."""
+    a, b, theta = np.ravel(a), np.ravel(b), np.ravel(theta)
+    out = np.empty(a.size)
+    for s in range(0, a.size, _MAP_BLOCK):
+        blk = slice(s, s + _MAP_BLOCK)
+        out[blk] = fmap(a[blk], b[blk], theta[blk])
+    return out
+
+
 def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
     """Vectorized extreme-root inversion of the one-point maps.
 
     side='lower': largest theta with map_lower(theta) = level.
     side='upper': smallest theta with map_upper(theta) = level.
 
-    Returns ``(theta, feasible, saturated)``.  ``feasible`` is the full
-    bracket check for the scalar API; ``saturated`` marks points where
-    the level exceeds what the map can reach there (the envelope falls
-    back to the matching Frechet bound at those points).  Each point costs
-    one map evaluation at a bracket end, plus the steps of its own bracket
-    when the level is inside the map's range there.
+    ``level`` broadcasts against the points ``(a, b)``; shape ``(L, 1)``
+    against points of shape ``(n,)`` inverts L levels at n points.
+    Returns ``(theta, feasible, saturated)`` in the broadcast shape.
+    ``feasible`` is the full bracket check for the scalar API;
+    ``saturated`` marks points where the level exceeds what the map can
+    reach there (the envelope falls back to the matching Frechet bound at
+    those points).  The map at the bracket end that decides saturation does
+    not depend on the level, so it is evaluated once per point; then every
+    (level, point) bracket still open takes its own steps in one
+    ``solve_brackets`` call.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     level = np.asarray(level, dtype=float)
-    a, b, level = np.broadcast_arrays(a, b, level)
     lo = frechet_lower(a, b)
     hi = frechet_upper(a, b)
     eps_r = functional.level_slack
@@ -462,12 +489,12 @@ def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
     if side == "lower":
         fmap = functional.at_one_point_lower
         f_lo = functional.value_countermonotone
-        f_hi = np.asarray(fmap(a, b, hi), dtype=float)
+        f_hi = _map_blocks(fmap, a, b, hi).reshape(a.shape)
         # map <= level + slack holds left of the rightmost root.
         target = level + eps_r
     elif side == "upper":
         fmap = functional.at_one_point_upper
-        f_lo = np.asarray(fmap(a, b, lo), dtype=float)
+        f_lo = _map_blocks(fmap, a, b, lo).reshape(a.shape)
         f_hi = functional.value_comonotone
         # map < level - slack holds left of the leftmost root.
         target = level - eps_r
@@ -476,9 +503,9 @@ def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
     feasible = (level >= f_lo - eps_r) & (level <= f_hi + eps_r)
     saturated = (level > f_hi + eps_r) if side == "lower" else (level < f_lo - eps_r)
 
-    a_flat, b_flat, t_flat = a.ravel(), b.ravel(), np.ravel(target)
+    a_flat, b_flat, t_flat = (np.broadcast_to(x, feasible.shape).ravel() for x in (a, b, target))
     left, right = solve_brackets(
-        lambda th, i: np.asarray(fmap(a_flat[i], b_flat[i], th), dtype=float) - t_flat[i],
+        lambda th, i: _map_blocks(fmap, a_flat[i], b_flat[i], th) - t_flat[i],
         lo, hi, f_lo - target, f_hi - target, theta_tol, strict=side == "upper",
     )
     return (left if side == "lower" else right), feasible, saturated
@@ -503,41 +530,106 @@ def invert_upper(functional, a: float, b: float, level: float, theta_tol: float 
     return float(theta)
 
 
-def bound_surfaces_for_level(
-    functional, level: float, theta_tol: float = _THETA_TOL
-) -> tuple[CopulaSurface, CopulaSurface]:
+# Envelope name -> side of the one-point map it inverts.
+_ENVELOPE_SIDES = {"functional-lower": "upper", "functional-upper": "lower"}
+
+
+class _EnvelopeFamily:
+    """The envelopes of one functional at several levels, evaluated together.
+
+    Member surfaces carry ``(name, level, family)`` as their structure.
+    """
+
+    def __init__(self, functional, theta_tol: float):
+        self.functional = functional
+        self.theta_tol = theta_tol
+
+    def values(self, u, v, members) -> list[np.ndarray]:
+        """Values at ``(u, v)`` of the members named by ``(name, level)``
+        pairs, in order; one inversion per side covers all their levels."""
+        u, v = unit_square_args(u, v)
+        ndim = np.broadcast(u, v).ndim
+        found = {}
+        for name, side in _ENVELOPE_SIDES.items():
+            levels = list(dict.fromkeys(lvl for nm, lvl in members if nm == name))
+            if not levels:
+                continue
+            theta, _, saturated = _invert_batch(
+                self.functional, u, v, np.reshape(levels, (-1,) + (1,) * ndim),
+                side, self.theta_tol,
+            )
+            fallback = frechet_upper(u, v) if side == "lower" else frechet_lower(u, v)
+            vals = np.where(saturated, fallback, theta)
+            found.update(((name, lvl), val) for lvl, val in zip(levels, vals))
+        return [found[m] for m in members]
+
+
+def evaluate_surfaces(surfaces, u, v) -> list:
+    """``[s(u, v) for s in surfaces]``, except that the members of one
+    envelope family are evaluated together, by one call of the family."""
+    out = [None] * len(surfaces)
+    families = {}
+    for j, s in enumerate(surfaces):
+        family = s.structure[-1] if s.structure else None
+        if isinstance(family, _EnvelopeFamily):
+            families.setdefault(id(family), (family, []))[1].append(j)
+        else:
+            out[j] = s(u, v)
+    for family, idx in families.values():
+        vals = family.values(u, v, [surfaces[j].structure[:2] for j in idx])
+        for j, val in zip(idx, vals):
+            out[j] = val
+    return out
+
+
+def bound_surfaces_for_levels(
+    functional, levels, theta_tol: float = _THETA_TOL
+) -> list[tuple[CopulaSurface, CopulaSurface]]:
     """Pointwise envelopes of all copulas at which the functional equals
-    ``level``; returns ``(lower, upper)``, both tagged quasi-copula.
+    each of ``levels``; one ``(lower, upper)`` pair per level, both tagged
+    quasi-copula.
 
     At each point the upper envelope is the inverted lower map where the
     level is reachable there and the comonotone bound otherwise (dually
     for the lower envelope).  The envelopes need not be copulas, so price
-    bounds derived from them are valid but not always sharp.  Each call
-    of an envelope inverts all of its points in one batch; nothing is kept
-    between calls.  Raises ValueError for a ``theta_tol`` that is not
-    finite or below 1e-15.
+    bounds derived from them are valid but not always sharp.  All pairs
+    share one family (the last entry of their ``structure``): evaluating
+    one member inverts all of its points in one batch, and
+    ``evaluate_surfaces`` evaluates several members on the same points
+    with one inversion per side, computing the level-free bracket end once
+    per point.  Nothing is kept between calls.  Raises LevelRangeError for
+    a level outside the attainable range beyond the functional's slack,
+    and ValueError for a ``theta_tol`` that is not finite or below 1e-15.
     """
     check_theta_tol(theta_tol)
     rho_w = functional.value_countermonotone
     rho_m = functional.value_comonotone
     eps_r = functional.level_slack
-    level = float(level)
-    if level < rho_w - eps_r or level > rho_m + eps_r:
-        raise LevelRangeError(
-            f"level {level} outside the attainable range [{rho_w}, {rho_m}]"
-        )
-    level = min(max(level, rho_w), rho_m)
+    family = _EnvelopeFamily(functional, theta_tol)
 
-    def make(side: str) -> CopulaSurface:
+    def member(name: str, level: float) -> CopulaSurface:
         def fn(u, v):
-            theta, _, saturated = _invert_batch(functional, u, v, level, side, theta_tol)
-            fallback = frechet_upper(u, v) if side == "lower" else frechet_lower(u, v)
-            return np.where(saturated, fallback, theta)
+            return family.values(u, v, [(name, level)])[0]
 
-        name = "functional-upper" if side == "lower" else "functional-lower"
         return CopulaSurface(
             fn, tag="quasi-copula", name=f"{name}(level={level:.6g})",
-            structure=(name, level),
+            structure=(name, level, family),
         )
 
-    return make("upper"), make("lower")
+    pairs = []
+    for level in map(float, levels):
+        if level < rho_w - eps_r or level > rho_m + eps_r:
+            raise LevelRangeError(
+                f"level {level} outside the attainable range [{rho_w}, {rho_m}]"
+            )
+        level = min(max(level, rho_w), rho_m)
+        pairs.append((member("functional-lower", level), member("functional-upper", level)))
+    return pairs
+
+
+def bound_surfaces_for_level(
+    functional, level: float, theta_tol: float = _THETA_TOL
+) -> tuple[CopulaSurface, CopulaSurface]:
+    """``(lower, upper)`` envelopes at one level: the one-level case of
+    ``bound_surfaces_for_levels``."""
+    return bound_surfaces_for_levels(functional, [level], theta_tol)[0]

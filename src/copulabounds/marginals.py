@@ -49,9 +49,10 @@ class Marginal:
     def quantile(self, u):
         raise NotImplementedError
 
-    def upper_cutoff(self, eps: float = DEFAULT_EPS) -> float:
-        """Truncation point for integrals over the support."""
-        return float(self.quantile(1.0 - eps))
+    def upper_cutoff(self) -> float:
+        """Truncation point for integrals over the support: the quantile at
+        1 - DEFAULT_EPS."""
+        return float(self.quantile(1.0 - DEFAULT_EPS))
 
     def quantile_unchecked(self, u):
         """Quantile without argument validation; quadrature hot path only,
@@ -185,7 +186,7 @@ class Tabulated(Marginal):
         idx = np.searchsorted(self.fs, u, side="left")
         return np.concatenate([self.xs, [np.inf]])[idx]
 
-    def upper_cutoff(self, eps: float = DEFAULT_EPS) -> float:
+    def upper_cutoff(self) -> float:
         return float(self.xs[-1])
 
     def __repr__(self) -> str:

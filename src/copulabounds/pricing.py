@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .functional import evaluate_surfaces
 from .marginals import Marginal
 from .quadrature import (
     DEFAULT_PANELS,
@@ -308,14 +309,15 @@ def _mu_terms(u, v, weights: np.ndarray, surfaces) -> np.ndarray:
     """``weights @ G`` under each surface, G the survival weight at (u, v).
 
     ``weights`` has one row per payoff and one column per point of the
-    flattened (u, v) grid; each surface is called once on the grid.  The
-    sums are einsum reductions: a BLAS product would wake a thread pool
-    that spins on the other cores.
+    flattened (u, v) grid; each surface is evaluated once on the grid, and
+    the members of one envelope family together.  The sums are einsum
+    reductions: a BLAS product would wake a thread pool that spins on the
+    other cores.
     """
     out = np.zeros((weights.shape[0], len(surfaces)))
     if weights.size:
-        for j, surface in enumerate(surfaces):
-            g = np.clip(1.0 - u - v + surface(u, v), 0.0, 1.0).ravel()
+        for j, c in enumerate(evaluate_surfaces(surfaces, u, v)):
+            g = np.clip(1.0 - u - v + c, 0.0, 1.0).ravel()
             out[:, j] = np.einsum("ij,j->i", weights, g)
     return out
 

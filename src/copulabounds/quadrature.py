@@ -90,10 +90,10 @@ def _check_tail_divergence(nodes: np.ndarray, contrib: np.ndarray, total: float)
             )
 
 
-def _unit_edges(panels: int, eps: float, per_decade: int) -> np.ndarray:
-    decades = max(1, int(np.ceil(-np.log10(eps))) - 2)
-    expo = np.linspace(2.0, -np.log10(eps), decades * per_decade + 1)
-    stack = 10.0 ** (-expo)  # 1e-2 ... eps, descending
+def _unit_edges(panels: int, per_decade: int) -> np.ndarray:
+    decades = max(1, int(np.ceil(-np.log10(DEFAULT_EPS))) - 2)
+    expo = np.linspace(2.0, -np.log10(DEFAULT_EPS), decades * per_decade + 1)
+    stack = 10.0 ** (-expo)  # 1e-2 ... DEFAULT_EPS, descending
     bulk = max(panels - 2 * decades * per_decade, 8)
     mid = np.linspace(1e-2, 1.0 - 1e-2, bulk + 1)
     return np.unique(np.concatenate([stack[::-1], mid[1:-1], 1.0 - stack]))
@@ -109,46 +109,46 @@ def _rule_from_edges(edges: np.ndarray, order: int) -> Rule:
 
 def unit_panel_edges(
     panels: int,
-    eps: float = DEFAULT_EPS,
     breakpoints: Iterable[float] = (),
     edge_per_decade: int = _EDGE_PANELS_PER_DECADE,
 ) -> np.ndarray:
-    """Graded panel edges on (eps, 1-eps) merged with ``breakpoints``."""
-    edges = _unit_edges(int(panels), float(eps), int(edge_per_decade))
+    """Graded panel edges on (DEFAULT_EPS, 1-DEFAULT_EPS) merged with
+    ``breakpoints``."""
+    edges = _unit_edges(int(panels), int(edge_per_decade))
     b = np.asarray(sorted(set(float(x) for x in breakpoints)), dtype=float)
     if b.size:
-        b = b[(b > eps) & (b < 1.0 - eps)]
+        b = b[(b > DEFAULT_EPS) & (b < 1.0 - DEFAULT_EPS)]
         edges = np.unique(np.concatenate([edges, b]))
     return edges
 
 
 @lru_cache(maxsize=128)
 def _unit_rule_cached(
-    panels: int, order: int, eps: float, breaks: tuple[float, ...], per_decade: int
+    panels: int, order: int, breaks: tuple[float, ...], per_decade: int
 ) -> Rule:
-    return _rule_from_edges(unit_panel_edges(panels, eps, breaks, per_decade), order)
+    return _rule_from_edges(unit_panel_edges(panels, breaks, per_decade), order)
 
 
 def unit_rule(
     panels: int = DEFAULT_PANELS,
     order: int = DEFAULT_ORDER,
-    eps: float = DEFAULT_EPS,
     breakpoints: Iterable[float] = (),
     edge_per_decade: int = _EDGE_PANELS_PER_DECADE,
 ) -> Rule:
-    """Graded rule on (eps, 1-eps) with panels split at ``breakpoints``."""
+    """Graded rule on (DEFAULT_EPS, 1-DEFAULT_EPS) with panels split at
+    ``breakpoints``."""
     breaks = tuple(sorted(set(float(b) for b in breakpoints)))
-    return _unit_rule_cached(int(panels), int(order), float(eps), breaks, int(edge_per_decade))
+    return _unit_rule_cached(int(panels), int(order), breaks, int(edge_per_decade))
 
 
 def interval_rule(
     lo: float,
     hi: float,
     panels: int = 512,
-    order: int = DEFAULT_ORDER,
     breakpoints: Iterable[float] = (),
 ) -> Rule:
-    """Uniform composite rule on [lo, hi] with panels split at breakpoints."""
+    """Uniform composite rule of order DEFAULT_ORDER on [lo, hi] with panels
+    split at breakpoints."""
     if not hi > lo:
         return Rule(np.empty(0), np.empty(0))
     edges = np.linspace(lo, hi, int(panels) + 1)
@@ -156,7 +156,7 @@ def interval_rule(
     if b.size:
         b = b[(b > lo) & (b < hi)]
         edges = np.unique(np.concatenate([edges, b]))
-    return _rule_from_edges(edges, order)
+    return _rule_from_edges(edges, DEFAULT_ORDER)
 
 
 def mapped_nodes(

@@ -22,15 +22,15 @@ from typing import Callable
 import numpy as np
 
 from . import constrained, pricing
-from .functional import MonotoneFunctional, bound_surfaces_for_level, check_theta_tol
-from .marginals import exponential, lognormal_martingale
-from .surfaces import (
-    FRECHET_LOWER,
-    FRECHET_UPPER,
-    gaussian_copula,
-    validate_copula,
-    validate_quasi_copula,
+from .functional import (
+    MonotoneFunctional,
+    bound_surfaces_for_level,
+    bound_surfaces_for_levels,
+    check_theta_tol,
+    evaluate_surfaces,
 )
+from .marginals import exponential, lognormal_martingale
+from .surfaces import FRECHET_LOWER, FRECHET_UPPER, _validate, gaussian_copula, lattice
 
 __all__ = [
     "SCENARIOS",
@@ -192,9 +192,11 @@ def _scenario4_pieces(cfg: ScenarioConfig):
     correlation.
 
     The correlation pins E[log X log Y] through the fixed marginal
-    moments; that expectation is the constraint functional.  The band
-    raises LevelRangeError for levels outside the attainable range beyond
-    the functional's slack.
+    moments; that expectation is the constraint functional.  The envelopes
+    of all sweep levels form one family, so each evaluation grid inverts
+    them together.  Levels outside the attainable range beyond the
+    functional's slack raise LevelRangeError.  ``band`` takes the sweep's
+    points.
     """
     m_x, m_y = _lognormals(cfg)
     functional = MonotoneFunctional(
@@ -202,10 +204,14 @@ def _scenario4_pieces(cfg: ScenarioConfig):
     )
     cov_scale = np.sqrt(m_x.log_var * m_y.log_var)
     mean_term = m_x.log_mean * m_y.log_mean
+    axes = [float(a) for a in sweep_grid(cfg)]
+    family = bound_surfaces_for_levels(
+        functional, [a * cov_scale + mean_term for a in axes], theta_tol=cfg.theta_tol
+    )
+    pairs = dict(zip(axes, family))
 
     def band(rho0: float):
-        level = rho0 * cov_scale + mean_term
-        low, up = bound_surfaces_for_level(functional, level, theta_tol=cfg.theta_tol)
+        low, up = pairs[rho0]
         return low, gaussian_copula(rho0), up
 
     return m_x, m_y, band
@@ -300,7 +306,8 @@ def validate_scenario_surfaces(cfg: ScenarioConfig, pieces: tuple | None = None)
     one pair.  ``pieces`` as in ``run_scenario``.
 
     Functional envelopes invert a one-point map at every lattice node, so
-    they are checked on a lattice capped at 50 to stay interactive.
+    they are checked on a lattice capped at 50 to stay interactive; the
+    members of one envelope family are evaluated on it together.
     """
     spec = SCENARIOS[cfg.scenario]
     band = (pieces or spec.pieces(cfg))[2]
@@ -309,10 +316,11 @@ def validate_scenario_surfaces(cfg: ScenarioConfig, pieces: tuple | None = None)
         low, _, up = band(float(a))
         distinct.setdefault(id(low), low)
         distinct.setdefault(id(up), up)
+    surfaces = list(distinct.values())
     grid = min(cfg.grid_n, 50) if spec.functional_envelopes else cfg.grid_n
     return [
-        (validate_copula if s.is_copula else validate_quasi_copula)(s, grid_n=grid)
-        for s in distinct.values()
+        _validate(values, kind="copula" if s.is_copula else "quasi-copula")
+        for s, values in zip(surfaces, evaluate_surfaces(surfaces, *lattice(grid)))
     ]
 
 

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-12
+_VALIDATION_TOL = 1e-9
 
 
 def frechet_lower(u, v):
@@ -67,6 +68,21 @@ class Rectangle(NamedTuple):
         return self
 
 
+def unit_square_args(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """``u`` and ``v`` as float arrays clipped to [0, 1]; ValueError for
+    arguments more than 1e-12 outside the unit square."""
+    uu = np.asarray(u, dtype=float)
+    vv = np.asarray(v, dtype=float)
+    if (
+        np.any(uu < -_DOMAIN_SLACK)
+        or np.any(uu > 1.0 + _DOMAIN_SLACK)
+        or np.any(vv < -_DOMAIN_SLACK)
+        or np.any(vv > 1.0 + _DOMAIN_SLACK)
+    ):
+        raise ValueError("arguments must lie in the unit square")
+    return np.clip(uu, 0.0, 1.0), np.clip(vv, 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class CopulaSurface:
     """Evaluable function on the unit square with provenance metadata."""
@@ -81,16 +97,7 @@ class CopulaSurface:
             raise ValueError(f"unknown provenance tag {self.tag!r}")
 
     def __call__(self, u, v):
-        uu = np.asarray(u, dtype=float)
-        vv = np.asarray(v, dtype=float)
-        if (
-            np.any(uu < -_DOMAIN_SLACK)
-            or np.any(uu > 1.0 + _DOMAIN_SLACK)
-            or np.any(vv < -_DOMAIN_SLACK)
-            or np.any(vv > 1.0 + _DOMAIN_SLACK)
-        ):
-            raise ValueError("arguments must lie in the unit square")
-        out = self.fn(np.clip(uu, 0.0, 1.0), np.clip(vv, 0.0, 1.0))
+        out = self.fn(*unit_square_args(u, v))
         return out if np.ndim(out) else float(out)
 
     @property
@@ -297,8 +304,12 @@ def gaussian_copula(rho: float) -> CopulaSurface:
         if np.any(interior):
             # u and v stand for Phi(ndtri(u)) and Phi(ndtri(v)): exact, and the
             # copula then lies on the side of the product that rho's sign says.
+            # The kernel can pass a Frechet bound by an ulp near |rho| = 1.
             ui, vi = u[interior], v[interior]
-            out[interior] = np.clip(_bvn(ndtri(ui), ndtri(vi), rho, ui, vi), 0.0, 1.0)
+            out[interior] = np.clip(
+                _bvn(ndtri(ui), ndtri(vi), rho, ui, vi),
+                frechet_lower(ui, vi), np.minimum(ui, vi),
+            )
         return out.reshape(shape)
 
     return CopulaSurface(
@@ -349,16 +360,20 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _grid_values(surface: CopulaSurface, grid_n: int) -> tuple[np.ndarray, np.ndarray]:
-    g = np.linspace(0.0, 1.0, grid_n + 1)
-    U, V = np.meshgrid(g, g, indexing="ij")
-    return g, np.asarray(surface(U, V), dtype=float)
-
-
-def _validate(surface: CopulaSurface, grid_n: int, tol: float, kind: str) -> ValidationReport:
+def lattice(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The validation lattice: ``(U, V)`` of shape ``(grid_n + 1, grid_n + 1)``
+    on the uniform grid of [0, 1]."""
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    g, Z = _grid_values(surface, grid_n)
+    g = np.linspace(0.0, 1.0, grid_n + 1)
+    return tuple(np.meshgrid(g, g, indexing="ij"))
+
+
+def _validate(Z, kind: str, tol: float = _VALIDATION_TOL) -> ValidationReport:
+    """Report on surface values ``Z`` at the nodes of ``lattice(grid_n)``."""
+    Z = np.asarray(Z, dtype=float)
+    grid_n = Z.shape[0] - 1
+    g = np.linspace(0.0, 1.0, grid_n + 1)
     rep = ValidationReport(kind=kind, grid_n=grid_n, tol=tol)
 
     edges = [
@@ -399,15 +414,15 @@ def _validate(surface: CopulaSurface, grid_n: int, tol: float, kind: str) -> Val
 
 
 def validate_quasi_copula(
-    surface: CopulaSurface, grid_n: int = 200, tol: float = 1e-9
+    surface: CopulaSurface, grid_n: int = 200, tol: float = _VALIDATION_TOL
 ) -> ValidationReport:
     """Check boundary conditions, coordinatewise monotonicity, and the
     Lipschitz property on a lattice."""
-    return _validate(surface, grid_n, tol, "quasi-copula")
+    return _validate(surface(*lattice(grid_n)), "quasi-copula", tol)
 
 
 def validate_copula(
-    surface: CopulaSurface, grid_n: int = 200, tol: float = 1e-9
+    surface: CopulaSurface, grid_n: int = 200, tol: float = _VALIDATION_TOL
 ) -> ValidationReport:
     """Quasi-copula checks plus nonnegative cell volumes on the lattice."""
-    return _validate(surface, grid_n, tol, "copula")
+    return _validate(surface(*lattice(grid_n)), "copula", tol)

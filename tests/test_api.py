@@ -18,7 +18,7 @@ PUBLIC = {
     "constraints_from_price_csv", "lower_bound", "upper_bound",
     # functional
     "LevelRangeError", "MonotoneFunctional", "SurfaceFunctional",
-    "bound_surfaces_for_level", "invert_lower", "invert_upper", "value_of",
+    "bound_surfaces_for_level", "bound_surfaces_for_levels", "invert_lower", "invert_upper", "value_of",
     # marginals
     "Exponential", "LognormalMartingale", "Marginal", "Tabulated", "exponential",
     "from_call_prices", "lognormal_martingale", "marginal_from_csv", "tabulated",

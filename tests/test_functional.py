@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import copulabounds as cb
-from copulabounds.functional import LevelRangeError, _invert_batch
-from copulabounds.quadrature import QuadratureError
+from copulabounds.functional import LevelRangeError, _invert_batch, evaluate_surfaces
+from copulabounds.quadrature import QuadratureError, mapped_nodes
 
 from _oracles import TwoPointPenalty, expectation_by_disintegration, random_point_set
 
@@ -344,3 +344,148 @@ class TestInvertBatchBranches:
         theta, feasible, saturated = _invert_batch(F, a, b, level, "lower", 1e-10)
         assert bool(saturated[0]) and not bool(saturated[1])
         assert not bool(feasible[0]) and bool(feasible[1])
+
+
+class _CountingMarginal(cb.Marginal):
+    """Marginal that counts the points its quadrature hot path sees."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.quantile_points = 0
+
+    def cdf(self, x):
+        return self.inner.cdf(x)
+
+    def quantile(self, u):
+        return self.inner.quantile(u)
+
+    def quantile_unchecked(self, u):
+        self.quantile_points += np.size(u)
+        return self.inner.quantile_unchecked(u)
+
+
+class TestKinkSubsegments:
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_only_live_subsegments_take_nodes(self, lognormal_marginals, rng, anti):
+        mx = _CountingMarginal(lognormal_marginals[0])
+        F = cb.MonotoneFunctional(
+            lambda x, y: -np.maximum(x - y, 0.0), mx, lognormal_marginals[1],
+            kink=lambda x, y: x - y,
+        )
+        n = 500
+        lo = rng.uniform(0.0, 1.0, n)
+        hi = np.minimum(lo + rng.uniform(-0.2, 0.6, n), 1.0)
+        shift = rng.uniform(0.0, 2.0, n) if anti else rng.uniform(-1.0, 1.0, n)
+        # the split of [lo, hi] at the kink roots, as MonotoneFunctional._seg makes it
+        hi_c = np.maximum(hi, lo)
+        r1, r2 = (F._root_anti if anti else F._root_co)(shift)
+        m1 = np.clip(r1, lo, hi_c)
+        m2 = np.clip(r2, m1, hi_c)
+        pieces = [(lo, m1), (m1, m2), (m2, hi_c)]
+        live = sum(int(np.sum(b > a)) for a, b in pieces)
+        assert 0 < live < 3 * n
+
+        mx.quantile_points = 0
+        got = F._seg(lo, hi, shift, anti)
+        assert mx.quantile_points == live * F._t.size
+        # every piece at the full rule, empty ones included, sums to the same
+        full = np.zeros(n)
+        for a, b in pieces:
+            nodes, weights = mapped_nodes(F._t, F._w, a, b)
+            full = full + (weights * F._path_values(nodes, shift[:, None], anti)).sum(axis=-1)
+        np.testing.assert_array_equal(got, full)
+
+
+def _record_maps(monkeypatch, F):
+    """Record the (a, b, theta) points of every one-point-map call of F."""
+    seen = {"lower": [], "upper": []}
+    for side in seen:
+        fmap = getattr(F, f"at_one_point_{side}")
+
+        def counted(a, b, theta, fmap=fmap, log=seen[side]):
+            log.append(np.broadcast_arrays(*(np.ravel(x) for x in (a, b, theta))))
+            return fmap(a, b, theta)
+
+        monkeypatch.setattr(F, f"at_one_point_{side}", counted)
+    return seen
+
+
+def _bracket_end_points(log, side):
+    """Map points evaluated at the bracket end that decides saturation:
+    theta = M(a, b) for the lower map, W(a, b) for the upper map."""
+    end = cb.frechet_upper if side == "lower" else cb.frechet_lower
+    return sum(int(np.sum(th == end(a, b))) for a, b, th in log)
+
+
+class TestEnvelopeFamily:
+    FRACTIONS = np.array([0.0, 0.05, 0.3, 0.55, 0.9, 1.0])
+
+    def _levels(self, F):
+        return F.value_countermonotone + self.FRACTIONS * (
+            F.value_comonotone - F.value_countermonotone
+        )
+
+    @pytest.mark.parametrize("which", ["neg_spread_functional", "product_functional"])
+    def test_members_equal_one_level_envelopes(self, which, request, rng):
+        F = request.getfixturevalue(which)
+        u, v = rng.uniform(0.0, 1.0, (2, 150))
+        u[:3], v[:3] = [0.0, 1.0, 0.4], [0.3, 0.2, 1.0]
+        pairs = cb.bound_surfaces_for_levels(F, self._levels(F))
+        members = [s for pair in pairs for s in pair]
+        assert len({id(s.structure[-1]) for s in members}) == 1
+        values = evaluate_surfaces(members, u, v)
+        saturated = unsaturated = 0
+        for level, pair, got in zip(self._levels(F), pairs, zip(values[::2], values[1::2])):
+            for one, member, together in zip(cb.bound_surfaces_for_level(F, level), pair, got):
+                want = one(u, v)
+                np.testing.assert_array_equal(together, want)
+                np.testing.assert_array_equal(member(u, v), want)
+            fallback = np.minimum(u, v)
+            saturated += int(np.sum(got[1] == fallback))
+            unsaturated += int(np.sum(got[1] != fallback))
+        assert saturated and unsaturated
+
+    def test_bracket_end_evaluated_once_per_point_and_side(
+        self, neg_spread_functional, monkeypatch, rng
+    ):
+        F = neg_spread_functional
+        levels = self._levels(F)[1:-1]
+        u, v = rng.uniform(0.05, 0.95, (2, 80))
+        seen = _record_maps(monkeypatch, F)
+        one_level = {"lower": 0, "upper": 0}
+        for level in levels:
+            for s in cb.bound_surfaces_for_level(F, level):
+                s(u, v)
+        for side, log in seen.items():
+            assert _bracket_end_points(log, side) == levels.size * u.size
+            one_level[side] = sum(a.size for a, _, _ in log)
+            log.clear()
+
+        pairs = cb.bound_surfaces_for_levels(F, levels)
+        evaluate_surfaces([s for pair in pairs for s in pair], u, v)
+        for side, log in seen.items():
+            assert _bracket_end_points(log, side) == u.size
+            # the brackets still open take the same steps as one level at a time
+            assert sum(a.size for a, _, _ in log) == one_level[side] - (levels.size - 1) * u.size
+
+    @pytest.mark.parametrize("which", ["neg_spread_functional", "product_functional"])
+    def test_envelopes_monotone_in_level(self, which, request):
+        F = request.getfixturevalue(which)
+        span = F.value_comonotone - F.value_countermonotone
+        tol = 1e-10
+
+        @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+        @settings(max_examples=25, deadline=None)
+        def check(f1, f2, seed):
+            lo, hi = sorted((f1, f2))
+            levels = F.value_countermonotone + span * np.array([lo, hi])
+            if not levels[0] < levels[1]:
+                return
+            u, v = np.random.default_rng(seed).uniform(0.0, 1.0, (2, 40))
+            (low1, up1), (low2, up2) = cb.bound_surfaces_for_levels(F, levels, theta_tol=tol)
+            l1, u1, l2, u2 = evaluate_surfaces([low1, up1, low2, up2], u, v)
+            slack = tol + 4 * np.spacing(1.0)
+            assert np.all(l1 <= l2 + slack)
+            assert np.all(u1 <= u2 + slack)
+
+        check()

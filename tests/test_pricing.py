@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import copulabounds as cb
@@ -350,6 +350,7 @@ class TestPriceBatch:
     @given(strikes=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=12),
            rhos=st.lists(st.floats(-0.99, 0.99), min_size=2, max_size=2, unique=True))
     @settings(max_examples=40, deadline=None)
+    @example(strikes=[41.0], rhos=[0.0, 0.984375])
     def test_spread_sweep_prices_ordered_in_rho(self, lognormal_marginals, strikes, rhos):
         # W <= Gauss(rho1) <= Gauss(rho2) <= M pointwise, so the spread prices,
         # which fall with dependence, come out in the reverse order exactly.

@@ -117,6 +117,14 @@ class TestGaussianCopula:
         assert cb.gaussian_copula(1.0)(0.4, 0.5) == pytest.approx(0.4, abs=1e-15)
         assert cb.gaussian_copula(-1.0)(0.4, 0.5) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("rho", [-0.984375, -0.95, -0.7, 0.7, 0.95, 0.984375])
+    def test_stays_within_frechet_bounds(self, rho, rng):
+        # the kernel alone passes M (rho near 1) or W (rho near -1) by an ulp
+        u, v = rng.uniform(0.0, 1.0, (2, 20000))
+        got = cb.gaussian_copula(rho)(u, v)
+        assert np.all(got <= cb.frechet_upper(u, v))
+        assert np.all(got >= cb.frechet_lower(u, v))
+
     def test_median_point_arcsin_identity(self):
         got = cb.gaussian_copula(0.5)(0.5, 0.5)
         assert got == pytest.approx(0.25 + np.arcsin(0.5) / (2 * np.pi), abs=1e-12)
