@@ -23,13 +23,12 @@ operations per point.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .marginals import Marginal
+from .marginals import Marginal, read_csv_rows
 from .surfaces import CopulaSurface, frechet_lower, frechet_upper
 
 __all__ = [
@@ -353,27 +352,15 @@ def bounds_from_max_options(
 
 
 def constraints_from_csv(path) -> ConstraintSet:
-    """Read an ``a,b,theta`` CSV into a ConstraintSet."""
-    rows = _read_csv(path, ("a", "b", "theta"))
-    return ConstraintSet.from_points(rows)
+    """Read an ``a,b,theta`` CSV into a ConstraintSet; malformed files raise
+    ValueError as in ``marginals.read_csv_rows``."""
+    return ConstraintSet.from_points(read_csv_rows(path, [("a", "b", "theta")])[1])
 
 
 def constraints_from_price_csv(path, m_x: Marginal, m_y: Marginal) -> ConstraintSet:
-    """Read a ``T,price`` CSV of both-default quotes into a ConstraintSet."""
-    rows = _read_csv(path, ("t", "price"))
+    """Read a ``T,price`` CSV of both-default quotes into a ConstraintSet;
+    malformed files raise ValueError as in ``marginals.read_csv_rows``."""
+    rows = read_csv_rows(path, [("T", "price")])[1]
     return ConstraintSet.from_points(
         (float(m_x.cdf(T)), float(m_y.cdf(T)), P) for T, P in rows
     )
-
-
-def _read_csv(path, expected: tuple[str, ...]) -> list[tuple[float, ...]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip().lower() for h in header[: len(expected)]) != expected:
-            raise ValueError(f"{path}: expected header {','.join(expected)!r}, got {header!r}")
-        return [
-            tuple(float(c) for c in row[: len(expected)])
-            for row in reader
-            if row and row[0].strip()
-        ]

@@ -78,6 +78,8 @@ _SHIFT_TABLE_N = 2001
 _MAP_ORDER = 7
 # Points per one-point-map call in the inversion.
 _MAP_BLOCK = 512
+# Sampled rectangles of the 2-increasing spot check.
+_SPOT_CHECK_SAMPLES = 64
 
 
 class LevelRangeError(ValueError):
@@ -109,10 +111,8 @@ class _RunningIntegral:
             )[0].tolist()
         edges = unit_panel_edges(self._PANELS, breakpoints=breaks)
         t, w = gauss_legendre_01(self._TAIL_ORDER)
-        width = np.diff(edges)
-        nodes = edges[:-1, None] + width[:, None] * t[None, :]
-        vals = func._path_values(nodes, np.asarray(shift), anti)
-        sums = (width[:, None] * w[None, :] * vals).sum(axis=-1)
+        nodes, weights = mapped_nodes(t, w, edges[:-1], edges[1:])
+        sums = (weights * func._path_values(nodes, np.asarray(shift), anti)).sum(axis=-1)
         self.edges = edges
         self.cum = np.concatenate([[0.0], np.cumsum(sums)])
         self.total = float(self.cum[-1])
@@ -229,20 +229,18 @@ class MonotoneFunctional:
         rule = unit_rule(panels=panels, order=_MAP_ORDER, edge_per_decade=1)
         self._t = rule.nodes
         self._w = rule.weights
-        self._rho_m: float | None = None
-        self._rho_w: float | None = None
         self._spot_check_two_increasing()
         self._diag = _RunningIntegral(self, shift=0.0, anti=False)
         self._anti = _RunningIntegral(self, shift=1.0, anti=True)
         self._root_co = _ShiftRootTable(self, anti=False) if kink else None
         self._root_anti = _ShiftRootTable(self, anti=True) if kink else None
 
-    def _spot_check_two_increasing(self, samples: int = 64) -> None:
+    def _spot_check_two_increasing(self) -> None:
         rng = np.random.default_rng(1871)
-        u = np.sort(rng.uniform(0.02, 0.98, (samples, 2)), axis=1)
-        v = np.sort(rng.uniform(0.02, 0.98, (samples, 2)), axis=1)
-        x1, x2 = self.m_x.quantile(u[:, 0]), self.m_x.quantile(u[:, 1])
-        y1, y2 = self.m_y.quantile(v[:, 0]), self.m_y.quantile(v[:, 1])
+        u = np.sort(rng.uniform(0.02, 0.98, (_SPOT_CHECK_SAMPLES, 2)), axis=1)
+        v = np.sort(rng.uniform(0.02, 0.98, (_SPOT_CHECK_SAMPLES, 2)), axis=1)
+        x1, x2 = self.m_x.quantile_unchecked(u[:, 0]), self.m_x.quantile_unchecked(u[:, 1])
+        y1, y2 = self.m_y.quantile_unchecked(v[:, 0]), self.m_y.quantile_unchecked(v[:, 1])
         f = self.integrand
         vol = f(x2, y2) + f(x1, y1) - f(x1, y2) - f(x2, y1)
         scale = max(1.0, float(np.max(np.abs(vol))))
@@ -334,24 +332,16 @@ class MonotoneFunctional:
     @property
     def value_comonotone(self) -> float:
         """Functional value at the upper Frechet bound."""
-        if self._rho_m is None:
-            val = float(self._diag.total)
-            if not np.isfinite(val):
-                raise QuadratureError("functional value at the comonotone copula is not finite")
-            self._rho_m = val
-        return self._rho_m
+        if not np.isfinite(self._diag.total):
+            raise QuadratureError("functional value at the comonotone copula is not finite")
+        return self._diag.total
 
     @property
     def value_countermonotone(self) -> float:
         """Functional value at the lower Frechet bound."""
-        if self._rho_w is None:
-            val = float(self._anti.total)
-            if not np.isfinite(val):
-                raise QuadratureError(
-                    "functional value at the countermonotone copula is not finite"
-                )
-            self._rho_w = val
-        return self._rho_w
+        if not np.isfinite(self._anti.total):
+            raise QuadratureError("functional value at the countermonotone copula is not finite")
+        return self._anti.total
 
     @property
     def level_slack(self) -> float:
@@ -400,8 +390,8 @@ class SurfaceFunctional:
 
     def __init__(self, fn: Callable[[CopulaSurface], float]):
         self.fn = fn
-        self._rho_m: float | None = None
-        self._rho_w: float | None = None
+        self.value_comonotone = float(fn(FRECHET_UPPER))
+        self.value_countermonotone = float(fn(FRECHET_LOWER))
 
     def _map(self, builder, a, b, theta):
         a, b, th = np.broadcast_arrays(
@@ -419,18 +409,6 @@ class SurfaceFunctional:
 
     def at_one_point_lower(self, a, b, theta):
         return self._map(one_point_lower, a, b, theta)
-
-    @property
-    def value_comonotone(self) -> float:
-        if self._rho_m is None:
-            self._rho_m = float(self.fn(FRECHET_UPPER))
-        return self._rho_m
-
-    @property
-    def value_countermonotone(self) -> float:
-        if self._rho_w is None:
-            self._rho_w = float(self.fn(FRECHET_LOWER))
-        return self._rho_w
 
     @property
     def level_slack(self) -> float:

@@ -41,23 +41,32 @@ def _as_float_array(x, name: str) -> np.ndarray:
 
 
 class Marginal:
-    """Common interface: vectorized ``cdf`` and generalized-inverse ``quantile``."""
+    """Common interface: vectorized ``cdf`` and generalized-inverse ``quantile``.
+
+    A family defines ``cdf`` and ``quantile_unchecked``; ``quantile``
+    checks its argument and calls ``quantile_unchecked``.
+    """
 
     def cdf(self, x):
         raise NotImplementedError
 
-    def quantile(self, u):
+    def quantile_unchecked(self, u):
+        """Quantile without argument validation; quadrature hot path only,
+        callers guarantee u in (0, 1]."""
         raise NotImplementedError
+
+    def quantile(self, u):
+        """Generalized inverse at u in (0, 1]; a float for a scalar ``u``,
+        +inf where u exceeds the attainable mass (at u = 1 for an unbounded
+        support)."""
+        with np.errstate(divide="ignore"):  # u = 1 legitimately maps to +inf
+            out = self.quantile_unchecked(self._check_u(u))
+        return out if np.ndim(out) else float(out)
 
     def upper_cutoff(self) -> float:
         """Truncation point for integrals over the support: the quantile at
         1 - DEFAULT_EPS."""
-        return float(self.quantile(1.0 - DEFAULT_EPS))
-
-    def quantile_unchecked(self, u):
-        """Quantile without argument validation; quadrature hot path only,
-        callers guarantee u in (0, 1]."""
-        return self.quantile(u)
+        return float(self.quantile_unchecked(1.0 - DEFAULT_EPS))
 
     def _check_x(self, x) -> np.ndarray:
         arr = _as_float_array(x, "x")
@@ -81,10 +90,6 @@ class Exponential(Marginal):
 
     def cdf(self, x):
         return -np.expm1(-self.rate * self._check_x(x))
-
-    def quantile(self, u):
-        with np.errstate(divide="ignore"):  # u = 1 legitimately maps to +inf
-            return -np.log1p(-self._check_u(u)) / self.rate
 
     def quantile_unchecked(self, u):
         return -np.log1p(-u) / self.rate
@@ -124,10 +129,6 @@ class LognormalMartingale(Marginal):
             z = (np.log(arr[pos] / self.spot) + self._half_var) / self._sig_sqrt_t
         out[pos] = ndtr(z)
         return out if out.ndim else float(out)
-
-    def quantile(self, u):
-        arr = self._check_u(u)
-        return self.spot * np.exp(self._sig_sqrt_t * ndtri(arr) - self._half_var)
 
     def quantile_unchecked(self, u):
         return self.spot * np.exp(self._sig_sqrt_t * ndtri(u) - self._half_var)
@@ -174,15 +175,9 @@ class Tabulated(Marginal):
         vals = np.concatenate([[0.0], self.fs])[idx]
         return vals if vals.ndim else float(vals)
 
-    def quantile(self, u):
+    def quantile_unchecked(self, u):
         # Left-continuous step inversion: smallest tabulated x with F(x) >= u,
         # +inf when u exceeds the attainable mass.
-        arr = self._check_u(u)
-        idx = np.searchsorted(self.fs, arr, side="left")
-        vals = np.concatenate([self.xs, [np.inf]])[idx]
-        return vals if vals.ndim else float(vals)
-
-    def quantile_unchecked(self, u):
         idx = np.searchsorted(self.fs, u, side="left")
         return np.concatenate([self.xs, [np.inf]])[idx]
 
@@ -215,9 +210,10 @@ def from_call_prices(
 
     The call curve ``P(K) = E[exp(-r T) (X - K)^+]`` has slope
     ``dP/dK = -exp(-r T) (1 - F(K))``, so ``F(K) = 1 + exp(r T) dP/dK``.
-    Slopes are central finite differences at interior strikes and one-sided
-    at the ends; the result is clamped to [0, 1] and made nondecreasing by a
-    running maximum.
+    Slopes are second-order finite differences on the (possibly
+    non-uniform) strike grid, ``np.gradient(P, K, edge_order=2)``,
+    one-sided at the ends (first order with two strikes); the result is
+    clamped to [0, 1] and made nondecreasing by a running maximum.
 
     Rejects fewer than two strikes, prices that increase in strike
     (arbitrage), and constant price curves (no distributional content).
@@ -240,28 +236,46 @@ def from_call_prices(
     if np.all(np.abs(dP) <= tol):
         raise ValueError("constant call prices carry no distribution (degenerate)")
 
-    slope = np.empty_like(P)
-    slope[1:-1] = (P[2:] - P[:-2]) / (K[2:] - K[:-2])
-    if K.size >= 3:
-        # second-order one-sided ends; first-order would bias the end CDF
-        # values by O(h) times the density
-        h0, h1 = K[1] - K[0], K[2] - K[1]
-        slope[0] = (
-            -(2 * h0 + h1) / (h0 * (h0 + h1)) * P[0]
-            + (h0 + h1) / (h0 * h1) * P[1]
-            - h0 / (h1 * (h0 + h1)) * P[2]
-        )
-        g1, g0 = K[-1] - K[-2], K[-2] - K[-3]
-        slope[-1] = (
-            (2 * g1 + g0) / (g1 * (g1 + g0)) * P[-1]
-            - (g1 + g0) / (g1 * g0) * P[-2]
-            + g1 / (g0 * (g1 + g0)) * P[-3]
-        )
-    else:
-        slope[0] = (P[1] - P[0]) / (K[1] - K[0])
-        slope[-1] = slope[0]
+    # A first-order slope would bias the CDF by O(h) times the density.
+    slope = np.gradient(P, K, edge_order=2 if K.size >= 3 else 1)
     F = np.clip(1.0 + np.exp(rate * maturity) * slope, 0.0, 1.0)
     return Tabulated(K, np.maximum.accumulate(F))
+
+
+def read_csv_rows(path, headers) -> tuple[int, list[tuple[float, ...]]]:
+    """Numeric rows of a CSV file whose header line is one of ``headers``.
+
+    ``headers`` lists the accepted headers as tuples of column names,
+    matched case-insensitively against the leading cells of the header
+    line.  Returns the index of the matching header and, for every nonblank
+    row, its leading cells as floats, as many as the header has columns.
+    Raises ValueError naming the file for an unknown header, and naming
+    ``path:line`` for a short row or a non-numeric cell.
+    """
+    names = [tuple(c.lower() for c in h) for h in headers]
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        cells = tuple(h.strip().lower() for h in header)
+        kind = next((k for k, h in enumerate(names) if cells[: len(h)] == h), None)
+        if kind is None:
+            expected = " or ".join(repr(",".join(h)) for h in headers)
+            raise ValueError(f"{path}: expected header {expected}, got {header!r}")
+        n = len(names[kind])
+        rows = []
+        for row in reader:
+            if not row or not row[0].strip():
+                continue
+            try:
+                values = tuple(float(c) for c in row[:n])
+            except ValueError:
+                values = ()
+            if len(values) < n:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {n} numeric cells, got {row!r}"
+                )
+            rows.append(values)
+    return kind, rows
 
 
 def marginal_from_csv(path, rate: float = 0.0, maturity: float = 1.0) -> Tabulated:
@@ -269,22 +283,11 @@ def marginal_from_csv(path, rate: float = 0.0, maturity: float = 1.0) -> Tabulat
 
     The header declares the content: ``x,F`` gives CDF samples directly;
     ``strike,price`` gives call quotes passed through ``from_call_prices``
-    with the supplied ``rate`` and ``maturity``.
+    with the supplied ``rate`` and ``maturity``.  Malformed files raise
+    ValueError as in ``read_csv_rows``.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise ValueError(f"{path}: expected a two-column header line")
-        cols = [[], []]
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            cols[0].append(float(row[0]))
-            cols[1].append(float(row[1]))
-    names = tuple(h.strip().lower() for h in header[:2])
-    if names == ("x", "f"):
-        return Tabulated(cols[0], cols[1])
-    if names == ("strike", "price"):
-        return from_call_prices(cols[0], cols[1], rate=rate, maturity=maturity)
-    raise ValueError(f"{path}: header must be 'x,F' or 'strike,price', got {header!r}")
+    kind, rows = read_csv_rows(path, [("x", "F"), ("strike", "price")])
+    xs, ys = [r[0] for r in rows], [r[1] for r in rows]
+    if kind == 0:
+        return Tabulated(xs, ys)
+    return from_call_prices(xs, ys, rate=rate, maturity=maturity)

@@ -101,10 +101,18 @@ def _unit_edges(panels: int, per_decade: int) -> np.ndarray:
 
 def _rule_from_edges(edges: np.ndarray, order: int) -> Rule:
     t, w = gauss_legendre_01(order)
-    width = np.diff(edges)
-    nodes = edges[:-1, None] + width[:, None] * t[None, :]
-    weights = width[:, None] * w[None, :]
+    nodes, weights = mapped_nodes(t, w, edges[:-1], edges[1:])
     return Rule(nodes.ravel(), weights.ravel())
+
+
+def _merge_breaks(
+    edges: np.ndarray, breakpoints: Iterable[float], lo: float, hi: float
+) -> np.ndarray:
+    """``edges`` merged with the ``breakpoints`` strictly inside (lo, hi)."""
+    b = np.asarray(list(breakpoints), dtype=float)
+    if b.size:
+        edges = np.unique(np.concatenate([edges, b[(b > lo) & (b < hi)]]))
+    return edges
 
 
 def unit_panel_edges(
@@ -115,18 +123,7 @@ def unit_panel_edges(
     """Graded panel edges on (DEFAULT_EPS, 1-DEFAULT_EPS) merged with
     ``breakpoints``."""
     edges = _unit_edges(int(panels), int(edge_per_decade))
-    b = np.asarray(sorted(set(float(x) for x in breakpoints)), dtype=float)
-    if b.size:
-        b = b[(b > DEFAULT_EPS) & (b < 1.0 - DEFAULT_EPS)]
-        edges = np.unique(np.concatenate([edges, b]))
-    return edges
-
-
-@lru_cache(maxsize=128)
-def _unit_rule_cached(
-    panels: int, order: int, breaks: tuple[float, ...], per_decade: int
-) -> Rule:
-    return _rule_from_edges(unit_panel_edges(panels, breaks, per_decade), order)
+    return _merge_breaks(edges, breakpoints, DEFAULT_EPS, 1.0 - DEFAULT_EPS)
 
 
 def unit_rule(
@@ -136,15 +133,14 @@ def unit_rule(
     edge_per_decade: int = _EDGE_PANELS_PER_DECADE,
 ) -> Rule:
     """Graded rule on (DEFAULT_EPS, 1-DEFAULT_EPS) with panels split at
-    ``breakpoints``."""
-    breaks = tuple(sorted(set(float(b) for b in breakpoints)))
-    return _unit_rule_cached(int(panels), int(order), breaks, int(edge_per_decade))
+    ``breakpoints``; built on every call, nothing is cached."""
+    return _rule_from_edges(unit_panel_edges(panels, breakpoints, edge_per_decade), int(order))
 
 
 def interval_rule(
     lo: float,
     hi: float,
-    panels: int = 512,
+    panels: int,
     breakpoints: Iterable[float] = (),
 ) -> Rule:
     """Uniform composite rule of order DEFAULT_ORDER on [lo, hi] with panels
@@ -152,11 +148,7 @@ def interval_rule(
     if not hi > lo:
         return Rule(np.empty(0), np.empty(0))
     edges = np.linspace(lo, hi, int(panels) + 1)
-    b = np.asarray(sorted(set(float(x) for x in breakpoints)), dtype=float)
-    if b.size:
-        b = b[(b > lo) & (b < hi)]
-        edges = np.unique(np.concatenate([edges, b]))
-    return _rule_from_edges(edges, DEFAULT_ORDER)
+    return _rule_from_edges(_merge_breaks(edges, breakpoints, lo, hi), DEFAULT_ORDER)
 
 
 def mapped_nodes(
@@ -186,6 +178,8 @@ _ITP_N0 = 1
 _ULPS = 4
 # Sign-change roots are refined to this fraction of their bracket's width.
 _ROOT_REL_TOL = 2.0**-40
+# Probe points per interval in refine_sign_changes.
+_SIGN_PROBES = 257
 
 
 def solve_brackets(g, left, right, g_left, g_right, tol, strict: bool = False):
@@ -268,7 +262,7 @@ def refine_roots(fn, left, right, f_left, f_right) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def refine_sign_changes(fn, lo, hi, probes: int = 257) -> tuple[np.ndarray, np.ndarray]:
+def refine_sign_changes(fn, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Roots of ``fn`` on each interval ``[lo[i], hi[i]]``, located by
     probing and refined by ``refine_roots``.
 
@@ -276,7 +270,7 @@ def refine_sign_changes(fn, lo, hi, probes: int = 257) -> tuple[np.ndarray, np.n
     with ``hi <= lo`` has no roots.  ``fn(z, rows)`` evaluates the function
     of interval ``rows`` at ``z`` (the two broadcast), so one call finds the
     roots of a whole family of functions.  Each interval is probed at
-    ``np.linspace(lo[i], hi[i], probes)`` and its roots do not depend on the
+    ``np.linspace(lo[i], hi[i], 257)`` and its roots do not depend on the
     other intervals.  Returns the roots and their interval indices, ordered
     by interval and then by root.
 
@@ -288,7 +282,7 @@ def refine_sign_changes(fn, lo, hi, probes: int = 257) -> tuple[np.ndarray, np.n
     # Empty intervals stay out of the grid: one zero width would make
     # linspace build every row by another formula.
     live = np.flatnonzero(hi > lo)
-    grid = np.linspace(lo[live], hi[live], probes, axis=-1)
+    grid = np.linspace(lo[live], hi[live], _SIGN_PROBES, axis=-1)
     vals = np.asarray(fn(grid, live[:, None]), dtype=float)
     sign = np.sign(vals)
     row, col = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)

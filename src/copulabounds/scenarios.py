@@ -160,8 +160,8 @@ def _scenario2_pieces(cfg: ScenarioConfig):
     m_x, m_y = _lognormals(cfg)
     ref = gaussian_copula(cfg.rho)
     curve = lambda K: ref(m_x.cdf(K), m_y.cdf(K))
-    lo = min(float(m_x.quantile(1e-4)), float(m_y.quantile(1e-4)))
-    hi = max(float(m_x.quantile(1.0 - 1e-4)), float(m_y.quantile(1.0 - 1e-4)))
+    lo = min(float(m_x.quantile_unchecked(1e-4)), float(m_y.quantile_unchecked(1e-4)))
+    hi = max(float(m_x.quantile_unchecked(1.0 - 1e-4)), float(m_y.quantile_unchecked(1.0 - 1e-4)))
     strikes = np.linspace(lo, hi, cfg.constraint_strikes)
     low, up = constrained.bounds_from_max_options(curve, m_x, m_y, strikes)
     return m_x, m_y, lambda _: (low, ref, up)

@@ -349,3 +349,16 @@ class TestCsv:
         p.write_text("x,y,z\n0.1,0.2,0.05\n")
         with pytest.raises(ValueError, match="header"):
             cb.constraints_from_csv(p)
+
+    @pytest.mark.parametrize("row", ["0.6,0.7", "0.6,x,0.45"])
+    def test_bad_point_row_names_its_line(self, tmp_path, row):
+        p = tmp_path / "c.csv"
+        p.write_text(f"a,b,theta\n0.3,0.4,0.2\n\n{row}\n")
+        with pytest.raises(ValueError, match=r"c\.csv:4: expected 3 numeric cells"):
+            cb.constraints_from_csv(p)
+
+    def test_short_price_row_names_its_line(self, tmp_path, exp_marginals):
+        p = tmp_path / "q.csv"
+        p.write_text("T,price\n2.0,0.14\n3.0\n")
+        with pytest.raises(ValueError, match=r"q\.csv:3: expected 2 numeric cells"):
+            cb.constraints_from_price_csv(p, *exp_marginals)

@@ -118,6 +118,21 @@ class TestFromCallPrices:
         err = np.abs(np.asarray(m.cdf(strikes)) - np.asarray(ref.cdf(strikes)))
         assert np.max(err) <= 1e-3
 
+    @pytest.mark.parametrize("strikes, bound", [
+        (np.sort(np.random.default_rng(7).uniform(40.0, 250.0, 80)), 1e-2),
+        # market-like: 10-wide wings around a 2.5-wide core from 80 to 120
+        (np.concatenate([np.arange(40.0, 80.0, 10.0), np.arange(80.0, 120.0, 2.5),
+                         np.arange(120.0, 251.0, 10.0)]), 2e-2),
+    ])
+    def test_lognormal_round_trip_on_non_uniform_strikes(self, strikes, bound):
+        # interior slopes must be second order on uneven spacing; central
+        # differences over two unequal gaps were off by 4.4e-2 and 4.5e-2
+        prices = [black_call(100.0, K, 0.2, 1.0) for K in strikes]
+        m = cb.from_call_prices(strikes, prices)
+        ref = cb.lognormal_martingale(0.2, 100.0, 1.0)
+        err = np.abs(np.asarray(m.cdf(strikes)) - np.asarray(ref.cdf(strikes)))
+        assert np.max(err) <= bound
+
     def test_constant_prices_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             cb.from_call_prices([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
@@ -164,4 +179,11 @@ class TestCsv:
         p = tmp_path / "bad.csv"
         p.write_text("foo,bar\n1,2\n")
         with pytest.raises(ValueError, match="header"):
+            cb.marginal_from_csv(p)
+
+    @pytest.mark.parametrize("row", ["2.0", "2.0,abc"])
+    def test_bad_row_names_its_line(self, tmp_path, row):
+        p = tmp_path / "m.csv"
+        p.write_text(f"x,F\n1.0,0.25\n{row}\n3.0,1.0\n")
+        with pytest.raises(ValueError, match=r"m\.csv:3: expected 2 numeric cells"):
             cb.marginal_from_csv(p)

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -253,7 +256,7 @@ class TestProductPayoff:
 
     def test_diagonal_consistency_coarse(self, lognormal_marginals):
         mx, my = lognormal_marginals
-        got = cb.price(cb.product_xy(), cb.FRECHET_UPPER, mx, my, panels_2d=160)
+        got = cb.price(cb.product_xy(), cb.FRECHET_UPPER, mx, my)
         ref = coupling_price(cb.product_xy(), mx, my, "co")
         assert got == pytest.approx(ref, rel=1e-3)
 
@@ -343,7 +346,7 @@ class TestPriceBatch:
         pts = random_point_set(np.random.default_rng(seed), size, "none")
         surfaces = (cb.FRECHET_LOWER, cb.lower_bound(pts), cb.upper_bound(pts), cb.FRECHET_UPPER)
         payoffs = ALL_TABLE_KINDS + [cb.call_on_max(80.0), cb.put_on_min(120.0), cb.product_xy()]
-        prices = cb.price_batch(payoffs, surfaces, mx, my, panels=200, panels_2d=40)
+        prices = cb.price_batch(payoffs, surfaces, mx, my, panels=200)
         signs = np.array([cb.payoff_sign(p) for p in payoffs], dtype=float)
         assert np.all(np.diff(signs[:, None] * prices, axis=1) >= -1e-9)
 
@@ -364,6 +367,18 @@ class TestPriceBatch:
         payoffs = [cb.spread(k) for k in strikes]
         prices = cb.price_batch(payoffs, surfaces, *lognormal_marginals, panels=200)
         assert np.all(np.diff(prices, axis=1) <= 0.0)
+
+    def test_keeps_no_quadrature_state(self, lognormal_marginals):
+        # rules are built per call: nothing allocated by a sweep outlives it
+        payoffs = [cb.spread(k) for k in np.linspace(-50.0, 50.0, 40)]
+        tracemalloc.start()
+        try:
+            cb.price_batch(payoffs, [cb.FRECHET_LOWER, cb.FRECHET_UPPER], *lognormal_marginals)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
 
 
 class TestDigitalDefaults:
