@@ -45,8 +45,8 @@ from .quadrature import (
     refine_roots,
     refine_sign_changes,
     solve_brackets,
+    tanh_sinh_01,
     unit_panel_edges,
-    unit_rule,
 )
 from .surfaces import (
     FRECHET_LOWER,
@@ -73,9 +73,12 @@ __all__ = [
 _THETA_TOL = 1e-10
 # theta lies in [0, 1], where doubles are about 2e-16 apart.
 _THETA_TOL_MIN = 1e-15
-_SHIFT_TABLE_N = 2001
-# Gauss-Legendre order per panel of the one-point maps' mapped rule.
-_MAP_ORDER = 7
+# Tanh-sinh nodes per segment of the one-point maps.
+_MAP_NODES = 49
+# Lines of constant u tracing the kink curve, half as many anti paths (257
+# probes each), and lines of constant u added around each turning point.
+_TRACE_ROWS = 1001
+_TURN_ROWS = 129
 # Points per one-point-map call in the inversion.
 _MAP_BLOCK = 512
 # Sampled rectangles of the 2-increasing spot check.
@@ -102,88 +105,115 @@ class _RunningIntegral:
         self.func = func
         self.shift = float(shift)
         self.anti = anti
-        breaks: list[float] = []
-        if func.kink is not None:
-            breaks = refine_sign_changes(
-                lambda u, _: func._kink_on_path(u, np.full_like(u, shift), anti),
-                DEFAULT_EPS,
-                1.0 - DEFAULT_EPS,
-            )[0].tolist()
+        breaks = []
+        if func._kink is not None:
+            breaks = np.ravel(func._kink.splits(np.zeros(1), np.ones(1), np.full(1, shift), anti))
         edges = unit_panel_edges(self._PANELS, breakpoints=breaks)
-        t, w = gauss_legendre_01(self._TAIL_ORDER)
-        nodes, weights = mapped_nodes(t, w, edges[:-1], edges[1:])
-        sums = (weights * func._path_values(nodes, np.asarray(shift), anti)).sum(axis=-1)
+        nodes, weights = mapped_nodes(*gauss_legendre_01(self._TAIL_ORDER), edges[:-1], edges[1:])
+        sums = (weights * func._path_values(nodes, self.shift, anti)).sum(axis=-1)
         self.edges = edges
         self.cum = np.concatenate([[0.0], np.cumsum(sums)])
         self.total = float(self.cum[-1])
-        self._t = t
-        self._w = w
 
     def __call__(self, t):
         t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-        idx = np.clip(
-            np.searchsorted(self.edges, t, side="right") - 1, 0, self.edges.size - 2
-        )
-        lo = self.edges[idx]
-        nodes, weights = mapped_nodes(self._t, self._w, lo, t)
-        part = (weights * self.func._path_values(nodes, np.asarray(self.shift), self.anti)).sum(
-            axis=-1
-        )
+        idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, self.edges.size - 2)
+        nodes, weights = mapped_nodes(*gauss_legendre_01(self._TAIL_ORDER), self.edges[idx], t)
+        part = (weights * self.func._path_values(nodes, self.shift, self.anti)).sum(axis=-1)
         return self.cum[idx] + part
 
 
-class _ShiftRootTable:
-    """Roots of the payoff kink along a shifted path, tabulated over shifts.
+class _KinkCurve:
+    """Where the shifted paths cross the payoff kink.
 
-    Splitting a segment at an approximate kink location is always valid
-    (the integrand is continuous), so interpolation error here only
-    perturbs where the panel boundary lands.  At most two roots per shift
-    are tracked, and a kink with more sign changes along any path raises
-    QuadratureError; shifts without a root give no split.
+    The kink's zero set is traced once in the quantile plane as a curve
+    w = c(u), by its zeros on fixed anti paths (which reach steep stretches
+    too) and lines of constant u, more of these around each turning point.
+    A co path w = u + s meets the curve where g = c - u equals s, an anti
+    path w = s - u where g = c + u does, so at most once on each monotone
+    piece of g: a segment's crossing on a piece is the sign change of the
+    kink between the ends of its part of the piece, refined by
+    ``refine_roots``.  No split is interpolated.
     """
 
-    _PROBES = 129
-
-    def __init__(self, func: "MonotoneFunctional", anti: bool):
-        self.anti = anti
-        lo, hi = (0.0, 2.0) if anti else (-1.0, 1.0)
-        s = np.linspace(lo, hi, _SHIFT_TABLE_N)
-        u = np.linspace(DEFAULT_EPS, 1.0 - DEFAULT_EPS, self._PROBES)
-        d = func._kink_on_path(u[None, :], s[:, None], anti)
-        sign = np.sign(d)
-        change = sign[:, :-1] * sign[:, 1:] < 0
-        most = int(change.sum(axis=1).max())
-        if most > 2:
-            raise QuadratureError(
-                f"payoff kink changes sign {most} times along a shifted path; "
-                "at most two roots per path are supported"
-            )
-        self.s = s
-        # Shifted quantile curves can cross twice; refine the first and the
-        # last bracket of each row (identical when there is one root).
-        first = np.argmax(change, axis=1)
-        last = change.shape[1] - 1 - np.argmax(change[:, ::-1], axis=1)
-        rows = np.flatnonzero(change.any(axis=1))
-        self.root1 = self._refine(func, u, d, rows, first[rows], s)
-        self.root2 = self._refine(func, u, d, rows, last[rows], s)
-
-    def _refine(self, func, u, d, rows, idx, s):
-        """Kink root in probe bracket ``idx`` of each shift row in ``rows``;
-        NaN for the rows without a sign change."""
-        root = np.full(s.size, np.nan)
-        root[rows] = refine_roots(
-            lambda x, i: func._kink_on_path(x, s[rows[i]], self.anti),
-            u[idx], u[idx + 1], d[rows, idx], d[rows, idx + 1],
+    def __init__(self, func: "MonotoneFunctional"):
+        self.func = func
+        grid = np.linspace(DEFAULT_EPS, 1.0 - DEFAULT_EPS, _TRACE_ROWS)
+        s = 2.0 * grid[::2]
+        u_s, rows = refine_sign_changes(
+            lambda u, i: func._path_values(u, s[i], True, func.kink),
+            np.maximum(s - 1.0, 0.0) + DEFAULT_EPS, np.minimum(s, 1.0) - DEFAULT_EPS,
         )
-        return root
+        _check_crossings(np.bincount(rows).max(initial=0))
+        u, c = self._with_lines(u_s, s[rows] - u_s, grid)
+        if u.size < 2:
+            raise QuadratureError("payoff kink does not change sign in the quantile square")
+        turns = np.concatenate([_turning_rows(c - u), _turning_rows(c + u)])
+        extra = np.linspace(u[turns - 1], u[turns + 1], _TURN_ROWS, axis=-1).ravel()
+        u, c = self._with_lines(u, c, extra)
+        self.pieces = {}
+        for anti, g in ((False, c - u), (True, c + u)):
+            cut = np.concatenate([[0], _turning_rows(g), [g.size - 1]])
+            first, last = cut[:-1], cut[1:]
+            g_lo, g_hi = np.sort([g[first], g[last]], axis=0)
+            # A path crossing the most pieces has its shift at a piece end.
+            ends = np.concatenate([g_lo, g_hi])[:, None]
+            _check_crossings(np.max(np.sum((g_lo <= ends) & (ends <= g_hi), axis=1)))
+            self.pieces[anti] = (u[first], u[last], g_lo, g_hi)
 
-    def __call__(self, shift):
-        shift = np.asarray(shift, dtype=float)
-        r1 = np.interp(shift, self.s, self.root1)
-        r2 = np.interp(shift, self.s, self.root2)
-        r1 = np.where(np.isnan(r1), 0.0, r1)
-        r2 = np.where(np.isnan(r2), 0.0, r2)
-        return r1, np.maximum(r1, r2)
+    def _with_lines(self, u, c, lines):
+        """Samples ``(u, c)`` of the curve and its zeros on the lines of
+        constant u at ``lines``, in increasing order of u."""
+        x = self.func.m_x.quantile_unchecked(lines)
+        roots, rows = refine_sign_changes(
+            lambda w, i: self.func.kink(x[i], self.func.m_y.quantile_unchecked(w)),
+            np.full(lines.size, DEFAULT_EPS), np.full(lines.size, 1.0 - DEFAULT_EPS),
+        )
+        most = np.bincount(rows).max(initial=0)
+        if most > 1:
+            raise QuadratureError(f"payoff kink changes sign {most} times along a line of constant u")
+        u, c = np.concatenate([u, lines[rows]]), np.concatenate([c, roots])
+        order = np.argsort(u, kind="stable")
+        return u[order], c[order]
+
+    def splits(self, lo, hi, shift, anti: bool):
+        """``(m1, m2)`` with lo <= m1 <= m2 <= hi: the first two crossings of
+        the segments [lo, hi] of the paths of ``shift`` with the kink, hi
+        where there are fewer."""
+        shape = lo.shape
+        lo, hi, shift = (np.ravel(x) for x in (lo, hi, shift))
+        p_lo, p_hi, g_lo, g_hi = self.pieces[anti]
+        a, b = np.maximum(lo, p_lo[:, None]), np.minimum(hi, p_hi[:, None])
+        k, j = np.nonzero((a < b) & (g_lo[:, None] <= shift) & (shift <= g_hi[:, None]))
+        a, b, s = a[k, j], b[k, j], shift[j]
+        on_path = lambda z, s: self.func._path_values(z, s, anti, self.func.kink)
+        f_a, f_b = on_path(a, s), on_path(b, s)
+        cross = f_a * f_b < 0
+        s = s[cross]
+        splits = np.repeat(hi[None], p_lo.size + 1, axis=0)
+        splits[k[cross], j[cross]] = refine_roots(
+            lambda z, i: on_path(z, s[i]), a[cross], b[cross], f_a[cross], f_b[cross]
+        )
+        splits.sort(axis=0)
+        return splits[0].reshape(shape), splits[1].reshape(shape)
+
+
+def _check_crossings(most) -> None:
+    """Raise unless ``most``, the most kink crossings of any path, is <= 2."""
+    if most > 2:
+        raise QuadratureError(
+            f"payoff kink changes sign {most} times along a shifted path; "
+            "at most two roots per path are supported"
+        )
+
+
+def _turning_rows(g) -> np.ndarray:
+    """Rows where the sampled ``g`` turns between rising and falling; a
+    step at rounding level keeps the direction of the steps before it."""
+    step = np.diff(g)
+    sign = np.where(np.abs(step) > 1e-12, np.sign(step), 0.0)
+    moves = np.flatnonzero(sign)
+    return moves[1:][sign[moves[1:]] != sign[moves[:-1]]]
 
 
 class MonotoneFunctional:
@@ -199,10 +229,11 @@ class MonotoneFunctional:
     kink:
         Optional signed function whose zero set is the only curve where
         ``integrand`` is not smooth (for example ``x - y`` for spread-type
-        payoffs).  Integration segments are split at its roots, of which
-        each shifted path may cross at most two.
-    panels:
-        Panels of the mapped rule on the shifted segments.
+        payoffs); segments are split where they cross it.  In the quantile
+        plane (u, w) = (F_X(x), F_Y(y)) its zero set must be a curve
+        w = c(u), crossed at most once by each line of constant u and at
+        most twice by each path w = u + s or w = s - u.  A kink that breaks
+        this, or has no zero, raises QuadratureError at construction.
 
     The integrand is spot-checked for 2-increasingness on sampled
     rectangles at construction.
@@ -215,25 +246,19 @@ class MonotoneFunctional:
         m_y: Marginal,
         *,
         kink: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-        panels: int = 28,
     ):
         self.integrand = integrand
         self.m_x = m_x
         self.m_y = m_y
         self.kink = kink
-        # Inversion evaluates these integrals tens of times per surface
-        # point, so the shifted segments use a small mapped rule: heavy
-        # endpoint grading plus a high order per panel (segments are smooth
-        # once kinks are split).  The two unshifted segments of each map
-        # reduce to a precomputed running integral along the (anti)diagonal.
-        rule = unit_rule(panels=panels, order=_MAP_ORDER, edge_per_decade=1)
-        self._t = rule.nodes
-        self._w = rule.weights
+        # Inversion evaluates the maps tens of times per surface point: each
+        # shifted segment, smooth once split at the kink, takes one small
+        # tanh-sinh rule, and the unshifted ones read a running integral.
+        self._t, self._w = tanh_sinh_01(_MAP_NODES)
         self._spot_check_two_increasing()
+        self._kink = None if kink is None else _KinkCurve(self)
         self._diag = _RunningIntegral(self, shift=0.0, anti=False)
         self._anti = _RunningIntegral(self, shift=1.0, anti=True)
-        self._root_co = _ShiftRootTable(self, anti=False) if kink else None
-        self._root_anti = _ShiftRootTable(self, anti=True) if kink else None
 
     def _spot_check_two_increasing(self) -> None:
         rng = np.random.default_rng(1871)
@@ -252,21 +277,13 @@ class MonotoneFunctional:
 
     # -- quantile-space helpers ------------------------------------------
 
-    def _xy(self, u: np.ndarray, yarg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _path_values(self, u, shift, anti: bool, f=None) -> np.ndarray:
+        """``f``, by default the integrand, at the points u of the co or anti
+        paths of ``shift``."""
         lo, hi = DEFAULT_EPS, 1.0 - DEFAULT_EPS
         x = self.m_x.quantile_unchecked(np.clip(u, lo, hi))
-        y = self.m_y.quantile_unchecked(np.clip(yarg, lo, hi))
-        return x, y
-
-    def _path_values(self, u: np.ndarray, shift: np.ndarray, anti: bool) -> np.ndarray:
-        yarg = shift - u if anti else u + shift
-        x, y = self._xy(u, yarg)
-        return np.asarray(self.integrand(x, y), dtype=float)
-
-    def _kink_on_path(self, u: np.ndarray, shift: np.ndarray, anti: bool) -> np.ndarray:
-        yarg = shift - u if anti else u + shift
-        x, y = self._xy(u, yarg)
-        return np.asarray(self.kink(x, y), dtype=float)
+        y = self.m_y.quantile_unchecked(np.clip(shift - u if anti else u + shift, lo, hi))
+        return np.asarray((f or self.integrand)(x, y), dtype=float)
 
     def _plain_seg(self, lo, hi, shift, anti: bool) -> np.ndarray:
         """Mapped-rule integral over [lo, hi] of the path; the rule runs only
@@ -279,22 +296,10 @@ class MonotoneFunctional:
         return out
 
     def _seg(self, lo, hi, shift, anti: bool) -> np.ndarray:
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        shift = np.asarray(shift, dtype=float)
-        lo, hi, shift = np.broadcast_arrays(lo, hi, shift)
+        lo, hi, shift = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (lo, hi, shift)))
         hi = np.maximum(hi, lo)
-        if self.kink is None:
-            return self._plain_seg(lo, hi, shift, anti)
-        table = self._root_anti if anti else self._root_co
-        r1, r2 = table(shift)
-        m1 = np.clip(r1, lo, hi)
-        m2 = np.clip(r2, m1, hi)
-        return (
-            self._plain_seg(lo, m1, shift, anti)
-            + self._plain_seg(m1, m2, shift, anti)
-            + self._plain_seg(m2, hi, shift, anti)
-        )
+        m1, m2 = (hi, hi) if self._kink is None else self._kink.splits(lo, hi, shift, anti)
+        return sum(self._plain_seg(p, q, shift, anti) for p, q in ((lo, m1), (m1, m2), (m2, hi)))
 
     # -- the monotone maps -----------------------------------------------
 
@@ -305,9 +310,7 @@ class MonotoneFunctional:
         and along two unit-slope segments through (a, b) inside, giving two
         running-integral differences plus two shifted segment integrals.
         """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        th = np.asarray(theta, dtype=float)
+        a, b, th = (np.asarray(x, dtype=float) for x in (a, b, theta))
         out = (
             self._diag(th)
             + (self._diag.total - self._diag(a + b - th))
@@ -318,9 +321,7 @@ class MonotoneFunctional:
 
     def at_one_point_lower(self, a, b, theta):
         """Functional value at the smallest copula with C(a, b) = theta."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        th = np.asarray(theta, dtype=float)
+        a, b, th = (np.asarray(x, dtype=float) for x in (a, b, theta))
         out = (
             self._anti(a - th)
             + (self._anti.total - self._anti(1.0 - b + th))
@@ -410,9 +411,7 @@ class SurfaceFunctional:
     def at_one_point_lower(self, a, b, theta):
         return self._map(one_point_lower, a, b, theta)
 
-    @property
-    def level_slack(self) -> float:
-        return 1e-9 * max(1.0, abs(self.value_comonotone - self.value_countermonotone))
+    level_slack = MonotoneFunctional.level_slack
 
     def of(self, surface: CopulaSurface) -> float:
         return float(self.fn(surface))

@@ -1,12 +1,11 @@
-"""Composite Gauss-Legendre quadrature with graded panels and breakpoints.
+"""Fixed-node quadrature rules and the bracketing root solvers.
 
-Two families of integrals appear in this package: probability-space
-integrals over (0, 1) whose integrands come from quantile transforms
-(slowly divergent derivatives at the endpoints), and money-space
-integrals over truncated half-lines.  Both use fixed-node composite
-Gauss-Legendre rules.  Unit rules grade the panels geometrically toward
-0 and 1 so that quantile-transformed integrands are resolved; interval
-rules are uniform.  Panels are split at caller-supplied breakpoints.
+Probability-space integrals over (0, 1) have integrands from quantile
+transforms (slowly divergent derivatives at the endpoints); money-space
+integrals run over truncated half-lines.  The pricer uses composite
+Gauss-Legendre rules, graded geometrically toward 0 and 1 on the unit
+interval and uniform on money intervals, split at given breakpoints.  The
+one-point maps map one tanh-sinh rule on [0, 1] onto each short segment.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ __all__ = [
     "unit_panel_edges",
     "interval_rule",
     "gauss_legendre_01",
+    "tanh_sinh_01",
     "mapped_nodes",
     "solve_brackets",
     "refine_roots",
@@ -51,6 +51,16 @@ def gauss_legendre_01(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
     t, w = np.polynomial.legendre.leggauss(order)
     return (t + 1.0) / 2.0, w / 2.0
+
+
+def tanh_sinh_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-sinh nodes and weights on [0, 1] (Takahasi & Mori, Publ. RIMS
+    1974): ``nodes`` equal steps in t on [-3.2, 3.2], where the end weights
+    are about 1e-16, mapped through x = (1 + tanh(pi/2 sinh t)) / 2."""
+    t = np.linspace(-3.2, 3.2, int(nodes))
+    z = np.pi * np.sinh(t)
+    x = 1.0 / (1.0 + np.exp(-z))
+    return x, (t[1] - t[0]) * np.pi * np.cosh(t) * x / (1.0 + np.exp(z))
 
 
 @dataclass(frozen=True)
@@ -90,11 +100,11 @@ def _check_tail_divergence(nodes: np.ndarray, contrib: np.ndarray, total: float)
             )
 
 
-def _unit_edges(panels: int, per_decade: int) -> np.ndarray:
-    decades = max(1, int(np.ceil(-np.log10(DEFAULT_EPS))) - 2)
-    expo = np.linspace(2.0, -np.log10(DEFAULT_EPS), decades * per_decade + 1)
+def _unit_edges(panels: int) -> np.ndarray:
+    graded = max(1, int(np.ceil(-np.log10(DEFAULT_EPS))) - 2) * _EDGE_PANELS_PER_DECADE
+    expo = np.linspace(2.0, -np.log10(DEFAULT_EPS), graded + 1)
     stack = 10.0 ** (-expo)  # 1e-2 ... DEFAULT_EPS, descending
-    bulk = max(panels - 2 * decades * per_decade, 8)
+    bulk = max(panels - 2 * graded, 8)
     mid = np.linspace(1e-2, 1.0 - 1e-2, bulk + 1)
     return np.unique(np.concatenate([stack[::-1], mid[1:-1], 1.0 - stack]))
 
@@ -115,14 +125,10 @@ def _merge_breaks(
     return edges
 
 
-def unit_panel_edges(
-    panels: int,
-    breakpoints: Iterable[float] = (),
-    edge_per_decade: int = _EDGE_PANELS_PER_DECADE,
-) -> np.ndarray:
+def unit_panel_edges(panels: int, breakpoints: Iterable[float] = ()) -> np.ndarray:
     """Graded panel edges on (DEFAULT_EPS, 1-DEFAULT_EPS) merged with
     ``breakpoints``."""
-    edges = _unit_edges(int(panels), int(edge_per_decade))
+    edges = _unit_edges(int(panels))
     return _merge_breaks(edges, breakpoints, DEFAULT_EPS, 1.0 - DEFAULT_EPS)
 
 
@@ -130,11 +136,10 @@ def unit_rule(
     panels: int = DEFAULT_PANELS,
     order: int = DEFAULT_ORDER,
     breakpoints: Iterable[float] = (),
-    edge_per_decade: int = _EDGE_PANELS_PER_DECADE,
 ) -> Rule:
     """Graded rule on (DEFAULT_EPS, 1-DEFAULT_EPS) with panels split at
     ``breakpoints``; built on every call, nothing is cached."""
-    return _rule_from_edges(unit_panel_edges(panels, breakpoints, edge_per_decade), int(order))
+    return _rule_from_edges(unit_panel_edges(panels, breakpoints), int(order))
 
 
 def interval_rule(

@@ -65,7 +65,6 @@ class ScenarioConfig:
     sweep_steps: int | None = None
     panels: int = 2001
     bound_panels: int = 320
-    rho_panels: int = 28
     grid_n: int = 200
     theta_tol: float = 1e-10
     constraint_maturities: tuple = (2.0, 3.0)
@@ -89,7 +88,7 @@ class ScenarioConfig:
         for name in ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "spot", "maturity"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.panels < 8 or self.bound_panels < 8 or self.rho_panels < 8:
+        if self.panels < 8 or self.bound_panels < 8:
             raise ValueError("panel counts must be at least 8")
         if self.grid_n < 2:
             raise ValueError("grid_n (the validation lattice size) must be at least 2")
@@ -179,8 +178,7 @@ def _scenario3_pieces(cfg: ScenarioConfig):
     ref = gaussian_copula(cfg.rho)
     level = pricing.price(pricing.spread(0.0), ref, m_x, m_y, panels=cfg.panels)
     functional = MonotoneFunctional(
-        lambda x, y: -np.maximum(x - y, 0.0), m_x, m_y,
-        kink=lambda x, y: x - y, panels=cfg.rho_panels,
+        lambda x, y: -np.maximum(x - y, 0.0), m_x, m_y, kink=lambda x, y: x - y
     )
     low, up = bound_surfaces_for_level(functional, -level, theta_tol=cfg.theta_tol)
     return m_x, m_y, lambda _: (low, ref, up)
@@ -199,9 +197,7 @@ def _scenario4_pieces(cfg: ScenarioConfig):
     points.
     """
     m_x, m_y = _lognormals(cfg)
-    functional = MonotoneFunctional(
-        lambda x, y: np.log(x) * np.log(y), m_x, m_y, panels=cfg.rho_panels
-    )
+    functional = MonotoneFunctional(lambda x, y: np.log(x) * np.log(y), m_x, m_y)
     cov_scale = np.sqrt(m_x.log_var * m_y.log_var)
     mean_term = m_x.log_mean * m_y.log_mean
     axes = [float(a) for a in sweep_grid(cfg)]

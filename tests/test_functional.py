@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, optimize
 
 import copulabounds as cb
 from copulabounds.functional import LevelRangeError, _invert_batch, evaluate_surfaces
-from copulabounds.quadrature import QuadratureError, mapped_nodes
+from copulabounds.quadrature import DEFAULT_EPS, QuadratureError, mapped_nodes
+from copulabounds.surfaces import _validate, lattice
 
 from _oracles import TwoPointPenalty, expectation_by_disintegration, random_point_set
 
@@ -22,6 +24,12 @@ def neg_spread_functional(lognormal_marginals):
     return cb.MonotoneFunctional(
         lambda x, y: -np.maximum(x - y, 0.0), mx, my, kink=lambda x, y: x - y
     )
+
+
+@pytest.fixture(scope="module")
+def log_product_functional(lognormal_marginals):
+    mx, my = lognormal_marginals
+    return cb.MonotoneFunctional(lambda x, y: np.log(x) * np.log(y), mx, my)
 
 
 def theta_box(a, b):
@@ -376,18 +384,19 @@ class TestKinkSubsegments:
         lo = rng.uniform(0.0, 1.0, n)
         hi = np.minimum(lo + rng.uniform(-0.2, 0.6, n), 1.0)
         shift = rng.uniform(0.0, 2.0, n) if anti else rng.uniform(-1.0, 1.0, n)
-        # the split of [lo, hi] at the kink roots, as MonotoneFunctional._seg makes it
+        # the split of [lo, hi] at the kink crossings, as MonotoneFunctional._seg
+        # makes it; finding them evaluates the kink at a few points
         hi_c = np.maximum(hi, lo)
-        r1, r2 = (F._root_anti if anti else F._root_co)(shift)
-        m1 = np.clip(r1, lo, hi_c)
-        m2 = np.clip(r2, m1, hi_c)
+        mx.quantile_points = 0
+        m1, m2 = F._kink.splits(lo, hi_c, shift, anti)
+        split_points = mx.quantile_points
         pieces = [(lo, m1), (m1, m2), (m2, hi_c)]
         live = sum(int(np.sum(b > a)) for a, b in pieces)
         assert 0 < live < 3 * n
 
         mx.quantile_points = 0
         got = F._seg(lo, hi, shift, anti)
-        assert mx.quantile_points == live * F._t.size
+        assert mx.quantile_points == split_points + live * F._t.size
         # every piece at the full rule, empty ones included, sums to the same
         full = np.zeros(n)
         for a, b in pieces:
@@ -487,5 +496,71 @@ class TestEnvelopeFamily:
             slack = tol + 4 * np.spacing(1.0)
             assert np.all(l1 <= l2 + slack)
             assert np.all(u1 <= u2 + slack)
+
+        check()
+
+
+class TestKinkSplitAccuracy:
+    """Co-path segments of the negated spread near the shift 0.12220 where
+    the path touches the kink curve, against quadrature between the exact
+    kink roots."""
+
+    @staticmethod
+    def oracle(F, lo, hi, shift):
+        def on_path(u, f):
+            x = F.m_x.quantile_unchecked(np.clip(u, DEFAULT_EPS, 1 - DEFAULT_EPS))
+            y = F.m_y.quantile_unchecked(np.clip(u + shift, DEFAULT_EPS, 1 - DEFAULT_EPS))
+            return f(x, y)
+
+        kink = lambda u: on_path(u, lambda x, y: x - y)
+        grid = np.linspace(lo, hi, 4001)
+        d = np.sign(kink(grid))
+        roots = [optimize.brentq(kink, grid[i], grid[i + 1], xtol=1e-15)
+                 for i in np.flatnonzero(d[:-1] * d[1:] < 0)]
+        ends = [lo, *roots, hi]
+        total = sum(
+            integrate.quad(lambda u: float(on_path(u, F.integrand)), p, q,
+                           epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+            for p, q in zip(ends[:-1], ends[1:])
+        )
+        return total, roots
+
+    @pytest.mark.parametrize("shift, n_roots", [(0.12205, 2), (0.1221, 2), (-0.05, 2)])
+    def test_segment_matches_quad_between_exact_roots(self, neg_spread_functional, shift, n_roots):
+        F = neg_spread_functional
+        lo, hi = max(0.0, -shift), min(1.0, 1.0 - shift)
+        want, roots = self.oracle(F, lo, hi, shift)
+        assert len(roots) == n_roots
+        got = float(F._seg(lo, hi, shift, False))
+        assert abs(got - want) <= 1e-8
+
+
+    @pytest.mark.parametrize("shift", [-0.1, 0.05])
+    def test_wider_first_marginal(self, lognormal_marginals, shift):
+        # sigma 0.3 / 0.2: the kink curve leaves the square near both
+        # corners; every shifted path still crosses it at most twice
+        my, mx = lognormal_marginals
+        F = cb.MonotoneFunctional(
+            lambda x, y: -np.maximum(x - y, 0.0), mx, my, kink=lambda x, y: x - y
+        )
+        lo, hi = max(0.0, -shift), min(1.0, 1.0 - shift)
+        want, roots = self.oracle(F, lo, hi, shift)
+        assert roots
+        assert abs(float(F._seg(lo, hi, shift, False)) - want) <= 1e-8
+
+
+class TestEnvelopeValidation:
+    @pytest.mark.parametrize("which", ["neg_spread_functional", "log_product_functional"])
+    def test_envelopes_validate_as_quasi_copulas(self, which, request):
+        F = request.getfixturevalue(which)
+
+        @given(st.floats(0.0, 1.0), st.integers(2, 20))
+        @settings(max_examples=15, deadline=None)
+        def check(frac, grid_n):
+            level = F.value_countermonotone + frac * (F.value_comonotone - F.value_countermonotone)
+            pair = cb.bound_surfaces_for_level(F, level)
+            for values in evaluate_surfaces(list(pair), *lattice(grid_n)):
+                report = _validate(values, "quasi-copula")
+                assert report.passed, report.summary()
 
         check()

@@ -23,11 +23,11 @@ from copulabounds.scenarios import (
 )
 
 FAST_S3 = dict(
-    sweep_min=60.0, sweep_max=140.0, sweep_steps=5, bound_panels=48, rho_panels=16,
+    sweep_min=60.0, sweep_max=140.0, sweep_steps=5, bound_panels=48,
     panels=401,
 )
 FAST_S4 = dict(sweep_min=-1.0, sweep_max=1.0, sweep_steps=5, bound_panels=48,
-               rho_panels=16, panels=401)
+               panels=401)
 # each scenario's sweep-flag family
 SWEEP_FAMILY = {"second-to-default": "maturity", "max-known": "strike",
                 "single-price": "strike", "log-correlation": "corr"}
@@ -378,6 +378,24 @@ class TestCli:
         assert main(["--config", str(cfgfile), "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_removed_rho_panels_key_is_a_config_error(self, tmp_path, capsys):
+        # the one-point maps have one fixed rule; the old knob is unknown now
+        out = tmp_path / "c.csv"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("scenario=single-price\nsweep_steps=3\nrho_panels=28\n")
+        assert main(["--config", str(cfgfile), "--out", str(out)]) == 1
+        assert "unknown config key 'rho_panels'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_log_correlation_validates_up_to_corr_one(self, tmp_path):
+        # the corr = 1 level is the comonotone value; its envelopes must
+        # still pass the quasi-copula checks on the validation lattice
+        out = tmp_path / "lc.csv"
+        args = ["--scenario", "log-correlation", "--corr-min", "0.9", "--corr-max", "1",
+                "--corr-steps", "2", "--validate", "--out", str(out)]
+        assert main(args) == 0
+        assert out.exists()
 
     def test_readme_examples_are_valid(self):
         # every CLI example of the README parses and configures a valid run
