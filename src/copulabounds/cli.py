@@ -64,7 +64,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rho", type=float, help="reference-model correlation")
     p.add_argument("--out", help="output CSV path (default out.csv)")
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--panels", type=int, help="pricing quadrature panels")
+    p.add_argument("--panels", type=int, help="uniform panels of the money-space path rules")
     p.add_argument("--grid", type=int, dest="grid_n", help="validation lattice size")
     p.add_argument(
         "--tol", type=float, dest="theta_tol",

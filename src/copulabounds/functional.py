@@ -39,6 +39,7 @@ import numpy as np
 from .marginals import Marginal
 from .quadrature import (
     DEFAULT_EPS,
+    DEFAULT_ORDER,
     QuadratureError,
     gauss_legendre_01,
     mapped_nodes,
@@ -95,11 +96,8 @@ class _RunningIntegral:
     Evaluating the running integral at an arbitrary point costs one table
     lookup plus a short Gauss-Legendre sum over the partial panel, so the
     two unshifted segments of the one-point maps become O(1) instead of a
-    full quadrature per evaluation.
+    full quadrature per evaluation.  Its panels are the unit grid's.
     """
-
-    _PANELS = 400
-    _TAIL_ORDER = 8
 
     def __init__(self, func: "MonotoneFunctional", shift: float, anti: bool):
         self.func = func
@@ -108,8 +106,8 @@ class _RunningIntegral:
         breaks = []
         if func._kink is not None:
             breaks = np.ravel(func._kink.splits(np.zeros(1), np.ones(1), np.full(1, shift), anti))
-        edges = unit_panel_edges(self._PANELS, breakpoints=breaks)
-        nodes, weights = mapped_nodes(*gauss_legendre_01(self._TAIL_ORDER), edges[:-1], edges[1:])
+        edges = unit_panel_edges(breakpoints=breaks)
+        nodes, weights = mapped_nodes(*gauss_legendre_01(DEFAULT_ORDER), edges[:-1], edges[1:])
         sums = (weights * func._path_values(nodes, self.shift, anti)).sum(axis=-1)
         self.edges = edges
         self.cum = np.concatenate([[0.0], np.cumsum(sums)])
@@ -118,7 +116,7 @@ class _RunningIntegral:
     def __call__(self, t):
         t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
         idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, self.edges.size - 2)
-        nodes, weights = mapped_nodes(*gauss_legendre_01(self._TAIL_ORDER), self.edges[idx], t)
+        nodes, weights = mapped_nodes(*gauss_legendre_01(DEFAULT_ORDER), self.edges[idx], t)
         part = (weights * self.func._path_values(nodes, self.shift, self.anti)).sum(axis=-1)
         return self.cum[idx] + part
 
@@ -575,7 +573,7 @@ def bound_surfaces_for_levels(
     ``evaluate_surfaces`` evaluates several members on the same points
     with one inversion per side, computing the level-free bracket end once
     per point.  Nothing is kept between calls.  Raises LevelRangeError for
-    a level outside the attainable range beyond the functional's slack,
+    a NaN level or one outside the attainable range beyond the slack,
     and ValueError for a ``theta_tol`` that is not finite or below 1e-15.
     """
     check_theta_tol(theta_tol)
@@ -595,7 +593,7 @@ def bound_surfaces_for_levels(
 
     pairs = []
     for level in map(float, levels):
-        if level < rho_w - eps_r or level > rho_m + eps_r:
+        if not rho_w - eps_r <= level <= rho_m + eps_r:
             raise LevelRangeError(
                 f"level {level} outside the attainable range [{rho_w}, {rho_m}]"
             )

@@ -223,10 +223,15 @@ def _strike_candidates(p: PayoffSpec) -> list[float]:
     return [v for v in vals if np.isfinite(v) and v > 0.0]
 
 
-def _edge_expectation(m: Marginal, fn, kink_xs, panels) -> float:
-    breaks = [float(m.cdf(k)) for k in kink_xs]
-    rule = unit_rule(panels=panels, breakpoints=breaks)
-    return rule.integrate_checked(lambda u: np.asarray(fn(m.quantile_unchecked(u)), dtype=float))
+def _edge_terms(payoffs, m: Marginal, on_x: bool) -> np.ndarray:
+    """E[f(X, 0)] (``on_x``) or E[f(0, Y)] of each payoff, on one unit rule
+    split at the CDF values of all their kinks; the quantile is evaluated
+    once, and each payoff's values are checked on their own."""
+    kinks = sorted({k for p in payoffs for k in _strike_candidates(p)})
+    rule = unit_rule(breakpoints=m.cdf(np.asarray(kinks, dtype=float)))
+    q = m.quantile_unchecked(rule.nodes)
+    x, y = (q, 0.0) if on_x else (0.0, q)
+    return np.array([rule.integrate_checked(lambda _: payoff_value(p, x, y)) for p in payoffs])
 
 
 class _Segment(NamedTuple):
@@ -356,12 +361,13 @@ def price_batch(
     representation.
 
     Works for any surface (copula or quasi-copula); only pointwise values
-    of the surfaces enter.  The payoff-only work (edge expectations,
-    curvature support, quadrature rule) is done once per payoff, the kink
-    crossings of all paths are found together, and each surface is called
-    once per rule.  One-strike payoffs (calls and puts on the minimum or
-    maximum) share one rule on the diagonal.  Raises QuadratureError on
-    boundary-integrability violations.
+    of the surfaces enter.  ``panels`` sets the uniform panels of the
+    money-space path rules; the edge expectations of all payoffs share one
+    graded unit rule per marginal.  The kink crossings of all paths are
+    found together, and each surface is called once per rule.  One-strike
+    payoffs (calls and puts on the minimum or maximum) share one rule on
+    the diagonal.  Raises QuadratureError on boundary-integrability
+    violations.
     """
     payoffs = list(payoffs)
     surfaces = list(surfaces)
@@ -385,12 +391,9 @@ def price_batch(
             u = m_x.cdf(rx.nodes)[:, None]
             v = m_y.cdf(ry.nodes)[None, :]
             out[i] = _mu_terms(u, v, np.outer(rx.weights, ry.weights).reshape(1, -1), surfaces)[0]
-    for i, p in enumerate(payoffs):
-        kinks = _strike_candidates(p)
-        ex = _edge_expectation(m_x, lambda x: payoff_value(p, x, 0.0), kinks, panels)
-        ey = _edge_expectation(m_y, lambda y: payoff_value(p, 0.0, y), kinks, panels)
-        out[i] += -float(payoff_value(p, 0.0, 0.0)) + ex + ey
-    return out
+    at_origin = np.array([float(payoff_value(p, 0.0, 0.0)) for p in payoffs])
+    edges = _edge_terms(payoffs, m_x, True) + _edge_terms(payoffs, m_y, False) - at_origin
+    return out + edges[:, None]
 
 
 def price(

@@ -2,9 +2,9 @@
 
 Probability-space integrals over (0, 1) have integrands from quantile
 transforms (slowly divergent derivatives at the endpoints); money-space
-integrals run over truncated half-lines.  The pricer uses composite
-Gauss-Legendre rules, graded geometrically toward 0 and 1 on the unit
-interval and uniform on money intervals, split at given breakpoints.  The
+integrals run over truncated half-lines.  Composite Gauss-Legendre rules
+split at breakpoints serve both: one fixed grid, graded toward 0 and 1, for
+every unit-interval integral and uniform panels on money intervals.  The
 one-point maps map one tanh-sinh rule on [0, 1] onto each short segment.
 """
 
@@ -30,6 +30,7 @@ __all__ = [
     "refine_sign_changes",
     "DEFAULT_PANELS",
     "DEFAULT_ORDER",
+    "UNIT_PANELS",
     "DEFAULT_EPS",
 ]
 
@@ -39,7 +40,8 @@ DEFAULT_ORDER = 5
 # is below 1e-9 in expectation for every shipped marginal family.
 DEFAULT_EPS = 1e-12
 
-_EDGE_PANELS_PER_DECADE = 6
+# Panels of the graded unit grid, chosen by measurement (README).
+UNIT_PANELS = 400
 
 
 class QuadratureError(RuntimeError):
@@ -100,12 +102,13 @@ def _check_tail_divergence(nodes: np.ndarray, contrib: np.ndarray, total: float)
             )
 
 
-def _unit_edges(panels: int) -> np.ndarray:
-    graded = max(1, int(np.ceil(-np.log10(DEFAULT_EPS))) - 2) * _EDGE_PANELS_PER_DECADE
+def _unit_edges() -> np.ndarray:
+    """Edges of UNIT_PANELS panels: 6 per decade from 1e-2 down to
+    DEFAULT_EPS toward each end, the rest uniform on [1e-2, 1 - 1e-2]."""
+    graded = (int(np.ceil(-np.log10(DEFAULT_EPS))) - 2) * 6
     expo = np.linspace(2.0, -np.log10(DEFAULT_EPS), graded + 1)
     stack = 10.0 ** (-expo)  # 1e-2 ... DEFAULT_EPS, descending
-    bulk = max(panels - 2 * graded, 8)
-    mid = np.linspace(1e-2, 1.0 - 1e-2, bulk + 1)
+    mid = np.linspace(1e-2, 1.0 - 1e-2, UNIT_PANELS - 2 * graded + 1)
     return np.unique(np.concatenate([stack[::-1], mid[1:-1], 1.0 - stack]))
 
 
@@ -125,21 +128,16 @@ def _merge_breaks(
     return edges
 
 
-def unit_panel_edges(panels: int, breakpoints: Iterable[float] = ()) -> np.ndarray:
-    """Graded panel edges on (DEFAULT_EPS, 1-DEFAULT_EPS) merged with
-    ``breakpoints``."""
-    edges = _unit_edges(int(panels))
-    return _merge_breaks(edges, breakpoints, DEFAULT_EPS, 1.0 - DEFAULT_EPS)
+def unit_panel_edges(breakpoints: Iterable[float] = ()) -> np.ndarray:
+    """Edges of the graded unit grid on (DEFAULT_EPS, 1-DEFAULT_EPS) merged
+    with ``breakpoints``."""
+    return _merge_breaks(_unit_edges(), breakpoints, DEFAULT_EPS, 1.0 - DEFAULT_EPS)
 
 
-def unit_rule(
-    panels: int = DEFAULT_PANELS,
-    order: int = DEFAULT_ORDER,
-    breakpoints: Iterable[float] = (),
-) -> Rule:
-    """Graded rule on (DEFAULT_EPS, 1-DEFAULT_EPS) with panels split at
+def unit_rule(breakpoints: Iterable[float] = ()) -> Rule:
+    """Rule of order DEFAULT_ORDER on the graded unit grid split at
     ``breakpoints``; built on every call, nothing is cached."""
-    return _rule_from_edges(unit_panel_edges(panels, breakpoints), int(order))
+    return _rule_from_edges(unit_panel_edges(breakpoints), DEFAULT_ORDER)
 
 
 def interval_rule(

@@ -86,8 +86,8 @@ class ScenarioConfig:
         if lo < a or hi > b:
             raise ValueError(f"{self.scenario} sweeps {spec.family} values in [{a:g}, {b:g}]")
         for name in ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "spot", "maturity"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.panels < 8 or self.bound_panels < 8:
             raise ValueError("panel counts must be at least 8")
         if self.grid_n < 2:

@@ -6,6 +6,7 @@ A name added to or removed from the package is an API change: update
 
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,8 @@ PUBLIC = {
     "survival_value", "validate_copula", "validate_quasi_copula", "volume",
 }
 
+README = Path(__file__).parent.parent / "README.md"
+
 MODULES = [
     "cli", "constrained", "functional", "marginals", "pricing", "quadrature",
     "scenarios", "surfaces",
@@ -63,3 +66,13 @@ def test_every_export_is_listed_in_a_module_all():
     for name in MODULES:
         listed.update(importlib.import_module(f"copulabounds.{name}").__all__)
     assert sorted(PUBLIC - listed) == []
+
+
+def test_readme_library_tour_runs():
+    block = README.read_text().split("## Library tour", 1)[1]
+    code = block.split("```python", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    iv = scope["iv"]
+    assert iv.lower <= iv.upper
+    assert scope["prices"].shape == (1, 6)

@@ -381,6 +381,42 @@ class TestPriceBatch:
         assert held < 2**20
 
 
+@pytest.fixture(scope="module")
+def coupling_oracles(lognormal_marginals):
+    """Payoffs with their prices under W and M by the coupling oracle."""
+    mx, my = lognormal_marginals
+    payoffs = [cb.call_on_max(100.0), cb.spread(0.0), cb.spread(20.0), cb.spread(-20.0)]
+    return payoffs, np.array(
+        [[coupling_price(p, mx, my, d) for d in ("counter", "co")] for p in payoffs]
+    )
+
+
+class TestEdgeTerms:
+    """E[f(X, 0)] and E[f(0, Y)] run on the graded unit grid, whatever
+    ``panels`` is."""
+
+    @pytest.mark.parametrize("panels", [48, 100])
+    def test_coarse_path_rules_match_oracles(self, lognormal_marginals, coupling_oracles, panels):
+        # the edge terms do not depend on panels; the path rules converge fast
+        payoffs, want = coupling_oracles
+        surfaces = [cb.FRECHET_LOWER, cb.FRECHET_UPPER, cb.gaussian_copula(-0.7)]
+        got = cb.price_batch(payoffs, surfaces, *lognormal_marginals, panels=panels)
+        np.testing.assert_allclose(got[:, :2], want, rtol=0.0, atol=1e-8)
+        margrabe = margrabe_price(100.0, 100.0, 0.2, 0.3, -0.7, 1.0)
+        assert got[1, 2] == pytest.approx(margrabe, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 101])
+    def test_two_unit_rules_per_batch(self, lognormal_marginals, monkeypatch, n):
+        built = []
+        unit_rule = quadrature.unit_rule
+        monkeypatch.setattr(
+            pricing, "unit_rule", lambda *a, **k: built.append(a) or unit_rule(*a, **k)
+        )
+        payoffs = [cb.spread(k) for k in np.linspace(-50.0, 50.0, n)]
+        cb.price_batch(payoffs, [cb.PRODUCT], *lognormal_marginals, panels=48)
+        assert len(built) == 2
+
+
 class TestDigitalDefaults:
     def test_product_closed_form(self, exp_marginals):
         mx, my = exp_marginals

@@ -379,6 +379,26 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "scenario, name",
+        [("max-known", "spot"), ("max-known", "maturity"), ("single-price", "sigma_x"),
+         ("log-correlation", "sigma_y"), ("second-to-default", "lambda_x"),
+         ("second-to-default", "lambda_y")],
+    )
+    def test_non_finite_model_parameters_are_config_errors(
+        self, tmp_path, capsys, scenario, name, value
+    ):
+        # NaN fails every comparison, so a "<= 0" check lets it through
+        out = tmp_path / "c.csv"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"scenario={scenario}\nsweep_steps=3\n{name}={value}\n")
+        assert main(["--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {name} must be finite and positive" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_removed_rho_panels_key_is_a_config_error(self, tmp_path, capsys):
         # the one-point maps have one fixed rule; the old knob is unknown now
         out = tmp_path / "c.csv"

@@ -134,7 +134,7 @@ class TestGaussianCopula:
         # C(u, v) = int_0^u Phi((ndtri(v) - rho*ndtri(t)) / sqrt(1-rho^2)) dt
         rho = 0.37
         C = cb.gaussian_copula(rho)
-        rule = unit_rule(panels=600)
+        rule = unit_rule()
         s = np.sqrt(1 - rho * rho)
         for _ in range(5):
             u, v = rng.uniform(0.05, 0.95, 2)
