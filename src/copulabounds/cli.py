@@ -58,14 +58,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _scenario_defaults(key: str) -> str:
+    return ", ".join(
+        f"{spec.defaults[key]} for {name}"
+        for name, spec in SCENARIOS.items()
+        if key in spec.defaults
+    )
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="copulabounds", add_help=True, description=__doc__)
     p.add_argument("--scenario", choices=tuple(SCENARIOS))
     p.add_argument("--rho", type=float, help="reference-model correlation")
     p.add_argument("--out", help="output CSV path (default out.csv)")
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--panels", type=int, help="uniform panels of the money-space path rules")
-    p.add_argument("--grid", type=int, dest="grid_n", help="validation lattice size")
+    p.add_argument(
+        "--panels", type=int,
+        help="uniform panels of the money-space path rules that price the sweep "
+        f"(default {_scenario_defaults('panels')})",
+    )
+    p.add_argument(
+        "--grid", type=int, dest="grid_n",
+        help=f"validation lattice size (default {_scenario_defaults('grid_n')})",
+    )
     p.add_argument(
         "--tol", type=float, dest="theta_tol",
         help="absolute theta tolerance of the functional inversion (at least 1e-15)",

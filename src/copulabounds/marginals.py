@@ -40,6 +40,12 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
+def _check_positive(**params) -> None:
+    for name, value in params.items():
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive")
+
+
 class Marginal:
     """Common interface: vectorized ``cdf`` and generalized-inverse ``quantile``.
 
@@ -84,8 +90,7 @@ class Marginal:
 
 class Exponential(Marginal):
     def __init__(self, rate: float):
-        if not rate > 0:
-            raise ValueError("rate must be positive")
+        _check_positive(rate=rate)
         self.rate = float(rate)
 
     def cdf(self, x):
@@ -109,17 +114,18 @@ class LognormalMartingale(Marginal):
     """
 
     def __init__(self, sigma: float, spot: float, maturity: float):
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
-        if not spot > 0:
-            raise ValueError("spot must be positive")
-        if not maturity > 0:
-            raise ValueError("maturity must be positive")
+        _check_positive(sigma=sigma, spot=spot, maturity=maturity)
         self.sigma = float(sigma)
         self.spot = float(spot)
         self.maturity = float(maturity)
+        # a float product overflows to inf, where float ** raises OverflowError
+        variance = self.sigma * self.sigma * self.maturity
+        if not variance < np.inf:
+            raise ValueError(
+                f"sigma**2 * maturity must be finite (sigma={sigma}, maturity={maturity})"
+            )
         self._sig_sqrt_t = self.sigma * np.sqrt(self.maturity)
-        self._half_var = 0.5 * self.sigma**2 * self.maturity
+        self._half_var = 0.5 * variance
 
     def cdf(self, x):
         arr = self._check_x(x)
@@ -145,7 +151,7 @@ class LognormalMartingale(Marginal):
     @property
     def log_var(self) -> float:
         """Var[log X]."""
-        return float(self.sigma**2 * self.maturity)
+        return 2.0 * self._half_var
 
     def __repr__(self) -> str:
         return (
@@ -213,7 +219,10 @@ def from_call_prices(
     Slopes are second-order finite differences on the (possibly
     non-uniform) strike grid, ``np.gradient(P, K, edge_order=2)``,
     one-sided at the ends (first order with two strikes); the result is
-    clamped to [0, 1] and made nondecreasing by a running maximum.
+    clamped to [0, 1] and made nondecreasing by a running maximum.  The
+    mass ``1 - F(K_max)`` above the last strike becomes one atom at
+    ``K_max + exp(r T) P(K_max) / (1 - F(K_max))``, the one point where it
+    reprices the last quote, so every quantile is finite.
 
     Rejects fewer than two strikes, prices that increase in strike
     (arbitrage), and constant price curves (no distributional content).
@@ -238,8 +247,16 @@ def from_call_prices(
 
     # A first-order slope would bias the CDF by O(h) times the density.
     slope = np.gradient(P, K, edge_order=2 if K.size >= 3 else 1)
-    F = np.clip(1.0 + np.exp(rate * maturity) * slope, 0.0, 1.0)
-    return Tabulated(K, np.maximum.accumulate(F))
+    growth = np.exp(rate * maturity)
+    F = np.maximum.accumulate(np.clip(1.0 + growth * slope, 0.0, 1.0))
+    tail = 1.0 - F[-1]
+    if tail > 0.0:
+        atom = K[-1] + growth * P[-1] / tail
+        if atom > K[-1]:
+            K, F = np.append(K, atom), np.append(F, 1.0)
+        else:  # a zero last quote leaves no mass above K_max
+            F[-1] = 1.0
+    return Tabulated(K, F)
 
 
 def read_csv_rows(path, headers) -> tuple[int, list[tuple[float, ...]]]:

@@ -1,17 +1,17 @@
 """Scenario computations behind the command-line driver.
 
 ``SCENARIOS`` maps each scenario name to its ``Scenario`` record, the only
-place a scenario is declared: sweep-flag family, default and admissible
-sweep, pieces builder, payoff per sweep point, and whether the band holds
-functional envelopes.  A pieces builder returns ``(m_x, m_y, band)``, the
-marginals and ``band(axis) -> (improved lower, reference, improved upper)``;
-the reference is the Gaussian-copula model that synthesizes the "known"
-dependence information.  Each row holds five curves: the Frechet band, the
-improved band and the reference.  Without a payoff they are surface values
-at the sweep point's marginal probabilities; with one, the whole sweep is
-priced by one ``pricing.price_batch`` call, so the curves share one node
-set and their ordering is exact, and the payoff's concordance sign decides
-which surface prices which end of each band.
+place a scenario is declared: sweep-flag family, admissible sweep, pieces
+builder, payoff per sweep point, and the defaults of every setting a
+config leaves unset.  A pieces builder returns ``(m_x, m_y, bands)``, the
+marginals and one ``(improved lower, reference, improved upper)`` per sweep
+point; the reference is the Gaussian-copula model that synthesizes the
+"known" dependence information.  Each row holds five curves: the Frechet
+band, the improved band and the reference.  Without a payoff they are
+surface values at the sweep point's marginal probabilities; with one, the
+whole sweep is priced by one ``pricing.price_batch`` call, so the curves
+share one node set and their ordering is exact, and the payoff's
+concordance sign decides which surface prices which end of each band.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "Scenario",
     "ScenarioConfig",
     "CurveRow",
-    "sweep_bounds",
     "sweep_grid",
     "run_scenario",
     "write_rows",
@@ -49,7 +48,8 @@ __all__ = [
 @dataclass
 class ScenarioConfig:
     """Inputs of one scenario run; field defaults reproduce the shipped
-    experiments (exponential default times, martingale lognormal assets)."""
+    experiments (exponential default times, martingale lognormal assets).
+    Settings left ``None`` take the scenario's ``defaults`` on construction."""
 
     scenario: str = ""
     rho: float = 0.0
@@ -63,13 +63,20 @@ class ScenarioConfig:
     sweep_min: float | None = None
     sweep_max: float | None = None
     sweep_steps: int | None = None
-    panels: int = 2001
-    bound_panels: int = 320
-    grid_n: int = 200
+    panels: int | None = None
+    grid_n: int | None = None
     theta_tol: float = 1e-10
     constraint_maturities: tuple = (2.0, 3.0)
     constraint_strikes: int = 400
     validate: bool = False
+
+    def __post_init__(self) -> None:
+        spec = SCENARIOS.get(self.scenario)
+        if spec is None:  # check() rejects it; its settings stay unset
+            return
+        for name, value in spec.defaults.items():
+            if getattr(self, name) is None:
+                setattr(self, name, value)
 
     def check(self) -> None:
         spec = SCENARIOS.get(self.scenario)
@@ -79,7 +86,7 @@ class ScenarioConfig:
             )
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")
-        lo, hi, steps = sweep_bounds(self)
+        lo, hi, steps = self.sweep_min, self.sweep_max, self.sweep_steps
         if steps < 1 or hi < lo or not np.isfinite([lo, hi]).all():
             raise ValueError("sweep grid must be finite, nonempty and sorted")
         a, b = spec.admissible
@@ -88,8 +95,9 @@ class ScenarioConfig:
         for name in ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "spot", "maturity"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        if self.panels < 8 or self.bound_panels < 8:
-            raise ValueError("panel counts must be at least 8")
+        _lognormals(self)  # rejects a sigma whose sigma**2 * maturity overflows
+        if self.panels is not None and self.panels < 8:
+            raise ValueError("panels must be at least 8")
         if self.grid_n < 2:
             raise ValueError("grid_n (the validation lattice size) must be at least 2")
         check_theta_tol(self.theta_tol)
@@ -99,17 +107,8 @@ class ScenarioConfig:
             raise ValueError("constraint_strikes must be nonnegative")
 
 
-def sweep_bounds(cfg: ScenarioConfig) -> tuple[float, float, int]:
-    d_lo, d_hi, d_n = SCENARIOS[cfg.scenario].default_sweep
-    lo = d_lo if cfg.sweep_min is None else float(cfg.sweep_min)
-    hi = d_hi if cfg.sweep_max is None else float(cfg.sweep_max)
-    n = d_n if cfg.sweep_steps is None else int(cfg.sweep_steps)
-    return lo, hi, n
-
-
 def sweep_grid(cfg: ScenarioConfig) -> np.ndarray:
-    lo, hi, n = sweep_bounds(cfg)
-    return np.linspace(lo, hi, n)
+    return np.linspace(float(cfg.sweep_min), float(cfg.sweep_max), int(cfg.sweep_steps))
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def _scenario1_pieces(cfg: ScenarioConfig):
         for T in cfg.constraint_maturities
     ]
     low, up = constrained.bounds_from_second_to_default(quotes, m_x, m_y)
-    return m_x, m_y, lambda _: (low, ref, up)
+    return m_x, m_y, [(low, ref, up)] * cfg.sweep_steps
 
 
 def _lognormals(cfg: ScenarioConfig):
@@ -163,7 +162,7 @@ def _scenario2_pieces(cfg: ScenarioConfig):
     hi = max(float(m_x.quantile_unchecked(1.0 - 1e-4)), float(m_y.quantile_unchecked(1.0 - 1e-4)))
     strikes = np.linspace(lo, hi, cfg.constraint_strikes)
     low, up = constrained.bounds_from_max_options(curve, m_x, m_y, strikes)
-    return m_x, m_y, lambda _: (low, ref, up)
+    return m_x, m_y, [(low, ref, up)] * cfg.sweep_steps
 
 
 def _scenario3_pieces(cfg: ScenarioConfig):
@@ -181,7 +180,7 @@ def _scenario3_pieces(cfg: ScenarioConfig):
         lambda x, y: -np.maximum(x - y, 0.0), m_x, m_y, kink=lambda x, y: x - y
     )
     low, up = bound_surfaces_for_level(functional, -level, theta_tol=cfg.theta_tol)
-    return m_x, m_y, lambda _: (low, ref, up)
+    return m_x, m_y, [(low, ref, up)] * cfg.sweep_steps
 
 
 def _scenario4_pieces(cfg: ScenarioConfig):
@@ -193,8 +192,7 @@ def _scenario4_pieces(cfg: ScenarioConfig):
     moments; that expectation is the constraint functional.  The envelopes
     of all sweep levels form one family, so each evaluation grid inverts
     them together.  Levels outside the attainable range beyond the
-    functional's slack raise LevelRangeError.  ``band`` takes the sweep's
-    points.
+    functional's slack raise LevelRangeError.
     """
     m_x, m_y = _lognormals(cfg)
     functional = MonotoneFunctional(lambda x, y: np.log(x) * np.log(y), m_x, m_y)
@@ -204,13 +202,7 @@ def _scenario4_pieces(cfg: ScenarioConfig):
     family = bound_surfaces_for_levels(
         functional, [a * cov_scale + mean_term for a in axes], theta_tol=cfg.theta_tol
     )
-    pairs = dict(zip(axes, family))
-
-    def band(rho0: float):
-        low, up = pairs[rho0]
-        return low, gaussian_copula(rho0), up
-
-    return m_x, m_y, band
+    return m_x, m_y, [(low, gaussian_copula(a), up) for a, (low, up) in zip(axes, family)]
 
 
 @dataclass(frozen=True)
@@ -218,33 +210,35 @@ class Scenario:
     """One CLI scenario.  ``family`` names the sweep flags
     (``--{family}-min/-max/-steps``); ``admissible`` is the closed range of
     the sweep points.  ``payoff=None`` makes the curves surface values
-    (probabilities).  Functional envelopes invert a one-point map at every
-    point they are evaluated at, so a band of them is priced at
-    ``bound_panels`` and validated on a capped lattice."""
+    (probabilities).  ``defaults`` holds the value of each ``ScenarioConfig``
+    setting a config leaves unset: the sweep, ``grid_n`` and, for a scenario
+    that prices, ``panels``.  Functional envelopes invert a one-point map at
+    every point they are evaluated at, so their scenarios default to fewer
+    panels and a smaller validation lattice."""
 
     family: str
-    default_sweep: tuple[float, float, int]
     admissible: tuple[float, float]
     pieces: Callable[[ScenarioConfig], tuple]
     payoff: Callable[[float], pricing.PayoffSpec] | None
-    functional_envelopes: bool
+    defaults: dict
 
 
 SCENARIOS = {
     "second-to-default": Scenario(
-        "maturity", (0.0, 10.0, 101), (0.0, np.inf), _scenario1_pieces, None, False
+        "maturity", (0.0, np.inf), _scenario1_pieces, None,
+        dict(sweep_min=0.0, sweep_max=10.0, sweep_steps=101, grid_n=200),
     ),
     "max-known": Scenario(
-        "strike", (-50.0, 50.0, 101), (-np.inf, np.inf), _scenario2_pieces,
-        pricing.spread, False,
+        "strike", (-np.inf, np.inf), _scenario2_pieces, pricing.spread,
+        dict(sweep_min=-50.0, sweep_max=50.0, sweep_steps=101, panels=2001, grid_n=200),
     ),
     "single-price": Scenario(
-        "strike", (0.0, 200.0, 41), (0.0, np.inf), _scenario3_pieces,
-        pricing.call_on_max, True,
+        "strike", (0.0, np.inf), _scenario3_pieces, pricing.call_on_max,
+        dict(sweep_min=0.0, sweep_max=200.0, sweep_steps=41, panels=320, grid_n=50),
     ),
     "log-correlation": Scenario(
-        "corr", (-1.0, 1.0, 21), (-1.0, 1.0), _scenario4_pieces,
-        lambda _: pricing.spread(0.0), True,
+        "corr", (-1.0, 1.0), _scenario4_pieces, lambda _: pricing.spread(0.0),
+        dict(sweep_min=-1.0, sweep_max=1.0, sweep_steps=21, panels=320, grid_n=50),
     ),
 }
 
@@ -253,16 +247,16 @@ def run_scenario(cfg: ScenarioConfig, pieces: tuple | None = None) -> list[Curve
     """One row per sweep point, each with the curves
     (W, improved lower, reference, improved upper, M) in increasing order.
 
-    ``pieces`` is the scenario's ``(m_x, m_y, band)``, built from ``cfg``
+    ``pieces`` is the scenario's ``(m_x, m_y, bands)``, built from ``cfg``
     when not given."""
     cfg.check()
     spec = SCENARIOS[cfg.scenario]
-    m_x, m_y, band = pieces or spec.pieces(cfg)
+    m_x, m_y, bands = pieces or spec.pieces(cfg)
     axes = [float(a) for a in sweep_grid(cfg)]
-    surfaces = [(FRECHET_LOWER, *band(a), FRECHET_UPPER) for a in axes]
+    surfaces = [(FRECHET_LOWER, *band, FRECHET_UPPER) for band in bands]
     rows = []
     if spec.payoff is None:
-        for a, row in zip(axes, surfaces):
+        for a, row in zip(axes, surfaces, strict=True):
             u, v = float(m_x.cdf(a)), float(m_y.cdf(a))
             rows.append(CurveRow(a, *(float(s(u, v)) for s in row)))
         return rows
@@ -272,10 +266,9 @@ def run_scenario(cfg: ScenarioConfig, pieces: tuple | None = None) -> list[Curve
     distinct = {id(s): s for row in surfaces for s in row}
     surface_col = {key: j for j, key in enumerate(distinct)}
     prices = pricing.price_batch(
-        list(payoff_col), list(distinct.values()), m_x, m_y,
-        panels=cfg.bound_panels if spec.functional_envelopes else cfg.panels,
+        list(payoff_col), list(distinct.values()), m_x, m_y, panels=cfg.panels
     )
-    for a, p, row in zip(axes, payoffs, surfaces):
+    for a, p, row in zip(axes, payoffs, surfaces, strict=True):
         values = [float(prices[payoff_col[p], surface_col[id(s)]]) for s in row]
         # prices of submodular payoffs decrease along the surface order
         if pricing.payoff_sign(p) < 0:
@@ -299,24 +292,19 @@ def validate_scenario_surfaces(cfg: ScenarioConfig, pieces: tuple | None = None)
     """Grid validation reports for the distinct improved surfaces of the
     sweep, in sweep order (lower before upper); distinct by identity, as in
     ``run_scenario``, so a band that does not vary along the sweep gives
-    one pair.  ``pieces`` as in ``run_scenario``.
-
-    Functional envelopes invert a one-point map at every lattice node, so
-    they are checked on a lattice capped at 50 to stay interactive; the
-    members of one envelope family are evaluated on it together.
+    one pair.  ``pieces`` as in ``run_scenario``.  The lattice has
+    ``cfg.grid_n`` cells per side; the members of one envelope family are
+    evaluated on it together.
     """
-    spec = SCENARIOS[cfg.scenario]
-    band = (pieces or spec.pieces(cfg))[2]
+    bands = (pieces or SCENARIOS[cfg.scenario].pieces(cfg))[2]
     distinct = {}
-    for a in sweep_grid(cfg):
-        low, _, up = band(float(a))
+    for low, _, up in bands:
         distinct.setdefault(id(low), low)
         distinct.setdefault(id(up), up)
     surfaces = list(distinct.values())
-    grid = min(cfg.grid_n, 50) if spec.functional_envelopes else cfg.grid_n
     return [
         _validate(values, kind="copula" if s.is_copula else "quasi-copula")
-        for s, values in zip(surfaces, evaluate_surfaces(surfaces, *lattice(grid)))
+        for s, values in zip(surfaces, evaluate_surfaces(surfaces, *lattice(cfg.grid_n)))
     ]
 
 

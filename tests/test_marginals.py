@@ -40,6 +40,22 @@ class TestCdf:
         with pytest.raises(ValueError):
             m.cdf(float("inf"))
 
+    @pytest.mark.parametrize("family, args", [
+        ("exponential", (math.inf,)),
+        ("lognormal_martingale", (math.inf, 100.0, 1.0)),
+        ("lognormal_martingale", (0.2, math.inf, 1.0)),
+        ("lognormal_martingale", (0.2, 100.0, math.inf)),
+    ])
+    def test_rejects_infinite_parameters(self, family, args):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            getattr(cb, family)(*args)
+
+    @pytest.mark.parametrize("sigma, maturity", [(1e300, 1.0), (1e160, 1e10)])
+    def test_rejects_overflowing_variance(self, sigma, maturity):
+        # finite parameters whose sigma**2 * maturity is not
+        with pytest.raises(ValueError, match=r"sigma\*\*2 \* maturity must be finite"):
+            cb.lognormal_martingale(sigma, 100.0, maturity)
+
     def test_vectorized(self):
         m = cb.exponential(0.5)
         x = np.array([0.0, 1.0, 2.0])
@@ -148,6 +164,51 @@ class TestFromCallPrices:
         prices = [10.0, 10.0 + slope * 5.0]
         m = cb.from_call_prices([100.0, 105.0], prices, rate=rate, maturity=mat)
         assert np.allclose(m.cdf([100.0, 105.0]), q, atol=1e-12)
+
+    def test_mass_above_the_last_strike_reprices_the_last_quote(self):
+        # Black quotes stop short of the support: F(300) = 1 - 1.1e-8
+        strikes = np.linspace(20.0, 300.0, 141)
+        prices = np.array([black_call(100.0, K, 0.2, 1.0) for K in strikes])
+        m = cb.from_call_prices(strikes, prices)
+        assert m.xs.size == strikes.size + 1 and m.fs[-1] == 1.0
+        mass = np.diff(m.fs, prepend=0.0)
+        tail_call = float(np.sum(mass * np.maximum(m.xs - strikes[-1], 0.0)))
+        assert tail_call == pytest.approx(prices[-1], rel=0.0, abs=1e-12)
+        assert np.isfinite(m.quantile(1.0))
+        for surface in (cb.FRECHET_LOWER, cb.FRECHET_UPPER):
+            assert np.isfinite(cb.price(cb.spread(0.0), surface, m, m))
+        assert np.isfinite(cb.price(cb.call_on_max(100.0), cb.FRECHET_LOWER, m, m))
+
+    def test_smooth_functional_bounds_price_on_call_quote_marginals(self):
+        # a kink-free constraint inverts on step marginals; its envelope
+        # prices lie in the Frechet band of the submodular max call
+        strikes = np.linspace(20.0, 300.0, 141)
+        m = cb.from_call_prices(strikes, [black_call(100.0, K, 0.2, 1.0) for K in strikes])
+        F = cb.MonotoneFunctional(lambda x, y: np.log(x) * np.log(y), m, m)
+        low, up = cb.bound_surfaces_for_level(
+            F, 0.5 * (F.value_comonotone + F.value_countermonotone)
+        )
+        payoff = cb.call_on_max(100.0)
+        w, lo, hi, mm = (cb.price(payoff, s, m, m, panels=100)
+                         for s in (cb.FRECHET_LOWER, low, up, cb.FRECHET_UPPER))
+        assert np.isfinite([w, lo, hi, mm]).all()
+        assert w + 1e-9 >= lo >= hi >= mm - 1e-9
+
+    def test_discounted_quotes_place_the_atom_forward(self):
+        # E[(X - K_max)^+] is the last quote grown at the rate
+        rate, mat = 0.05, 2.0
+        strikes = np.linspace(50.0, 150.0, 41)
+        prices = np.exp(-rate * mat) * np.array([black_call(100.0, K, 0.3, 1.0) for K in strikes])
+        m = cb.from_call_prices(strikes, prices, rate=rate, maturity=mat)
+        mass = np.diff(m.fs, prepend=0.0)
+        tail_call = float(np.sum(mass * np.maximum(m.xs - strikes[-1], 0.0)))
+        assert tail_call == pytest.approx(math.exp(rate * mat) * prices[-1], rel=1e-12)
+
+    def test_zero_last_quote_puts_the_mass_on_the_last_strike(self):
+        # the call line of a point mass at 3: the slopes say F = 0 up to 3
+        m = cb.from_call_prices([0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0])
+        assert m.xs.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert m.fs.tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_too_few_strikes(self):
         with pytest.raises(ValueError):

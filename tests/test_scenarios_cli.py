@@ -1,11 +1,17 @@
+import contextlib
 import dataclasses
 import filecmp
+import io
 import math
 import shlex
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copulabounds as cb
 from copulabounds import cli, pricing
@@ -22,12 +28,8 @@ from copulabounds.scenarios import (
     write_rows,
 )
 
-FAST_S3 = dict(
-    sweep_min=60.0, sweep_max=140.0, sweep_steps=5, bound_panels=48,
-    panels=401,
-)
-FAST_S4 = dict(sweep_min=-1.0, sweep_max=1.0, sweep_steps=5, bound_panels=48,
-               panels=401)
+FAST_S3 = dict(sweep_min=60.0, sweep_max=140.0, sweep_steps=5, panels=48)
+FAST_S4 = dict(sweep_min=-1.0, sweep_max=1.0, sweep_steps=5, panels=48)
 # each scenario's sweep-flag family
 SWEEP_FAMILY = {"second-to-default": "maturity", "max-known": "strike",
                 "single-price": "strike", "log-correlation": "corr"}
@@ -79,6 +81,16 @@ class TestConfig:
     def test_default_sweeps(self):
         grid = sweep_grid(ScenarioConfig(scenario="second-to-default"))
         assert grid[0] == 0.0 and grid[-1] == 10.0 and grid.size == 101
+
+    @pytest.mark.parametrize("scenario, panels, grid_n", [
+        ("second-to-default", None, 200), ("max-known", 2001, 200),
+        ("single-price", 320, 50), ("log-correlation", 320, 50),
+    ])
+    def test_unset_settings_take_the_scenario_defaults(self, scenario, panels, grid_n):
+        cfg = ScenarioConfig(scenario=scenario)
+        assert (cfg.panels, cfg.grid_n) == (panels, grid_n)
+        cfg = ScenarioConfig(scenario=scenario, panels=60, grid_n=60, sweep_steps=3)
+        assert (cfg.panels, cfg.grid_n, cfg.sweep_steps) == (60, 60, 3)
 
 
 @pytest.fixture(scope="module")
@@ -183,11 +195,11 @@ class TestLogCorrelation:
         # range, so they are clamped, not rejected; the envelopes are lazy,
         # so no inversion runs here
         cfg = ScenarioConfig(
-            scenario="log-correlation", sigma_x=sigma_x, sigma_y=sigma_y, maturity=maturity
+            scenario="log-correlation", sigma_x=sigma_x, sigma_y=sigma_y, maturity=maturity,
+            sweep_steps=2,
         )
-        _, _, bounds_at = _scenario4_pieces(cfg)
-        for rho0 in (-1.0, 1.0):
-            bounds_at(rho0)
+        _, _, bands = _scenario4_pieces(cfg)
+        assert len(bands) == 2
 
 
 class TestDeterminism:
@@ -408,6 +420,51 @@ class TestCli:
         assert "unknown config key 'rho_panels'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_removed_bound_panels_key_is_a_config_error(self, tmp_path, capsys):
+        # every scenario prices its sweep at the one `panels` setting
+        out = tmp_path / "c.csv"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("scenario=single-price\nsweep_steps=3\nbound_panels=48\n")
+        assert main(["--config", str(cfgfile), "--out", str(out)]) == 1
+        assert "unknown config key 'bound_panels'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_panels_reach_every_pricing_call(self, tmp_path, monkeypatch):
+        # the single-price known level is priced at the panels of its band
+        seen = []
+        for name in ("price", "price_batch"):
+            original = getattr(pricing, name)
+
+            def recording(*args, original=original, name=name, **kwargs):
+                seen.append((name, kwargs.get("panels")))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(pricing, name, recording)
+        argv = ["--scenario", "single-price", "--strike-min", "60", "--strike-max", "140",
+                "--strike-steps", "3", "--panels", "60", "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 0
+        assert {name for name, _ in seen} == {"price", "price_batch"}
+        assert {panels for _, panels in seen} == {60}
+
+    def test_functional_validation_lattice_is_not_capped(self, tmp_path, capsys):
+        argv = ["--scenario", "single-price", "--strike-min", "60", "--strike-max", "140",
+                "--strike-steps", "3", "--panels", "48", "--grid", "60", "--validate",
+                "--out", str(tmp_path / "g.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.count("check on 61x61 grid: pass") == 2
+
+    @pytest.mark.parametrize("name", ["sigma_x", "sigma_y"])
+    def test_overflowing_variance_is_a_config_error(self, tmp_path, capsys, name):
+        # 1e300 is finite, but sigma**2 * maturity overflows
+        out = tmp_path / "c.csv"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"scenario=max-known\nsweep_steps=3\n{name}=1e300\n")
+        assert main(["--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: sigma**2 * maturity must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_log_correlation_validates_up_to_corr_one(self, tmp_path):
         # the corr = 1 level is the comonotone value; its envelopes must
         # still pass the quasi-copula checks on the validation lattice
@@ -442,13 +499,13 @@ def test_log_correlation_sweep_prices_in_one_batch(monkeypatch):
 
 
 def test_single_price_envelope_map_points(monkeypatch):
-    # Count guard on the inversion: one single-price envelope call on its
-    # bound_panels pricing nodes (about 1.8k points) stays under 8000 map
-    # points per side.  The inversion takes 1.9k and 4.7k; halving every
+    # Count guard on the inversion: one single-price envelope call on the
+    # pricing nodes of its default panels (about 1.8k points) stays under
+    # 8000 map points per side.  The inversion takes 1.9k and 4.7k; halving every
     # point to the batch's widest bracket took 61.5k per side.
     cfg = ScenarioConfig(scenario="single-price", rho=-0.7)
-    m_x, m_y, band = _scenario3_pieces(cfg)
-    low, _, up = band(None)
+    m_x, m_y, bands = _scenario3_pieces(cfg)
+    low, _, up = bands[0]
     seen = [0]
     for name in ("at_one_point_lower", "at_one_point_upper"):
         original = getattr(MonotoneFunctional, name)
@@ -461,5 +518,32 @@ def test_single_price_envelope_map_points(monkeypatch):
     payoffs = [pricing.call_on_max(float(k)) for k in sweep_grid(cfg)]
     for surface in (low, up):
         seen[0] = 0
-        pricing.price_batch(payoffs, [surface], m_x, m_y, panels=cfg.bound_panels)
+        pricing.price_batch(payoffs, [surface], m_x, m_y, panels=cfg.panels)
         assert 0 < seen[0] < 8000
+
+
+# config keys the exit-code property sets, and the values it draws for them;
+# "typical" keeps the small run's own value
+EXTREME_KEYS = ("rho", "lambda_x", "lambda_y", "sigma_x", "sigma_y", "spot", "maturity",
+                "theta_tol", "sweep_min", "sweep_max", "panels", "grid_n", "constraint_strikes")
+EXTREME_VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300", "typical")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scenario=st.sampled_from(list(SMALL_RUNS)),
+    keys=st.lists(st.sampled_from(EXTREME_KEYS), min_size=2, max_size=2, unique=True),
+    values=st.lists(st.sampled_from(EXTREME_VALUES), min_size=2, max_size=2),
+)
+def test_exit_codes_on_extreme_config_values(scenario, keys, values):
+    # every config either runs, is rejected (1) or fails numerically (2);
+    # numpy overflow warnings at extreme values are not failures here
+    config = dict(scenario=scenario, **SMALL_RUNS[scenario])
+    config.update((k, v) for k, v in zip(keys, values) if v != "typical")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgfile = Path(tmp) / "run.cfg"
+        cfgfile.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+        argv = ["--config", str(cfgfile), "--out", str(Path(tmp) / "x.csv")]
+        with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            assert main(argv) in (0, 1, 2)
