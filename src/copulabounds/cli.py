@@ -38,6 +38,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
+# glibc mallopt parameters, and the values a run sets (chosen by
+# measurement, README): arrays up to 4 MB come from the heap, and the heap
+# keeps up to 8 MB of freed memory at its top.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 4 << 20
+_TRIM_THRESHOLD = 8 << 20
+
 # sweep key named by family (e.g. strike_min) -> (family, ScenarioConfig field)
 _SWEEP_KEYS = {
     f"{spec.family}_{end}": (spec.family, f"sweep_{end}")
@@ -179,6 +187,28 @@ def _config_from_args(args) -> ScenarioConfig:
     return ScenarioConfig(**_config_settings(settings))
 
 
+def _keep_freed_memory() -> None:
+    """Let glibc reuse freed memory instead of returning it to the system.
+
+    A sweep allocates and frees temporaries of tens of KB to a few MB at
+    every step.  With glibc's default thresholds, arrays above 128 KB are
+    mapped and unmapped one by one and the heap top is trimmed whenever
+    128 KB are free, so each step faults its pages in again: about 50k
+    page faults in a default max-known sweep and 100k in log-correlation.
+    No-op where the C library has no ``mallopt``.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
     try:
         cfg = _config_from_args(build_parser().parse_args(argv))
@@ -187,6 +217,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    _keep_freed_memory()
     try:
         pieces = SCENARIOS[cfg.scenario].pieces(cfg)
         rows = run_scenario(cfg, pieces)

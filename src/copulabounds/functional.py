@@ -27,7 +27,10 @@ family: evaluating any of its members on a set of points evaluates that
 bracket end once per point and side, whatever the number of levels,
 decides every level's saturated points from it, and inverts all the
 (level, point) brackets still open in one batch, every bracket stopping
-at its own tolerance.  Nothing is kept between calls.
+at its own tolerance.  The same bracket end tells where along a pricing
+path each member starts to fall back to a Frechet bound, which is where
+it is kinked; the family finds those kinks for all its levels from one
+set of probes.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -437,6 +440,27 @@ def _map_blocks(fmap, a, b, theta) -> np.ndarray:
     return out
 
 
+def _saturation_end(functional, a, b, side: str) -> np.ndarray:
+    """The map of ``side`` at the end of the points' Frechet brackets that
+    decides saturation: the lower map at theta = M(a, b), the upper map at
+    theta = W(a, b).  It does not depend on the level.  (At the other end
+    the lower map's copula is W and the upper map's is M, whose values are
+    constants.)"""
+    if side == "lower":
+        fmap, theta = functional.at_one_point_lower, frechet_upper(a, b)
+    else:
+        fmap, theta = functional.at_one_point_upper, frechet_lower(a, b)
+    return _map_blocks(fmap, a, b, theta).reshape(np.shape(a))
+
+
+def _target(functional, level, side: str):
+    """The map value each side's predicate compares with: map <= level +
+    slack holds left of the lower map's rightmost root, map < level - slack
+    left of the upper map's leftmost root."""
+    slack = functional.level_slack
+    return level + slack if side == "lower" else level - slack
+
+
 def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
     """Vectorized extreme-root inversion of the one-point maps.
 
@@ -454,27 +478,21 @@ def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
     (level, point) bracket still open takes its own steps in one
     ``solve_brackets`` call.
     """
+    if side not in ("lower", "upper"):  # pragma: no cover
+        raise ValueError(side)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     level = np.asarray(level, dtype=float)
     lo = frechet_lower(a, b)
     hi = frechet_upper(a, b)
     eps_r = functional.level_slack
-    # The lower map's copula at theta = W(a, b) is W and the upper map's at
-    # theta = M(a, b) is M; only the other bracket end needs the map.
+    target = _target(functional, level, side)
+    end = _saturation_end(functional, a, b, side)
     if side == "lower":
         fmap = functional.at_one_point_lower
-        f_lo = functional.value_countermonotone
-        f_hi = _map_blocks(fmap, a, b, hi).reshape(a.shape)
-        # map <= level + slack holds left of the rightmost root.
-        target = level + eps_r
-    elif side == "upper":
+        f_lo, f_hi = functional.value_countermonotone, end
+    else:
         fmap = functional.at_one_point_upper
-        f_lo = _map_blocks(fmap, a, b, lo).reshape(a.shape)
-        f_hi = functional.value_comonotone
-        # map < level - slack holds left of the leftmost root.
-        target = level - eps_r
-    else:  # pragma: no cover
-        raise ValueError(side)
+        f_lo, f_hi = end, functional.value_comonotone
     feasible = (level >= f_lo - eps_r) & (level <= f_hi + eps_r)
     saturated = (level > f_hi + eps_r) if side == "lower" else (level < f_lo - eps_r)
 
@@ -537,6 +555,71 @@ class _EnvelopeFamily:
             vals = np.where(saturated, fallback, theta)
             found.update(((name, lvl), val) for lvl, val in zip(levels, vals))
         return [found[m] for m in members]
+
+    def extremes(self, members) -> set:
+        """Kinds of the Frechet bounds that members at an end of the
+        attainable range follow up to the level slack: the upper bound for
+        a lower envelope at the top, the lower bound for an upper envelope
+        at the bottom."""
+        f = self.functional
+        out = set()
+        for name, level in members:
+            if name == "functional-lower" and level >= f.value_comonotone - f.level_slack:
+                out.add("frechet-upper")
+            if name == "functional-upper" and level <= f.value_countermonotone + f.level_slack:
+                out.add("frechet-lower")
+        return out
+
+    def kinks(self, members, at, probes):
+        """Where the members named by ``(name, level)`` pairs are kinked
+        along paths: where they start to fall back to a Frechet bound.
+
+        ``at(z, rows)`` maps points ``z`` of the paths ``rows`` to the unit
+        square, and ``probes`` holds increasing points of each path, one
+        row per path.  A member is kinked where the map at the bracket end
+        that decides saturation crosses the member's target
+        (``_target``).  That map is level-free, so it is evaluated once per
+        probe and side, whatever the number of levels; the sign changes
+        between adjacent probes bracket every level's roots, which are
+        refined in one ``refine_roots`` call.  Two roots between the same
+        two probes are missed.
+
+        Returns ``(roots, rows, sides)``: each root, its path row, and the
+        side on which the member leaves its Frechet bound, +1 for larger z
+        and -1 for smaller.
+        """
+        u, v = at(probes, np.arange(probes.shape[0])[:, None])
+        found = []
+        for name, side in _ENVELOPE_SIDES.items():
+            levels = np.array(list(dict.fromkeys(lvl for nm, lvl in members if nm == name)))
+            if not levels.size:
+                continue
+            target = _target(self.functional, levels, side)
+            g = _saturation_end(self.functional, u, v, side) - target[:, None, None]
+            lv, p, k = np.nonzero(np.sign(g[..., :-1]) * np.sign(g[..., 1:]) < 0)
+            found.append((
+                np.full(p.size, side == "lower"), target[lv], p,
+                probes[p, k], probes[p, k + 1], g[lv, p, k], g[lv, p, k + 1],
+            ))
+        if not found:
+            return np.empty(0), np.empty(0, dtype=int), np.empty(0)
+        lower, target, rows, left, right, g_left, g_right = (
+            np.concatenate(x) for x in zip(*found)
+        )
+
+        def gap(z, i):
+            out = np.empty(z.shape)
+            for side, on in (("lower", lower[i]), ("upper", ~lower[i])):
+                if np.any(on):
+                    a, b = at(z[on], rows[i[on]])
+                    out[on] = _saturation_end(self.functional, a, b, side) - target[i[on]]
+            return out
+
+        roots = refine_roots(gap, left, right, g_left, g_right)
+        # The lower map saturates where the gap is <= 0, the upper map where
+        # it is >= 0; the member inverts on the other side.
+        inverts_right = np.where(lower, g_right > 0, g_right < 0)
+        return roots, rows, np.where(inverts_right, 1.0, -1.0)
 
 
 def evaluate_surfaces(surfaces, u, v) -> list:

@@ -17,12 +17,15 @@ measure on the quadrant, priced by tensor quadrature).
 ``price_batch`` is the one place the representation is evaluated; it
 prices a list of payoffs under a list of surfaces.  ``price`` and
 ``price_interval`` are single-payoff views of it.  Quadrature nodes
-depend only on the payoffs priced together, the marginals, and the panel
-count, never on the copula, so prices of pointwise-ordered surfaces are
-ordered exactly as computed.  One-strike payoffs priced together share
-one rule on the diagonal, split at every strike and at the kinks of the
-Frechet surfaces.  Discounting is assumed absorbed into the payoff; the
-scenario rate is zero.
+depend on the payoffs, the marginals, the panel count and the kinks of
+the surfaces priced together, and every surface of one call is evaluated
+on the same nodes, so prices of pointwise-ordered surfaces are ordered
+exactly as computed within one call.  Each path's rule is split at the
+strikes and where the path crosses a surface's kink: the Frechet bounds
+are kinked where they switch branch, functional envelopes where they
+start to fall back to a Frechet bound.  One-strike payoffs priced
+together share one rule on the diagonal.  Discounting is assumed
+absorbed into the payoff; the scenario rate is zero.
 """
 
 from __future__ import annotations
@@ -292,22 +295,86 @@ def _shared_path(segments) -> _Segment:
     return segments[0]._replace(lo=lo, hi=hi)
 
 
-def _path_crossings(m_x, m_y, paths) -> list[np.ndarray]:
-    """Where each path crosses the kinks of the Frechet surfaces: F_X(x(z))
-    crosses F_Y(y(z)), or their sum crosses 1.  One ``refine_sign_changes``
-    call per kink family covers every path."""
+# Kinks of the Frechet surfaces: where a path's u = F_X(x(z)) crosses its
+# v = F_Y(y(z)), or their sum crosses 1.
+_FRECHET_KINKS = {
+    "frechet-upper": lambda u, v: u - v,
+    "frechet-lower": lambda u, v: u + v - 1.0,
+}
+# The Frechet surface an envelope falls back to where its level saturates.
+_FALLBACK = {"functional-upper": "frechet-upper", "functional-lower": "frechet-lower"}
+# Past a saturation kink an envelope's curvature is unbounded: the one-point
+# map's slope in theta grows without bound toward the Frechet end.  The panel
+# on that side is split again this fraction of a panel width from the kink.
+_ONSET_SPLIT = 1.0 / 20.0
+# An envelope at an end of the attainable range is its Frechet bound up to
+# the level slack, with a narrow bump at that bound's kink; the panels on
+# both sides of the kink are split at these fractions of a panel width.
+_CUSP_SPLITS = (1.0 / 4.0, 1.0 / 16.0, 1.0 / 64.0)
+
+
+def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
+    """Breakpoints of each path's rule from the surfaces priced together,
+    sorted: where the path crosses a kink of one of the surfaces, and
+    splits that grade the panels next to some of them (README).
+
+    Dispatches on each surface's structure.  A Frechet surface is kinked
+    where its kink function changes sign, found by one
+    ``refine_sign_changes`` call per kind for every path.  The members of
+    an envelope family are kinked where they saturate, and beyond that as
+    their fallback Frechet surface.  The family finds the saturation kinks
+    of all its levels and paths together, probing each path at the edges of
+    its ``panels`` uniform panels and at its Frechet kinks, where the
+    saturation end map is kinked too (a dip there can fit inside one
+    panel).  Other surfaces declare no kinks.
+    """
     lo, hi, cx, dx, cy, dy = np.array([p[:6] for p in paths], dtype=float).reshape(-1, 6).T
 
-    def fx(z, i):
-        return m_x.cdf(np.maximum(cx[i] * z + dx[i], 0.0))
+    def at(z, i):
+        return (m_x.cdf(np.maximum(cx[i] * z + dx[i], 0.0)),
+                m_y.cdf(np.maximum(cy[i] * z + dy[i], 0.0)))
 
-    def fy(z, i):
-        return m_y.cdf(np.maximum(cy[i] * z + dy[i], 0.0))
+    frechet, families = {}, {}
+    for s in surfaces:
+        kind = s.structure[0] if s.structure else None
+        if kind in _FALLBACK:
+            family = s.structure[-1]
+            families.setdefault(id(family), (family, []))[1].append(s.structure[:2])
+            kind = _FALLBACK[kind]
+        if kind in _FRECHET_KINKS:
+            frechet[kind] = _FRECHET_KINKS[kind]
+    found = {
+        kind: refine_sign_changes(lambda z, i, kink=kink: kink(*at(z, i)), lo, hi)
+        for kind, kink in frechet.items()
+    }
+    breaks = _by_path(found.values(), len(paths))
+    if not families:
+        return breaks
+    probes = np.linspace(lo, hi, int(panels) + 1, axis=-1)
+    most = max(b.size for b in breaks)
+    if most:  # each path's Frechet kinks, padded with its end
+        padded = np.array([np.pad(b, (0, most - b.size), constant_values=h)
+                           for b, h in zip(breaks, hi)])
+        probes = np.sort(np.hstack([probes, padded]), axis=-1)
+    width = (hi - lo) / int(panels)
+    splits = list(found.values())
+    for family, members in families.values():
+        roots, rows, sides = family.kinks(members, at, probes)
+        splits += [(roots, rows), (roots + sides * _ONSET_SPLIT * width[rows], rows)]
+        for kind in family.extremes(members):
+            roots, rows = found[kind]
+            splits += [(roots + f * width[rows], rows)
+                       for q in _CUSP_SPLITS for f in (-q, q)]
+    return _by_path(splits, len(paths))
 
-    r1, i1 = refine_sign_changes(lambda z, i: fx(z, i) - fy(z, i), lo, hi)
-    r2, i2 = refine_sign_changes(lambda z, i: fx(z, i) + fy(z, i) - 1.0, lo, hi)
-    roots, rows = np.concatenate([r1, r2]), np.concatenate([i1, i2])
-    return [roots[rows == j] for j in range(len(paths))]
+
+def _by_path(found, n) -> list[np.ndarray]:
+    """The ``(roots, rows)`` pairs of ``found`` gathered into one sorted
+    array per path row."""
+    if not found:
+        return [np.empty(0) for _ in range(n)]
+    roots, rows = (np.concatenate(x) for x in zip(*found))
+    return [np.sort(roots[rows == j]) for j in range(n)]
 
 
 def _mu_terms(u, v, weights: np.ndarray, surfaces) -> np.ndarray:
@@ -327,18 +394,19 @@ def _mu_terms(u, v, weights: np.ndarray, surfaces) -> np.ndarray:
     return out
 
 
-def _path_terms(payoffs, segments, path, crossings, surfaces, m_x, m_y, panels):
+def _path_terms(payoffs, segments, path, breaks, surfaces, m_x, m_y, panels):
     """Curvature terms, shape ``(len(payoffs), len(surfaces))``, of payoffs
     whose curvature measures lie on one path: a single payoff, or one-strike
     payoffs on the diagonal x = y = z.
 
-    One rule covers the path, split at the strikes and at the path's
-    crossings of the Frechet kinks.  Segment ends are panel edges, so each
-    payoff's term is the exact partial sum over the nodes inside its own
-    segment.
+    One rule covers the path, split at the strikes and at ``breaks``, the
+    path's breakpoints from the surfaces' kinks.  Segment ends are panel
+    edges, so each payoff's term is the exact partial sum over the nodes
+    inside its own segment.
     """
-    breaks = [p.strike for p in payoffs] + crossings.tolist()
-    rule = interval_rule(path.lo, path.hi, panels, breakpoints=breaks)
+    rule = interval_rule(
+        path.lo, path.hi, panels, breakpoints=[p.strike for p in payoffs] + breaks.tolist()
+    )
     z = rule.nodes
     weights = np.array(
         [s.sign * np.where((z > s.lo) & (z < s.hi), rule.weights, 0.0) for s in segments]
@@ -363,8 +431,9 @@ def price_batch(
     Works for any surface (copula or quasi-copula); only pointwise values
     of the surfaces enter.  ``panels`` sets the uniform panels of the
     money-space path rules; the edge expectations of all payoffs share one
-    graded unit rule per marginal.  The kink crossings of all paths are
-    found together, and each surface is called once per rule.  One-strike
+    graded unit rule per marginal.  The rules are split where the paths
+    cross the kinks of the surfaces, all found together, and each surface
+    is called once per rule.  One-strike
     payoffs (calls and puts on the minimum or maximum) share one rule on
     the diagonal.  Raises QuadratureError on boundary-integrability
     violations.
@@ -378,11 +447,11 @@ def price_batch(
                if p.kind not in _KINDS_ONE_STRIKE and p.kind != "product-xy"]
     segments = [[_mu_segment(payoffs[i], m_x, m_y) for i in g] for g in groups]
     paths = [_shared_path(s) for s in segments]
-    for g, segs, path, crossings in zip(
-        groups, segments, paths, _path_crossings(m_x, m_y, paths)
+    for g, segs, path, breaks in zip(
+        groups, segments, paths, _path_breaks(surfaces, m_x, m_y, paths, panels)
     ):
         out[g] = _path_terms(
-            [payoffs[i] for i in g], segs, path, crossings, surfaces, m_x, m_y, panels
+            [payoffs[i] for i in g], segs, path, breaks, surfaces, m_x, m_y, panels
         )
     for i, p in enumerate(payoffs):
         if p.kind == "product-xy":

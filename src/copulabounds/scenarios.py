@@ -9,9 +9,11 @@ point; the reference is the Gaussian-copula model that synthesizes the
 "known" dependence information.  Each row holds five curves: the Frechet
 band, the improved band and the reference.  Without a payoff they are
 surface values at the sweep point's marginal probabilities; with one, the
-whole sweep is priced by one ``pricing.price_batch`` call, so the curves
-share one node set and their ordering is exact, and the payoff's
-concordance sign decides which surface prices which end of each band.
+whole sweep is priced by one ``pricing.price_batch`` call.  Its nodes
+depend on the payoffs, the marginals, ``panels`` and the kinks of all the
+sweep's surfaces, and every curve is priced on them, so the ordering of
+the curves is exact; the payoff's concordance sign decides which surface
+prices which end of each band.
 """
 
 from __future__ import annotations
@@ -212,9 +214,10 @@ class Scenario:
     the sweep points.  ``payoff=None`` makes the curves surface values
     (probabilities).  ``defaults`` holds the value of each ``ScenarioConfig``
     setting a config leaves unset: the sweep, ``grid_n`` and, for a scenario
-    that prices, ``panels``.  Functional envelopes invert a one-point map at
-    every point they are evaluated at, so their scenarios default to fewer
-    panels and a smaller validation lattice."""
+    that prices, ``panels`` (chosen by measurement; README, error budget).
+    Functional envelopes invert a one-point map at every point they are
+    evaluated at, so their scenarios default to a smaller validation
+    lattice."""
 
     family: str
     admissible: tuple[float, float]
@@ -234,11 +237,11 @@ SCENARIOS = {
     ),
     "single-price": Scenario(
         "strike", (0.0, np.inf), _scenario3_pieces, pricing.call_on_max,
-        dict(sweep_min=0.0, sweep_max=200.0, sweep_steps=41, panels=320, grid_n=50),
+        dict(sweep_min=0.0, sweep_max=200.0, sweep_steps=41, panels=40, grid_n=50),
     ),
     "log-correlation": Scenario(
         "corr", (-1.0, 1.0), _scenario4_pieces, lambda _: pricing.spread(0.0),
-        dict(sweep_min=-1.0, sweep_max=1.0, sweep_steps=21, panels=320, grid_n=50),
+        dict(sweep_min=-1.0, sweep_max=1.0, sweep_steps=21, panels=40, grid_n=50),
     ),
 }
 

@@ -212,7 +212,42 @@ def _chains(draw):
     return [(a[k], b[k], t[k]) for k in perm]
 
 
+@st.composite
+def _checked_chains(draw):
+    """Increasing or decreasing chains, some with one value moved within its
+    Frechet bounds, which can make a pair incompatible."""
+    points = draw(_chains())
+    if draw(st.booleans()):
+        points = [(a, 1.0 - b, a - t) for a, b, t in points]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(points) - 1))
+        a, b, t = points[k]
+        t = min(max(t + draw(st.floats(-0.2, 0.2)), max(0.0, a + b - 1.0)), min(a, b))
+        points[k] = (a, b, t)
+    return points
+
+
 class TestChainPath:
+    @given(points=_checked_chains())
+    @settings(max_examples=150, deadline=None)
+    def test_chain_scan_matches_the_pairwise_check(self, points):
+        a, b, t = (np.array(c, dtype=float) for c in zip(*points))
+        worst = constrained._worst_pair(a, b, t)[0]
+        assert abs(constrained._chain_excess(a, b, t) - worst) <= 1e-15
+        try:
+            cb.ConstraintSet.from_points(points)
+            accepted = True
+        except ConstraintError:
+            accepted = False
+        assert accepted == (worst <= constrained._TOL)
+
+    def test_chain_check_runs_without_the_pairwise_scan(self, monkeypatch):
+        # the pairwise scan is O(n^2): a valid chain never reaches it
+        monkeypatch.setattr(constrained, "_worst_pair", None)
+        g = np.linspace(0.0, 1.0, 16000)
+        cb.ConstraintSet.from_points(zip(g, g * g, g * g * g))
+        cb.ConstraintSet.from_points(zip(g, 1.0 - g, np.maximum(0.0, g - g * g)))
+
     @given(points=_chains(), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_chain_envelopes_match_the_definition(self, points, data):

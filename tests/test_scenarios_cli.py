@@ -1,10 +1,14 @@
 import contextlib
+import ctypes
 import dataclasses
 import filecmp
 import io
+import itertools
 import math
+import re
 import shlex
 import tempfile
+import types
 import warnings
 from pathlib import Path
 
@@ -84,13 +88,29 @@ class TestConfig:
 
     @pytest.mark.parametrize("scenario, panels, grid_n", [
         ("second-to-default", None, 200), ("max-known", 2001, 200),
-        ("single-price", 320, 50), ("log-correlation", 320, 50),
+        ("single-price", 40, 50), ("log-correlation", 40, 50),
     ])
     def test_unset_settings_take_the_scenario_defaults(self, scenario, panels, grid_n):
         cfg = ScenarioConfig(scenario=scenario)
         assert (cfg.panels, cfg.grid_n) == (panels, grid_n)
         cfg = ScenarioConfig(scenario=scenario, panels=60, grid_n=60, sweep_steps=3)
         assert (cfg.panels, cfg.grid_n, cfg.sweep_steps) == (60, 60, 3)
+
+    def test_readme_defaults_table_matches_the_scenarios(self):
+        # the `| scenario | default sweep | --panels | --grid |` table under ## CLI
+        lines = README.read_text().split("## CLI", 1)[1].splitlines()
+        start = next(i for i, line in enumerate(lines) if "| default sweep" in line)
+        table = {}
+        for line in itertools.takewhile(lambda x: x.startswith("|"), lines[start + 2:]):
+            name, sweep, panels, grid = (c.strip() for c in line.strip("|").split("|"))
+            lo, hi, steps = re.fullmatch(r"(\S+) to (\S+), (\d+) points", sweep).groups()
+            row = dict(sweep_min=float(lo.replace("\u2212", "-")),
+                       sweep_max=float(hi.replace("\u2212", "-")),
+                       sweep_steps=int(steps), grid_n=int(grid))
+            if panels != "(unused)":
+                row["panels"] = int(panels)
+            table[name.strip("`")] = row
+        assert table == {name: spec.defaults for name, spec in SCENARIOS.items()}
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +222,40 @@ class TestLogCorrelation:
         assert len(bands) == 2
 
 
+def readme_error_budget() -> dict:
+    """The error figures of the README's budget table under ## Numerical
+    notes: scenario -> (Frechet bounds and reference, improved lower,
+    improved upper); a row with words in place of figures is skipped."""
+    lines = [x.strip() for x in README.read_text().split("## Numerical notes", 1)[1].splitlines()]
+    start = next(i for i, line in enumerate(lines) if "| improved lower | improved upper |" in line)
+    budget = {}
+    for line in itertools.takewhile(lambda x: x.startswith("|"), lines[start + 2:]):
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        with contextlib.suppress(ValueError):
+            budget[cells[0].strip("`")] = tuple(float(c) for c in cells[2:5])
+    return budget
+
+
+class TestShippedAccuracy:
+    """Rows of the functional sweeps at their shipped ``panels`` agree with
+    the same rows at four times the panels and ``theta_tol=1e-12`` within
+    the figures the README states for each column."""
+
+    @pytest.mark.parametrize("scenario, sweep", [
+        ("single-price", dict(rho=-0.7, sweep_min=100.0, sweep_max=150.0, sweep_steps=2)),
+        ("log-correlation", dict(sweep_min=0.5, sweep_max=1.0, sweep_steps=2)),
+    ])
+    def test_rows_within_the_readme_budget(self, scenario, sweep):
+        frechet_and_reference, lower, upper = readme_error_budget()[scenario]
+        cfg = ScenarioConfig(scenario=scenario, **sweep)
+        fine = dataclasses.replace(cfg, panels=4 * cfg.panels, theta_tol=1e-12)
+        got, want = (np.array([dataclasses.astuple(r) for r in run_scenario(c)])
+                     for c in (cfg, fine))
+        tol = [0.0, frechet_and_reference, lower, frechet_and_reference, upper,
+               frechet_and_reference]
+        assert np.all(np.abs(got - want) <= tol)
+
+
 class TestDeterminism:
     def test_byte_identical_csv(self, tmp_path):
         cfg = ScenarioConfig(
@@ -236,6 +290,21 @@ class TestCli:
 
     def test_missing_scenario(self):
         assert main([]) == 1
+
+    def test_allocator_thresholds_are_set_where_mallopt_exists(self, tmp_path, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        argv = ["--scenario", "second-to-default", "--maturity-steps", "3",
+                "--out", str(tmp_path / "run.csv")]
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert main(argv) == 0
+        assert calls == [(cli._M_MMAP_THRESHOLD, 4 << 20), (cli._M_TRIM_THRESHOLD, 8 << 20)]
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # no mallopt
+        assert main(argv) == 0
 
     def test_unknown_scenario_flag(self):
         assert main(["--scenario", "nope"]) == 1
@@ -500,9 +569,10 @@ def test_log_correlation_sweep_prices_in_one_batch(monkeypatch):
 
 def test_single_price_envelope_map_points(monkeypatch):
     # Count guard on the inversion: one single-price envelope call on the
-    # pricing nodes of its default panels (about 1.8k points) stays under
-    # 8000 map points per side.  The inversion takes 1.9k and 4.7k; halving every
-    # point to the batch's widest bracket took 61.5k per side.
+    # pricing nodes of its default panels (425 points, split at its kinks)
+    # stays under 8000 map points per side, kink probes included.  The calls
+    # take 0.65k and 1.4k (1.9k and 4.7k on 320 unsplit panels); halving
+    # every point to the batch's widest bracket took 61.5k per side.
     cfg = ScenarioConfig(scenario="single-price", rho=-0.7)
     m_x, m_y, bands = _scenario3_pieces(cfg)
     low, _, up = bands[0]
