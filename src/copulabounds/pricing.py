@@ -21,11 +21,11 @@ depend on the payoffs, the marginals, the panel count and the kinks of
 the surfaces priced together, and every surface of one call is evaluated
 on the same nodes, so prices of pointwise-ordered surfaces are ordered
 exactly as computed within one call.  Each path's rule is split at the
-strikes and where the path crosses a surface's kink: the Frechet bounds
-are kinked where they switch branch, functional envelopes where they
-start to fall back to a Frechet bound.  One-strike payoffs priced
-together share one rule on the diagonal.  Discounting is assumed
-absorbed into the payoff; the scenario rate is zero.
+strikes, where the path crosses a kink of the Frechet bounds (whatever
+is priced), and where it crosses the kinks of the functional envelopes
+priced, where they start to fall back to a Frechet bound.  One-strike
+payoffs priced together share one rule on the diagonal.  Discounting is
+assumed absorbed into the payoff; the scenario rate is zero.
 """
 
 from __future__ import annotations
@@ -301,16 +301,22 @@ _FRECHET_KINKS = {
     "frechet-upper": lambda u, v: u - v,
     "frechet-lower": lambda u, v: u + v - 1.0,
 }
-# The Frechet surface an envelope falls back to where its level saturates.
-_FALLBACK = {"functional-upper": "frechet-upper", "functional-lower": "frechet-lower"}
+# Structure names of the functional envelopes.
+_ENVELOPE_KINDS = ("functional-lower", "functional-upper")
 # Past a saturation kink an envelope's curvature is unbounded: the one-point
-# map's slope in theta grows without bound toward the Frechet end.  The panel
-# on that side is split again this fraction of a panel width from the kink.
-_ONSET_SPLIT = 1.0 / 20.0
+# map's slope in theta grows without bound toward the Frechet end.  The panels
+# on that side are graded toward the kink by splits at these fractions of a
+# panel width from it.
+_ONSET_SPLITS = (1.0 / 4.0, 1.0 / 16.0)
 # An envelope at an end of the attainable range is its Frechet bound up to
 # the level slack, with a narrow bump at that bound's kink; the panels on
 # both sides of the kink are split at these fractions of a panel width.
 _CUSP_SPLITS = (1.0 / 4.0, 1.0 / 16.0, 1.0 / 64.0)
+# A grading split is left out where another break lies closer to it than
+# this fraction of its offset (its distance from its kink): that break grades
+# the panels already.  Chosen by measurement (README); it must stay below 3/4,
+# or the cusp splits, a factor 4 apart, would remove each other.
+_GRADING_KEEP = 0.5
 
 
 def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
@@ -318,15 +324,17 @@ def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
     sorted: where the path crosses a kink of one of the surfaces, and
     splits that grade the panels next to some of them (README).
 
-    Dispatches on each surface's structure.  A Frechet surface is kinked
-    where its kink function changes sign, found by one
-    ``refine_sign_changes`` call per kind for every path.  The members of
-    an envelope family are kinked where they saturate, and beyond that as
-    their fallback Frechet surface.  The family finds the saturation kinks
-    of all its levels and paths together, probing each path at the edges of
-    its ``panels`` uniform panels and at its Frechet kinks, where the
-    saturation end map is kinked too (a dip there can fit inside one
-    panel).  Other surfaces declare no kinks.
+    Every path is split at the kinks of both Frechet surfaces, whatever is
+    priced: W and M are kinked there, every envelope falls back to one of
+    them, and copulas near W or M bend sharply there.  They are found by
+    one ``refine_sign_changes`` call per kind for every path.  The members
+    of an envelope family, told apart by their structure, are also kinked
+    where they saturate.  The family finds those kinks for all its levels
+    and paths together, probing each path at the edges of its ``panels``
+    uniform panels and at its Frechet kinks, where the saturation end map
+    is kinked too (a dip there can fit inside one panel).  Other surfaces
+    declare no kinks.  Grading splits near some kinks are added by
+    ``_with_grading``.
     """
     lo, hi, cx, dx, cy, dy = np.array([p[:6] for p in paths], dtype=float).reshape(-1, 6).T
 
@@ -334,20 +342,16 @@ def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
         return (m_x.cdf(np.maximum(cx[i] * z + dx[i], 0.0)),
                 m_y.cdf(np.maximum(cy[i] * z + dy[i], 0.0)))
 
-    frechet, families = {}, {}
-    for s in surfaces:
-        kind = s.structure[0] if s.structure else None
-        if kind in _FALLBACK:
-            family = s.structure[-1]
-            families.setdefault(id(family), (family, []))[1].append(s.structure[:2])
-            kind = _FALLBACK[kind]
-        if kind in _FRECHET_KINKS:
-            frechet[kind] = _FRECHET_KINKS[kind]
     found = {
         kind: refine_sign_changes(lambda z, i, kink=kink: kink(*at(z, i)), lo, hi)
-        for kind, kink in frechet.items()
+        for kind, kink in _FRECHET_KINKS.items()
     }
     breaks = _by_path(found.values(), len(paths))
+    families = {}
+    for s in surfaces:
+        if s.structure and s.structure[0] in _ENVELOPE_KINDS:
+            family = s.structure[-1]
+            families.setdefault(id(family), (family, []))[1].append(s.structure[:2])
     if not families:
         return breaks
     probes = np.linspace(lo, hi, int(panels) + 1, axis=-1)
@@ -357,15 +361,37 @@ def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
                            for b, h in zip(breaks, hi)])
         probes = np.sort(np.hstack([probes, padded]), axis=-1)
     width = (hi - lo) / int(panels)
-    splits = list(found.values())
+    kinks, grading = list(found.values()), []
     for family, members in families.values():
         roots, rows, sides = family.kinks(members, at, probes)
-        splits += [(roots, rows), (roots + sides * _ONSET_SPLIT * width[rows], rows)]
+        kinks.append((roots, rows))
+        grading += [(roots + sides * q * width[rows], rows, q * width[rows])
+                    for q in _ONSET_SPLITS]
         for kind in family.extremes(members):
             roots, rows = found[kind]
-            splits += [(roots + f * width[rows], rows)
-                       for q in _CUSP_SPLITS for f in (-q, q)]
-    return _by_path(splits, len(paths))
+            grading += [(roots + f * width[rows], rows, q * width[rows])
+                        for q in _CUSP_SPLITS for f in (-q, q)]
+    return _with_grading(_by_path(kinks, len(paths)), grading)
+
+
+def _with_grading(breaks, grading) -> list[np.ndarray]:
+    """``breaks`` of each path plus those grading splits ``(at, rows,
+    offset)`` that no break lies within ``_GRADING_KEEP`` of their offset
+    from, finer splits placed first.  Where the kinks of many levels crowd
+    together, their breaks grade each other's panels, and the splits would
+    only add nodes at which every level inverts."""
+    if not grading:
+        return breaks
+    at, rows, offset = (np.concatenate(x) for x in zip(*grading))
+    out = []
+    for j, b in enumerate(breaks):
+        keep = list(b)
+        mine = np.flatnonzero(rows == j)
+        for i in mine[np.argsort(offset[mine], kind="stable")]:
+            if not keep or np.min(np.abs(np.asarray(keep) - at[i])) > _GRADING_KEEP * offset[i]:
+                keep.append(at[i])
+        out.append(np.sort(np.asarray(keep, dtype=float)))
+    return out
 
 
 def _by_path(found, n) -> list[np.ndarray]:

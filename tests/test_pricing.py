@@ -521,7 +521,7 @@ class TestKinkCrossings:
                 d = cut[0] * (abs(r) + r - path.lo)
                 path = path._replace(lo=r - d, hi=min(r + cut[1] * d / 255.0, path.hi))
             paths.append(path)
-        batched = pricing._path_breaks([cb.FRECHET_LOWER, cb.FRECHET_UPPER], mx, my, paths, 48)
+        batched = pricing._path_breaks([], mx, my, paths, 48)  # whatever is priced
         assert len(batched) == len(paths)
         for path, roots in zip(paths, batched):
             np.testing.assert_array_equal(roots, np.sort(_crossings_of_one_path(mx, my, path)))
@@ -587,3 +587,18 @@ class TestEnvelopeKinks:
                 assert got[0] == bound[0] and got[1] != bound[1]
                 found += 1
         assert found >= 4
+
+    def test_members_at_the_ends_price_alone_as_with_the_frechet_bounds(self,
+                                                                       lognormal_marginals):
+        # the lower envelope at the top follows M, the upper one at the bottom
+        # follows W; priced alone, each is split at that bound's kink all the same
+        mx, my = lognormal_marginals
+        f = cb.MonotoneFunctional(lambda x, y: np.log(x) * np.log(y), mx, my)
+        top, _ = cb.bound_surfaces_for_level(f, f.value_comonotone)
+        _, bottom = cb.bound_surfaces_for_level(f, f.value_countermonotone)
+        payoff = cb.spread(0.0)
+        for member in (top, bottom):
+            alone = cb.price(payoff, member, mx, my, panels=40)
+            together = cb.price_batch([payoff], [cb.FRECHET_LOWER, member, cb.FRECHET_UPPER],
+                                      mx, my, panels=40)
+            assert alone == together[0, 1]

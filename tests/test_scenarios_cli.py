@@ -232,7 +232,7 @@ def readme_error_budget() -> dict:
     for line in itertools.takewhile(lambda x: x.startswith("|"), lines[start + 2:]):
         cells = [c.strip() for c in line.strip("|").split("|")]
         with contextlib.suppress(ValueError):
-            budget[cells[0].strip("`")] = tuple(float(c) for c in cells[2:5])
+            budget[cells[0].replace("`", "")] = tuple(float(c) for c in cells[2:5])
     return budget
 
 
@@ -241,12 +241,17 @@ class TestShippedAccuracy:
     the same rows at four times the panels and ``theta_tol=1e-12`` within
     the figures the README states for each column."""
 
-    @pytest.mark.parametrize("scenario, sweep", [
-        ("single-price", dict(rho=-0.7, sweep_min=100.0, sweep_max=150.0, sweep_steps=2)),
-        ("log-correlation", dict(sweep_min=0.5, sweep_max=1.0, sweep_steps=2)),
+    @pytest.mark.parametrize("row, scenario, sweep", [
+        ("single-price", "single-price",
+         dict(rho=-0.7, sweep_min=100.0, sweep_max=150.0, sweep_steps=2)),
+        ("log-correlation", "log-correlation", dict(sweep_min=0.5, sweep_max=1.0, sweep_steps=2)),
+        ("log-correlation, one level", "log-correlation",
+         dict(sweep_min=-0.95, sweep_max=-0.95, sweep_steps=1)),
+        ("log-correlation, one level", "log-correlation",
+         dict(sweep_min=0.95, sweep_max=0.95, sweep_steps=1)),
     ])
-    def test_rows_within_the_readme_budget(self, scenario, sweep):
-        frechet_and_reference, lower, upper = readme_error_budget()[scenario]
+    def test_rows_within_the_readme_budget(self, row, scenario, sweep):
+        frechet_and_reference, lower, upper = readme_error_budget()[row]
         cfg = ScenarioConfig(scenario=scenario, **sweep)
         fine = dataclasses.replace(cfg, panels=4 * cfg.panels, theta_tol=1e-12)
         got, want = (np.array([dataclasses.astuple(r) for r in run_scenario(c)])
