@@ -53,8 +53,6 @@ _SWEEP_KEYS = {
     for end in ("min", "max", "steps")
 }
 _CONFIG_KEYS = {f.name: f for f in fields(ScenarioConfig)}
-_FLAG_KEYS = ("scenario", "rho", "out", "panels", "grid_n", "theta_tol", "validate",
-              *_SWEEP_KEYS)
 
 
 class UsageError(Exception):
@@ -178,10 +176,7 @@ def load_config_file(path) -> dict:
 def _config_from_args(args) -> ScenarioConfig:
     """The run's configuration: the config file's values, overridden by flags."""
     settings = _read_config(args.config) if args.config else {}
-    for key in _FLAG_KEYS:
-        val = getattr(args, key)
-        if val is not None:
-            settings[key] = val
+    settings.update((k, v) for k, v in vars(args).items() if k != "config" and v is not None)
     if not settings.get("scenario"):
         raise UsageError("--scenario is required (or a config file that sets it)")
     return ScenarioConfig(**_config_settings(settings))

@@ -305,6 +305,14 @@ def _chain_envelope(cs: ConstraintSet, bound, term, best, better, keys):
     return fn
 
 
+def _envelope(cs: ConstraintSet, bound, term, best, better, keys):
+    """The envelope's function: ``_chain_envelope`` for a nonempty
+    increasing set, ``_direct_envelope`` otherwise."""
+    if len(cs) and cs.is_increasing:
+        return _chain_envelope(cs, bound, term, best, better, keys)
+    return _direct_envelope(cs, bound, term, best)
+
+
 def upper_bound(constraints) -> CopulaSurface:
     """Pointwise largest quasi-copula matching the constraint values.
 
@@ -312,14 +320,9 @@ def upper_bound(constraints) -> CopulaSurface:
     in general only a quasi-copula.
     """
     cs = _as_constraints(constraints)
-    if len(cs) and cs.is_increasing:
-        # term = t + (u - a)^+ + (v - b)^+, smallest wins
-        fn = _chain_envelope(
-            cs, frechet_upper, _upper_term, np.minimum, np.less,
-            lambda a, b, t: (t - a - b, t - b, t - a, t),
-        )
-    else:
-        fn = _direct_envelope(cs, frechet_upper, _upper_term, np.minimum)
+    # term = t + (u - a)^+ + (v - b)^+, smallest wins
+    fn = _envelope(cs, frechet_upper, _upper_term, np.minimum, np.less,
+                   lambda a, b, t: (t - a - b, t - b, t - a, t))
     tag = "known-copula" if cs.is_decreasing else "quasi-copula"
     return CopulaSurface(
         fn, tag=tag, name=f"constrained-upper(n={len(cs)})", structure=("point-set-upper", cs)
@@ -332,16 +335,10 @@ def lower_bound(constraints) -> CopulaSurface:
     A copula (tagged ``known-copula``) when the point set is increasing.
     """
     cs = _as_constraints(constraints)
-    increasing = cs.is_increasing
-    if len(cs) and increasing:
-        # term = t - (a - u)^+ - (b - v)^+, largest wins
-        fn = _chain_envelope(
-            cs, frechet_lower, _lower_term, np.maximum, np.greater,
-            lambda a, b, t: (t, t - a, t - b, t - a - b),
-        )
-    else:
-        fn = _direct_envelope(cs, frechet_lower, _lower_term, np.maximum)
-    tag = "known-copula" if increasing else "quasi-copula"
+    # term = t - (a - u)^+ - (b - v)^+, largest wins
+    fn = _envelope(cs, frechet_lower, _lower_term, np.maximum, np.greater,
+                   lambda a, b, t: (t, t - a, t - b, t - a - b))
+    tag = "known-copula" if cs.is_increasing else "quasi-copula"
     return CopulaSurface(
         fn, tag=tag, name=f"constrained-lower(n={len(cs)})", structure=("point-set-lower", cs)
     )

@@ -440,17 +440,23 @@ def _map_blocks(fmap, a, b, theta) -> np.ndarray:
     return out
 
 
+def _side(functional, side: str):
+    """The one-point map of ``side`` and the Frechet bound at the end of the
+    points' brackets that decides its saturation: M for the lower map, W
+    for the upper one.  A member inverting that map falls back to the same
+    bound where it saturates."""
+    if side == "lower":
+        return functional.at_one_point_lower, frechet_upper
+    return functional.at_one_point_upper, frechet_lower
+
+
 def _saturation_end(functional, a, b, side: str) -> np.ndarray:
     """The map of ``side`` at the end of the points' Frechet brackets that
-    decides saturation: the lower map at theta = M(a, b), the upper map at
-    theta = W(a, b).  It does not depend on the level.  (At the other end
-    the lower map's copula is W and the upper map's is M, whose values are
-    constants.)"""
-    if side == "lower":
-        fmap, theta = functional.at_one_point_lower, frechet_upper(a, b)
-    else:
-        fmap, theta = functional.at_one_point_upper, frechet_lower(a, b)
-    return _map_blocks(fmap, a, b, theta).reshape(np.shape(a))
+    decides saturation (``_side``).  It does not depend on the level.  (At
+    the other end the lower map's copula is W and the upper map's is M,
+    whose values are constants.)"""
+    fmap, bound = _side(functional, side)
+    return _map_blocks(fmap, a, b, bound(a, b)).reshape(np.shape(a))
 
 
 def _target(functional, level, side: str):
@@ -486,12 +492,11 @@ def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
     hi = frechet_upper(a, b)
     eps_r = functional.level_slack
     target = _target(functional, level, side)
+    fmap, _ = _side(functional, side)
     end = _saturation_end(functional, a, b, side)
     if side == "lower":
-        fmap = functional.at_one_point_lower
         f_lo, f_hi = functional.value_countermonotone, end
     else:
-        fmap = functional.at_one_point_upper
         f_lo, f_hi = end, functional.value_comonotone
     feasible = (level >= f_lo - eps_r) & (level <= f_hi + eps_r)
     saturated = (level > f_hi + eps_r) if side == "lower" else (level < f_lo - eps_r)
@@ -504,27 +509,41 @@ def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
     return (left if side == "lower" else right), feasible, saturated
 
 
+def _invert_point(functional, a, b, level, side: str, theta_tol) -> float:
+    """The extreme root of the map of ``side`` at one point (a, b)."""
+    check_theta_tol(theta_tol)
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise ValueError("(a, b) must lie in the unit square")
+    theta, feasible, _ = _invert_batch(functional, a, b, level, side, theta_tol)
+    if not bool(np.all(feasible)):
+        raise LevelRangeError(f"level {level} unattainable by the {side} map at ({a}, {b})")
+    return float(theta)
+
+
 def invert_lower(functional, a: float, b: float, level: float, theta_tol: float = _THETA_TOL) -> float:
     """Largest theta in the Frechet interval at (a, b) whose smallest-copula
-    functional value equals ``level``; flat segments give the right end."""
-    check_theta_tol(theta_tol)
-    theta, feasible, _ = _invert_batch(functional, a, b, level, "lower", theta_tol)
-    if not bool(np.all(feasible)):
-        raise LevelRangeError(f"level {level} unattainable by the lower map at ({a}, {b})")
-    return float(theta)
+    functional value equals ``level``; flat segments give the right end.
+    ValueError for (a, b) outside the unit square."""
+    return _invert_point(functional, a, b, level, "lower", theta_tol)
 
 
 def invert_upper(functional, a: float, b: float, level: float, theta_tol: float = _THETA_TOL) -> float:
-    """Smallest theta whose largest-copula functional value equals ``level``."""
-    check_theta_tol(theta_tol)
-    theta, feasible, _ = _invert_batch(functional, a, b, level, "upper", theta_tol)
-    if not bool(np.all(feasible)):
-        raise LevelRangeError(f"level {level} unattainable by the upper map at ({a}, {b})")
-    return float(theta)
+    """Smallest theta whose largest-copula functional value equals ``level``;
+    ValueError for (a, b) outside the unit square."""
+    return _invert_point(functional, a, b, level, "upper", theta_tol)
 
 
 # Envelope name -> side of the one-point map it inverts.
 _ENVELOPE_SIDES = {"functional-lower": "upper", "functional-upper": "lower"}
+
+
+def _levels_by_side(members):
+    """``(name, side, levels)`` for each envelope name among the ``(name,
+    level)`` pairs ``members``: its distinct levels, in order."""
+    for name, side in _ENVELOPE_SIDES.items():
+        levels = list(dict.fromkeys(lvl for nm, lvl in members if nm == name))
+        if levels:
+            yield name, side, levels
 
 
 class _EnvelopeFamily:
@@ -543,16 +562,13 @@ class _EnvelopeFamily:
         u, v = unit_square_args(u, v)
         ndim = np.broadcast(u, v).ndim
         found = {}
-        for name, side in _ENVELOPE_SIDES.items():
-            levels = list(dict.fromkeys(lvl for nm, lvl in members if nm == name))
-            if not levels:
-                continue
+        for name, side, levels in _levels_by_side(members):
             theta, _, saturated = _invert_batch(
                 self.functional, u, v, np.reshape(levels, (-1,) + (1,) * ndim),
                 side, self.theta_tol,
             )
-            fallback = frechet_upper(u, v) if side == "lower" else frechet_lower(u, v)
-            vals = np.where(saturated, fallback, theta)
+            _, fallback = _side(self.functional, side)
+            vals = np.where(saturated, fallback(u, v), theta)
             found.update(((name, lvl), val) for lvl, val in zip(levels, vals))
         return [found[m] for m in members]
 
@@ -590,19 +606,14 @@ class _EnvelopeFamily:
         """
         u, v = at(probes, np.arange(probes.shape[0])[:, None])
         found = []
-        for name, side in _ENVELOPE_SIDES.items():
-            levels = np.array(list(dict.fromkeys(lvl for nm, lvl in members if nm == name)))
-            if not levels.size:
-                continue
-            target = _target(self.functional, levels, side)
+        for _, side, levels in _levels_by_side(members):
+            target = _target(self.functional, np.array(levels), side)
             g = _saturation_end(self.functional, u, v, side) - target[:, None, None]
             lv, p, k = np.nonzero(np.sign(g[..., :-1]) * np.sign(g[..., 1:]) < 0)
             found.append((
                 np.full(p.size, side == "lower"), target[lv], p,
                 probes[p, k], probes[p, k + 1], g[lv, p, k], g[lv, p, k + 1],
             ))
-        if not found:
-            return np.empty(0), np.empty(0, dtype=int), np.empty(0)
         lower, target, rows, left, right, g_left, g_right = (
             np.concatenate(x) for x in zip(*found)
         )
@@ -622,22 +633,28 @@ class _EnvelopeFamily:
         return roots, rows, np.where(inverts_right, 1.0, -1.0)
 
 
-def evaluate_surfaces(surfaces, u, v) -> list:
-    """``[s(u, v) for s in surfaces]``, except that the members of one
-    envelope family are evaluated together, by one call of the family."""
-    out = [None] * len(surfaces)
+def envelope_families(surfaces) -> list:
+    """``(family, positions, members)`` for each envelope family among
+    ``surfaces``, told apart by the family object their structure ends
+    with: the positions of its members in ``surfaces`` and their ``(name,
+    level)`` pairs."""
     families = {}
     for j, s in enumerate(surfaces):
         family = s.structure[-1] if s.structure else None
         if isinstance(family, _EnvelopeFamily):
-            families.setdefault(id(family), (family, []))[1].append(j)
-        else:
-            out[j] = s(u, v)
-    for family, idx in families.values():
-        vals = family.values(u, v, [surfaces[j].structure[:2] for j in idx])
-        for j, val in zip(idx, vals):
-            out[j] = val
-    return out
+            _, positions, members = families.setdefault(id(family), (family, [], []))
+            positions.append(j)
+            members.append(s.structure[:2])
+    return list(families.values())
+
+
+def evaluate_surfaces(surfaces, u, v) -> list:
+    """``[s(u, v) for s in surfaces]``, except that the members of one
+    envelope family are evaluated together, by one call of the family."""
+    out = {}
+    for family, positions, members in envelope_families(surfaces):
+        out.update(zip(positions, family.values(u, v, members)))
+    return [out[j] if j in out else s(u, v) for j, s in enumerate(surfaces)]
 
 
 def bound_surfaces_for_levels(

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .functional import evaluate_surfaces
+from .functional import envelope_families, evaluate_surfaces
 from .marginals import Marginal
 from .quadrature import (
     DEFAULT_PANELS,
@@ -301,8 +301,6 @@ _FRECHET_KINKS = {
     "frechet-upper": lambda u, v: u - v,
     "frechet-lower": lambda u, v: u + v - 1.0,
 }
-# Structure names of the functional envelopes.
-_ENVELOPE_KINDS = ("functional-lower", "functional-upper")
 # Past a saturation kink an envelope's curvature is unbounded: the one-point
 # map's slope in theta grows without bound toward the Frechet end.  The panels
 # on that side are graded toward the kink by splits at these fractions of a
@@ -328,13 +326,12 @@ def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
     priced: W and M are kinked there, every envelope falls back to one of
     them, and copulas near W or M bend sharply there.  They are found by
     one ``refine_sign_changes`` call per kind for every path.  The members
-    of an envelope family, told apart by their structure, are also kinked
-    where they saturate.  The family finds those kinks for all its levels
-    and paths together, probing each path at the edges of its ``panels``
+    of an envelope family (``envelope_families``) are also kinked where
+    they saturate.  The family finds those kinks for all its levels and
+    paths together, probing each path at the edges of its ``panels``
     uniform panels and at its Frechet kinks, where the saturation end map
     is kinked too (a dip there can fit inside one panel).  Other surfaces
-    declare no kinks.  Grading splits near some kinks are added by
-    ``_with_grading``.
+    declare no kinks.
     """
     lo, hi, cx, dx, cy, dy = np.array([p[:6] for p in paths], dtype=float).reshape(-1, 6).T
 
@@ -346,23 +343,18 @@ def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
         kind: refine_sign_changes(lambda z, i, kink=kink: kink(*at(z, i)), lo, hi)
         for kind, kink in _FRECHET_KINKS.items()
     }
-    breaks = _by_path(found.values(), len(paths))
-    families = {}
-    for s in surfaces:
-        if s.structure and s.structure[0] in _ENVELOPE_KINDS:
-            family = s.structure[-1]
-            families.setdefault(id(family), (family, []))[1].append(s.structure[:2])
-    if not families:
-        return breaks
-    probes = np.linspace(lo, hi, int(panels) + 1, axis=-1)
-    most = max(b.size for b in breaks)
-    if most:  # each path's Frechet kinks, padded with its end
-        padded = np.array([np.pad(b, (0, most - b.size), constant_values=h)
-                           for b, h in zip(breaks, hi)])
-        probes = np.sort(np.hstack([probes, padded]), axis=-1)
-    width = (hi - lo) / int(panels)
     kinks, grading = list(found.values()), []
-    for family, members in families.values():
+    families = envelope_families(surfaces) if paths else []
+    if families:
+        probes = np.linspace(lo, hi, panels + 1, axis=-1)
+        frechet = _gathered(kinks, [], len(paths))
+        most = max(b.size for b in frechet)
+        if most:  # each path's Frechet kinks, padded with its end
+            padded = np.array([np.pad(b, (0, most - b.size), constant_values=h)
+                               for b, h in zip(frechet, hi)])
+            probes = np.sort(np.hstack([probes, padded]), axis=-1)
+        width = (hi - lo) / panels
+    for family, _, members in families:
         roots, rows, sides = family.kinks(members, at, probes)
         kinks.append((roots, rows))
         grading += [(roots + sides * q * width[rows], rows, q * width[rows])
@@ -371,36 +363,29 @@ def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
             roots, rows = found[kind]
             grading += [(roots + f * width[rows], rows, q * width[rows])
                         for q in _CUSP_SPLITS for f in (-q, q)]
-    return _with_grading(_by_path(kinks, len(paths)), grading)
+    return _gathered(kinks, grading, len(paths))
 
 
-def _with_grading(breaks, grading) -> list[np.ndarray]:
-    """``breaks`` of each path plus those grading splits ``(at, rows,
-    offset)`` that no break lies within ``_GRADING_KEEP`` of their offset
-    from, finer splits placed first.  Where the kinks of many levels crowd
-    together, their breaks grade each other's panels, and the splits would
-    only add nodes at which every level inverts."""
-    if not grading:
-        return breaks
-    at, rows, offset = (np.concatenate(x) for x in zip(*grading))
+def _gathered(kinks, grading, n) -> list[np.ndarray]:
+    """The sorted breaks of each of the ``n`` paths: its roots among the
+    ``(roots, rows)`` pairs ``kinks``, plus those of its grading splits
+    ``(at, rows, offset)`` that no break lies within ``_GRADING_KEEP`` of
+    their offset from, finer splits placed first.  Where the kinks of many
+    levels crowd together, their breaks grade each other's panels, and the
+    splits would only add nodes at which every level inverts."""
+    roots, rows = (np.concatenate(x) for x in zip(*kinks))
+    at, at_rows, offset = (
+        (np.concatenate(x) for x in zip(*grading)) if grading else np.empty((3, 0))
+    )
     out = []
-    for j, b in enumerate(breaks):
-        keep = list(b)
-        mine = np.flatnonzero(rows == j)
+    for j in range(n):
+        keep = list(roots[rows == j])
+        mine = np.flatnonzero(at_rows == j)
         for i in mine[np.argsort(offset[mine], kind="stable")]:
-            if not keep or np.min(np.abs(np.asarray(keep) - at[i])) > _GRADING_KEEP * offset[i]:
+            if np.min(np.abs(np.asarray(keep) - at[i])) > _GRADING_KEEP * offset[i]:
                 keep.append(at[i])
         out.append(np.sort(np.asarray(keep, dtype=float)))
     return out
-
-
-def _by_path(found, n) -> list[np.ndarray]:
-    """The ``(roots, rows)`` pairs of ``found`` gathered into one sorted
-    array per path row."""
-    if not found:
-        return [np.empty(0) for _ in range(n)]
-    roots, rows = (np.concatenate(x) for x in zip(*found))
-    return [np.sort(roots[rows == j]) for j in range(n)]
 
 
 def _mu_terms(u, v, weights: np.ndarray, surfaces) -> np.ndarray:
@@ -461,9 +446,11 @@ def price_batch(
     cross the kinks of the surfaces, all found together, and each surface
     is called once per rule.  One-strike
     payoffs (calls and puts on the minimum or maximum) share one rule on
-    the diagonal.  Raises QuadratureError on boundary-integrability
-    violations.
+    the diagonal.  Raises ValueError unless ``panels`` is an integer >= 1,
+    and QuadratureError on boundary-integrability violations.
     """
+    if not isinstance(panels, (int, np.integer)) or panels < 1:
+        raise ValueError(f"panels must be an integer >= 1, got {panels!r}")
     payoffs = list(payoffs)
     surfaces = list(surfaces)
     out = np.empty((len(payoffs), len(surfaces)))

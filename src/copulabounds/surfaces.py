@@ -185,7 +185,9 @@ def reflect_second(surface: CopulaSurface) -> CopulaSurface:
 
     Maps copulas to copulas and quasi-copulas to quasi-copulas; an
     involution.  Decreasing point sets become increasing under the same
-    reflection, which is how upper constrained bounds reduce to lower ones.
+    reflection (``ConstraintSet.reflected``), and the upper constrained
+    bound of a set is the reflection of the lower bound of its reflected
+    set.  ``constrained.upper_bound`` does not use this identity.
     """
 
     def fn(u, v):

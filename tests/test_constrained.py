@@ -81,6 +81,11 @@ class TestConstraintValidation:
         with pytest.raises(ConstraintError):
             cb.ConstraintSet.from_points([(0.2, float("nan"), 0.1)])
 
+    @pytest.mark.parametrize("point", [(1.2, 0.5, 0.5), (0.5, -0.1, 0.0)])
+    def test_point_outside_the_square_rejected(self, point):
+        with pytest.raises(ConstraintError, match="must lie in the unit square"):
+            cb.ConstraintSet.from_points([point])
+
     def test_blocked_check_reports_the_full_matrix_pair(self, rng, monkeypatch):
         # the worst pair, first in row-major order, whatever the block size
         monkeypatch.setattr(constrained, "_BLOCK_ELEMENTS", 7)

@@ -111,6 +111,14 @@ class TestOnePointMaps:
                 kink=lambda x, y: (x - 90.0) * (x - 100.0) * (x - 110.0),
             )
 
+    @pytest.mark.parametrize("kink, fragment", [
+        (lambda x, y: x + y + 1.0, "does not change sign in the quantile square"),
+        (lambda x, y: (y - 90.0) * (y - 110.0), "changes sign 2 times along a line of constant u"),
+    ])
+    def test_kinks_outside_the_contract_rejected(self, lognormal_marginals, kink, fragment):
+        with pytest.raises(QuadratureError, match=fragment):
+            cb.MonotoneFunctional(lambda x, y: x * y, *lognormal_marginals, kink=kink)
+
     def test_log_product_independence_factorizes(self, lognormal_marginals):
         mx, my = lognormal_marginals
         F = cb.MonotoneFunctional(lambda x, y: np.log(x) * np.log(y), mx, my)
@@ -123,8 +131,15 @@ class TestOnePointMaps:
         assert F.of(cb.FRECHET_LOWER) == F.value_countermonotone
         cu = cb.one_point_upper(0.4, 0.6, 0.3)
         assert F.of(cu) == pytest.approx(float(F.at_one_point_upper(0.4, 0.6, 0.3)))
+        cl = cb.one_point_lower(0.4, 0.6, 0.1)
+        assert F.of(cl) == float(F.at_one_point_lower(0.4, 0.6, 0.1))
         with pytest.raises(ValueError):
             F.of(cb.gaussian_copula(0.5))
+
+    def test_surface_functional_of_calls_its_map(self):
+        F = cb.SurfaceFunctional(lambda s: float(s(0.5, 0.7)))
+        for surface in (cb.PRODUCT, cb.one_point_lower(0.4, 0.6, 0.1)):
+            assert F.of(surface) == surface(0.5, 0.7)
 
 
 class TestRunningIntegral:
@@ -187,6 +202,16 @@ class TestInversion:
             cb.invert_lower(F, 0.4, 0.7, F.value_comonotone * 2.0)
         with pytest.raises(LevelRangeError):
             cb.invert_upper(F, 0.4, 0.7, F.value_countermonotone - 1.0)
+
+    @pytest.mark.parametrize("a", [1.5, -0.1, np.nan])
+    @pytest.mark.parametrize("call", [cb.invert_lower, cb.invert_upper])
+    def test_point_outside_the_square_raises(self, product_functional, call, a):
+        F = product_functional
+        level = 0.5 * (F.value_comonotone + F.value_countermonotone)
+        with pytest.raises(ValueError, match=r"\(a, b\) must lie in the unit square"):
+            call(F, a, 0.5, level)
+        with pytest.raises(ValueError, match=r"\(a, b\) must lie in the unit square"):
+            call(F, 0.5, a, level)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, 1e-16])
     def test_unreachable_theta_tolerance_raises(self, product_functional, tol):

@@ -214,6 +214,27 @@ class TestFromCallPrices:
         with pytest.raises(ValueError):
             cb.from_call_prices([1.0], [2.0])
 
+    def test_kinked_functional_on_call_quote_marginals_fails_at_construction(self):
+        # the kink curve x = y is a staircase in the quantile plane of step
+        # marginals and crosses a shifted path far more than twice
+        strikes = np.linspace(20.0, 300.0, 141)
+        m = cb.from_call_prices(strikes, [black_call(100.0, K, 0.2, 1.0) for K in strikes])
+        with pytest.raises(cb.QuadratureError, match="changes sign 25 times along a shifted path"):
+            cb.MonotoneFunctional(lambda x, y: -np.maximum(x - y, 0.0), m, m,
+                                  kink=lambda x, y: x - y)
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: cb.tabulated([1.0, 2.0], [0.5]), "equal-length"),
+    (lambda: cb.tabulated([1.0, 1.0], [0.2, 0.5]), "xs must be strictly increasing"),
+    (lambda: cb.tabulated([1.0, 2.0], [0.5, 0.2]), "fs must be nondecreasing"),
+    (lambda: cb.from_call_prices([2.0, 1.0], [1.0, 2.0]), "strikes must be strictly increasing"),
+    (lambda: cb.from_call_prices([1.0, 2.0], [1.0, -0.5]), "prices must be nonnegative"),
+])
+def test_malformed_tables_rejected(make, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make()
+
 
 class TestCsv:
     def test_cdf_table(self, tmp_path):

@@ -340,6 +340,17 @@ class TestPriceBatch:
         ]
         self.assert_matches_price(payoffs, *lognormal_marginals)
 
+    @pytest.mark.parametrize("panels", [0, -3, 40.5])
+    @pytest.mark.parametrize("call", ["price", "price_batch", "price_interval"])
+    def test_panels_must_be_a_positive_integer(self, lognormal_marginals, call, panels):
+        # a path rule needs at least one panel, and a fraction is not truncated
+        mx, my = lognormal_marginals
+        payoff, surface = cb.spread(0.0), cb.PRODUCT
+        args = {"price": (payoff, surface), "price_batch": ([payoff], [surface]),
+                "price_interval": (payoff, surface, surface)}[call]
+        with pytest.raises(ValueError, match="panels must be an integer >= 1"):
+            getattr(cb, call)(*args, mx, my, panels=panels)
+
     def test_log_product_still_raises(self, lognormal_marginals):
         mx, my = lognormal_marginals
         payoffs = [cb.spread(0.0), pricing.PayoffSpec("log-product")]
@@ -553,6 +564,28 @@ class TestEnvelopeKinks:
         lo, hi = f.value_countermonotone, f.value_comonotone
         pairs = cb.bound_surfaces_for_levels(f, [lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo), hi])
         return [s for pair in pairs for s in pair]
+
+    def test_members_price_without_a_path_payoff(self, lognormal_marginals, members, monkeypatch):
+        # the product payoff has its own tensor rule and adds no path; a
+        # coarse one keeps the envelopes' inversions few
+        monkeypatch.setattr(pricing, "_PANELS_2D", 4)
+        mx, my = lognormal_marginals
+        low, up = members[:2]
+        alone = cb.price_batch([cb.product_xy()], [low, up], mx, my, panels=40)
+        beside = cb.price_batch([cb.product_xy(), cb.spread(0.0)], [low, up], mx, my, panels=40)
+        np.testing.assert_array_equal(alone[0], beside[0])
+        iv = cb.price_interval(cb.product_xy(), low, up, mx, my, panels=40)
+        assert (iv.lower, iv.upper) == tuple(alone[0])
+        assert cb.price_batch([], [low], mx, my).shape == (0, 1)
+
+    def test_a_member_is_told_by_its_family_not_its_name(self, lognormal_marginals):
+        # a surface named like an envelope member, not built as one, prices
+        # as the plain surface it is
+        mx, my = lognormal_marginals
+        named = cb.CopulaSurface(lambda u, v: np.minimum(u, v), structure=("functional-lower", 0.3))
+        payoff = cb.spread(0.0)
+        got = cb.price_batch([payoff], [named, cb.FRECHET_UPPER], mx, my, panels=40)
+        assert got[0, 0] == got[0, 1] == cb.price(payoff, named, mx, my, panels=40)
 
     def test_paths_solved_together_equal_paths_solved_alone(self, lognormal_marginals, members):
         mx, my = lognormal_marginals

@@ -82,6 +82,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="grid_n"):
             ScenarioConfig(scenario="second-to-default", grid_n=1).check()
 
+    @pytest.mark.parametrize("scenario", ["max-known", "single-price", "log-correlation"])
+    def test_panels_at_least_8(self, scenario):
+        with pytest.raises(ValueError, match="panels must be at least 8"):
+            ScenarioConfig(scenario=scenario, panels=7).check()
+
     def test_default_sweeps(self):
         grid = sweep_grid(ScenarioConfig(scenario="second-to-default"))
         assert grid[0] == 0.0 and grid[-1] == 10.0 and grid.size == 101
@@ -352,6 +357,45 @@ class TestCli:
 
     def test_unreadable_config(self, tmp_path):
         assert main(["--config", str(tmp_path / "missing.cfg")]) == 1
+
+    @pytest.mark.parametrize("value, reports", [("true", 2), ("false", 0)])
+    def test_config_file_validate_setting(self, tmp_path, capsys, value, reports):
+        # a max-known config written the way the benchmark writes them
+        out = tmp_path / "v.csv"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(
+            "scenario=max-known\nrho=-0.7\nstrike_min=-10.0\nstrike_max=10.0\n"
+            "strike_steps=3\npanels=401\nconstraint_strikes=100\ngrid_n=20\n"
+            f"validate={value}\nout={out}\n"
+        )
+        settings = cli.load_config_file(cfgfile)
+        assert settings["validate"] is (value == "true")
+        assert settings["sweep_steps"] == 3 and "strike_steps" not in settings
+        assert main(["--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().err.count("check on 21x21 grid: pass") == reports
+
+    @pytest.mark.parametrize("body, out, fragment", [
+        ("scenario=second-to-default\nrho\n", "o.csv", "run.cfg:2: expected key=value, got 'rho'"),
+        ("scenario=second-to-default\nmaturity_steps=3\n", "missing/o.csv",
+         "No such file or directory"),
+    ])
+    def test_config_errors_exit_1(self, tmp_path, capsys, body, out, fragment):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(body)
+        assert main(["--config", str(cfgfile), "--out", str(tmp_path / out)]) == 1
+        assert fragment in capsys.readouterr().err
+
+    def test_a_flag_added_to_the_parser_reaches_the_config(self):
+        parser = cli.build_parser()
+        parser.add_argument("--lambda-x", type=float)
+        args = parser.parse_args(["--scenario", "second-to-default", "--lambda-x", "0.5"])
+        assert cli._config_from_args(args).lambda_x == 0.5
+
+    def test_load_config_file_rejects_what_main_rejects(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("scenario=log-correlation\nstrike_steps=3\n")
+        with pytest.raises(cli.UsageError, match="strike sweep settings do not apply"):
+            cli.load_config_file(cfgfile)
 
     def test_numerical_failure_maps_to_exit_2(self, tmp_path, monkeypatch):
         import copulabounds.cli as cli_mod

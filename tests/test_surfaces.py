@@ -194,6 +194,18 @@ class TestGaussianCopula:
             cb.gaussian_copula(1.5)
 
 
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: cb.CopulaSurface(np.minimum, tag="copula"), "unknown provenance tag 'copula'"),
+    (lambda: cb.one_point_upper(1.2, 0.5, 0.4), r"\(a, b\) must lie in the unit square"),
+    (lambda: cb.one_point_upper(0.5, -0.1, 0.0), r"\(a, b\) must lie in the unit square"),
+    (lambda: bivariate_normal_cdf(0.0, 0.0, 1.0), r"strictly inside \(-1, 1\)"),
+    (lambda: bivariate_normal_cdf(0.0, 0.0, -1.0), r"strictly inside \(-1, 1\)"),
+])
+def test_typed_errors(make, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make()
+
+
 class TestValidators:
     def test_known_copulas_pass(self):
         for surf in (cb.FRECHET_UPPER, cb.FRECHET_LOWER, cb.PRODUCT, cb.gaussian_copula(0.5)):
