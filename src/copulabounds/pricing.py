@@ -23,9 +23,9 @@ on the same nodes, so prices of pointwise-ordered surfaces are ordered
 exactly as computed within one call.  Each path's rule is split at the
 strikes, where the path crosses a kink of the Frechet bounds (whatever
 is priced), and where it crosses the kinks of the functional envelopes
-priced, where they start to fall back to a Frechet bound.  One-strike
-payoffs priced together share one rule on the diagonal.  Discounting is
-assumed absorbed into the payoff; the scenario rate is zero.
+priced, where they start to fall back to a Frechet bound.  Payoffs
+priced together whose curvature lies on one line share one rule on it.
+Discounting is assumed absorbed into the payoff; the scenario rate is zero.
 """
 
 from __future__ import annotations
@@ -69,8 +69,20 @@ __all__ = [
     "digital_default_prices",
 ]
 
-_KINDS_ONE_STRIKE = ("call-on-min", "put-on-min", "call-on-max", "put-on-max")
-_KINDS_TWO_STRIKE = ("worst-off-call", "worst-off-put", "best-off-call", "best-off-put")
+# The calls and puts on the minimum or maximum and the worst-off and best-off
+# options are one family, (ext(s*(x - K1), s*(y - K2)))^+ with s = +1 for calls
+# and -1 for puts; a one-strike kind has K1 = K2.  Its curvature lies on the
+# line y = x + K2 - K1, positive for ext = min and negative for ext = max.
+_MIN_MAX = {
+    "call-on-min": (1.0, np.minimum),
+    "put-on-min": (-1.0, np.maximum),
+    "call-on-max": (1.0, np.maximum),
+    "put-on-max": (-1.0, np.minimum),
+    "worst-off-call": (1.0, np.minimum),
+    "worst-off-put": (-1.0, np.minimum),
+    "best-off-call": (1.0, np.maximum),
+    "best-off-put": (-1.0, np.maximum),
+}
 # Panels per axis of the product payoff's tensor rule: under M the product
 # price is 8.6e-7 relative off a direct quadrature along the coupling.
 _PANELS_2D = 100
@@ -102,7 +114,8 @@ def basket(alpha: float, beta: float, strike: float) -> PayoffSpec:
     """(alpha*X + beta*Y - K)^+; spreads are alpha/beta of opposite sign.
 
     Either coefficient sign is accepted and so are negative strikes (the
-    curvature-measure support is resolved per sign quadrant).
+    curvature-measure support is where the line alpha*x + beta*y = K
+    meets the truncated quadrant).
     """
     _check_finite("basket", alpha=alpha, beta=beta, strike=strike)
     if alpha == 0.0 or beta == 0.0:
@@ -119,7 +132,7 @@ def _one_strike(kind: str, strike: float) -> PayoffSpec:
     _check_finite(kind, strike=strike)
     if strike < 0.0:
         raise ValueError(f"{kind} strike must be nonnegative")
-    return PayoffSpec(kind, strike=float(strike))
+    return PayoffSpec(kind, strike=float(strike), strike1=float(strike), strike2=float(strike))
 
 
 def call_on_min(strike: float) -> PayoffSpec:
@@ -162,35 +175,30 @@ def best_off_put(k1: float, k2: float) -> PayoffSpec:
 
 
 def product_xy() -> PayoffSpec:
+    """X*Y, priced on a tensor rule of 500 x 500 nodes: each surface is
+    evaluated at all 250k of them, and a functional envelope inverts its
+    one-point map at each (seconds per level)."""
     return PayoffSpec("product-xy")
+
+
+def _min_max(p: PayoffSpec) -> tuple[float, np.ufunc]:
+    """``(s, ext)`` of a min/max-family payoff; ValueError for other kinds."""
+    try:
+        return _MIN_MAX[p.kind]
+    except KeyError:
+        raise ValueError(f"unknown payoff kind {p.kind!r}") from None
 
 
 def payoff_value(p: PayoffSpec, x, y):
     """Vectorized payoff evaluation."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    k = p.kind
-    if k == "basket":
+    if p.kind == "basket":
         return np.maximum(p.alpha * x + p.beta * y - p.strike, 0.0)
-    if k == "call-on-min":
-        return np.maximum(np.minimum(x, y) - p.strike, 0.0)
-    if k == "put-on-min":
-        return np.maximum(p.strike - np.minimum(x, y), 0.0)
-    if k == "call-on-max":
-        return np.maximum(np.maximum(x, y) - p.strike, 0.0)
-    if k == "put-on-max":
-        return np.maximum(p.strike - np.maximum(x, y), 0.0)
-    if k == "worst-off-call":
-        return np.minimum(np.maximum(x - p.strike1, 0.0), np.maximum(y - p.strike2, 0.0))
-    if k == "worst-off-put":
-        return np.minimum(np.maximum(p.strike1 - x, 0.0), np.maximum(p.strike2 - y, 0.0))
-    if k == "best-off-call":
-        return np.maximum(np.maximum(x - p.strike1, 0.0), np.maximum(y - p.strike2, 0.0))
-    if k == "best-off-put":
-        return np.maximum(np.maximum(p.strike1 - x, 0.0), np.maximum(p.strike2 - y, 0.0))
-    if k == "product-xy":
+    if p.kind == "product-xy":
         return x * y
-    raise ValueError(f"unknown payoff kind {k!r}")
+    s, ext = _min_max(p)
+    return np.maximum(ext(s * (x - p.strike1), s * (y - p.strike2)), 0.0)
 
 
 def payoff_sign(p: PayoffSpec) -> int:
@@ -200,14 +208,11 @@ def payoff_sign(p: PayoffSpec) -> int:
     increases, a put on the maximum increases (second differences have
     the opposite signs of the corresponding calls).
     """
-    k = p.kind
-    if k == "basket":
+    if p.kind == "basket":
         return 1 if p.alpha * p.beta > 0 else -1
-    if k in ("call-on-min", "put-on-max", "worst-off-call", "worst-off-put", "product-xy"):
+    if p.kind == "product-xy":
         return 1
-    if k in ("call-on-max", "put-on-min", "best-off-call", "best-off-put"):
-        return -1
-    raise ValueError(f"unknown payoff kind {k!r}")
+    return 1 if _min_max(p)[1] is np.minimum else -1
 
 
 def survival_weight(surface: CopulaSurface, m_x: Marginal, m_y: Marginal, x, y):
@@ -261,38 +266,34 @@ def _mu_segment(p: PayoffSpec, m_x: Marginal, m_y: Marginal) -> _Segment:
     sign = payoff_sign(p)
     cx = m_x.upper_cutoff()
     cy = m_y.upper_cutoff()
-    k = p.kind
-    if k == "basket":
+    if p.kind == "basket":
+        # x = z / a, y = (K - z) / b: z lies in a*[0, cx] and in K - b*[0, cy]
         a, b, K = p.alpha, p.beta, p.strike
-        line = (1.0 / a, 0.0, -1.0 / b, K / b)  # x = z / a, y = (K - z) / b
-        if a > 0 and b > 0:
-            lo, hi = max(0.0, K - b * cy), min(K, a * cx)
-        elif a > 0 and b < 0:
-            lo, hi = max(0.0, K), min(a * cx, K - b * cy)
-        elif a < 0 and b > 0:
-            lo, hi = max(a * cx, K - b * cy), min(0.0, K)
-        else:  # a < 0 and b < 0: the support line meets the quadrant only if K < 0
-            lo, hi = max(K, a * cx), min(0.0, K - b * cy)
-        return _Segment(lo, hi, *line, sign)
-    if k in _KINDS_ONE_STRIKE:
-        diag_hi = min(cx, cy)
-        lo, hi = (p.strike, diag_hi) if k.startswith("call") else (0.0, min(p.strike, diag_hi))
-        return _Segment(lo, hi, 1.0, 0.0, 1.0, 0.0, sign)
-    if k in _KINDS_TWO_STRIKE:
-        if k in ("worst-off-call", "best-off-call"):
-            hi = min(cx - p.strike1, cy - p.strike2)
-            return _Segment(0.0, max(hi, 0.0), 1.0, p.strike1, 1.0, p.strike2, sign)
-        hi = min(p.strike1, p.strike2)
-        return _Segment(0.0, hi, -1.0, p.strike1, -1.0, p.strike2, sign)
-    raise ValueError(f"unknown payoff kind {k!r}")
+        (x_lo, x_hi), (y_lo, y_hi) = sorted((0.0, a * cx)), sorted((K, K - b * cy))
+        return _Segment(max(x_lo, y_lo), min(x_hi, y_hi), 1.0 / a, 0.0, -1.0 / b, K / b, sign)
+    # x = z, y = z + d, on the side of the strikes the payoff pays on
+    s, _ = _min_max(p)
+    k1, d = p.strike1, p.strike2 - p.strike1
+    lo, hi = (k1, min(cx, cy - d)) if s > 0 else (max(0.0, -d), min(k1, cx, cy - d))
+    return _Segment(lo, hi, 1.0, 0.0, 1.0, d, sign)
+
+
+def _segment_ends(segments) -> list[float]:
+    """Both ends of each nonempty segment."""
+    return [e for s in segments if s.hi > s.lo for e in (s.lo, s.hi)]
 
 
 def _shared_path(segments) -> _Segment:
     """One path covering the union of segments that lie on the same line."""
-    nonempty = [s for s in segments if s.hi > s.lo]
-    lo = min((s.lo for s in nonempty), default=0.0)
-    hi = max((s.hi for s in nonempty), default=0.0)
-    return segments[0]._replace(lo=lo, hi=hi)
+    ends = _segment_ends(segments)
+    return segments[0]._replace(lo=min(ends, default=0.0), hi=max(ends, default=0.0))
+
+
+def _on_square(m_x: Marginal, m_y: Marginal, line, z):
+    """``(F_X(x), F_Y(y))`` at the points ``z`` of the line
+    ``x = cx*z + dx``, ``y = cy*z + dy``, given as ``(cx, dx, cy, dy)``."""
+    cx, dx, cy, dy = line
+    return m_x.cdf(np.maximum(cx * z + dx, 0.0)), m_y.cdf(np.maximum(cy * z + dy, 0.0))
 
 
 # Kinks of the Frechet surfaces: where a path's u = F_X(x(z)) crosses its
@@ -333,11 +334,10 @@ def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
     is kinked too (a dip there can fit inside one panel).  Other surfaces
     declare no kinks.
     """
-    lo, hi, cx, dx, cy, dy = np.array([p[:6] for p in paths], dtype=float).reshape(-1, 6).T
+    lo, hi, *lines = np.array([p[:6] for p in paths], dtype=float).reshape(-1, 6).T
 
     def at(z, i):
-        return (m_x.cdf(np.maximum(cx[i] * z + dx[i], 0.0)),
-                m_y.cdf(np.maximum(cy[i] * z + dy[i], 0.0)))
+        return _on_square(m_x, m_y, [c[i] for c in lines], z)
 
     found = {
         kind: refine_sign_changes(lambda z, i, kink=kink: kink(*at(z, i)), lo, hi)
@@ -405,25 +405,23 @@ def _mu_terms(u, v, weights: np.ndarray, surfaces) -> np.ndarray:
     return out
 
 
-def _path_terms(payoffs, segments, path, breaks, surfaces, m_x, m_y, panels):
-    """Curvature terms, shape ``(len(payoffs), len(surfaces))``, of payoffs
-    whose curvature measures lie on one path: a single payoff, or one-strike
-    payoffs on the diagonal x = y = z.
+def _path_terms(segments, path, breaks, surfaces, m_x, m_y, panels):
+    """Curvature terms, shape ``(len(segments), len(surfaces))``, of payoffs
+    whose curvature ``segments`` lie on one line, covered by ``path``.
 
-    One rule covers the path, split at the strikes and at ``breaks``, the
-    path's breakpoints from the surfaces' kinks.  Segment ends are panel
-    edges, so each payoff's term is the exact partial sum over the nodes
-    inside its own segment.
+    One rule covers the path, split at the ends of the nonempty segments and
+    at ``breaks``, the path's breakpoints from the surfaces' kinks.  Segment
+    ends are panel edges, so each payoff's term is the exact partial sum over
+    the nodes inside its own segment.
     """
     rule = interval_rule(
-        path.lo, path.hi, panels, breakpoints=[p.strike for p in payoffs] + breaks.tolist()
+        path.lo, path.hi, panels, breakpoints=_segment_ends(segments) + breaks.tolist()
     )
     z = rule.nodes
     weights = np.array(
         [s.sign * np.where((z > s.lo) & (z < s.hi), rule.weights, 0.0) for s in segments]
     )
-    u = m_x.cdf(np.maximum(path.cx * z + path.dx, 0.0))
-    v = m_y.cdf(np.maximum(path.cy * z + path.dy, 0.0))
+    u, v = _on_square(m_x, m_y, path[2:6], z)
     return _mu_terms(u, v, weights, surfaces)
 
 
@@ -444,35 +442,35 @@ def price_batch(
     money-space path rules; the edge expectations of all payoffs share one
     graded unit rule per marginal.  The rules are split where the paths
     cross the kinks of the surfaces, all found together, and each surface
-    is called once per rule.  One-strike
-    payoffs (calls and puts on the minimum or maximum) share one rule on
-    the diagonal.  Raises ValueError unless ``panels`` is an integer >= 1,
-    and QuadratureError on boundary-integrability violations.
+    is called once per rule.  Payoffs whose curvature lies on one line
+    share one rule on it, split at the ends of their segments, and every
+    product payoff takes its value from one tensor rule.  Raises ValueError
+    unless ``panels`` is an integer >= 1, and QuadratureError on
+    boundary-integrability violations.
     """
     if not isinstance(panels, (int, np.integer)) or panels < 1:
         raise ValueError(f"panels must be an integer >= 1, got {panels!r}")
     payoffs = list(payoffs)
     surfaces = list(surfaces)
     out = np.empty((len(payoffs), len(surfaces)))
-    diagonal = [i for i, p in enumerate(payoffs) if p.kind in _KINDS_ONE_STRIKE]
-    groups = [diagonal] if diagonal else []
-    groups += [[i] for i, p in enumerate(payoffs)
-               if p.kind not in _KINDS_ONE_STRIKE and p.kind != "product-xy"]
-    segments = [[_mu_segment(payoffs[i], m_x, m_y) for i in g] for g in groups]
+    by_line = {}  # (cx, dx, cy, dy) -> {payoff index: segment}
+    for i, p in enumerate(payoffs):
+        if p.kind != "product-xy":
+            segment = _mu_segment(p, m_x, m_y)
+            by_line.setdefault(segment[2:6], {})[i] = segment
+    segments = [list(g.values()) for g in by_line.values()]
     paths = [_shared_path(s) for s in segments]
     for g, segs, path, breaks in zip(
-        groups, segments, paths, _path_breaks(surfaces, m_x, m_y, paths, panels)
+        by_line.values(), segments, paths, _path_breaks(surfaces, m_x, m_y, paths, panels)
     ):
-        out[g] = _path_terms(
-            [payoffs[i] for i in g], segs, path, breaks, surfaces, m_x, m_y, panels
-        )
-    for i, p in enumerate(payoffs):
-        if p.kind == "product-xy":
-            rx = interval_rule(0.0, m_x.upper_cutoff(), _PANELS_2D)
-            ry = interval_rule(0.0, m_y.upper_cutoff(), _PANELS_2D)
-            u = m_x.cdf(rx.nodes)[:, None]
-            v = m_y.cdf(ry.nodes)[None, :]
-            out[i] = _mu_terms(u, v, np.outer(rx.weights, ry.weights).reshape(1, -1), surfaces)[0]
+        out[list(g)] = _path_terms(segs, path, breaks, surfaces, m_x, m_y, panels)
+    product = [i for i, p in enumerate(payoffs) if p.kind == "product-xy"]
+    if product:
+        rx = interval_rule(0.0, m_x.upper_cutoff(), _PANELS_2D)
+        ry = interval_rule(0.0, m_y.upper_cutoff(), _PANELS_2D)
+        u = m_x.cdf(rx.nodes)[:, None]
+        v = m_y.cdf(ry.nodes)[None, :]
+        out[product] = _mu_terms(u, v, np.outer(rx.weights, ry.weights).reshape(1, -1), surfaces)
     at_origin = np.array([float(payoff_value(p, 0.0, 0.0)) for p in payoffs])
     edges = _edge_terms(payoffs, m_x, True) + _edge_terms(payoffs, m_y, False) - at_origin
     return out + edges[:, None]

@@ -265,14 +265,11 @@ def run_scenario(cfg: ScenarioConfig, pieces: tuple | None = None) -> list[Curve
         return rows
     # Surfaces hold arrays and do not hash, so they are told apart by identity.
     payoffs = [spec.payoff(a) for a in axes]
-    payoff_col = {p: i for i, p in enumerate(dict.fromkeys(payoffs))}
     distinct = {id(s): s for row in surfaces for s in row}
     surface_col = {key: j for j, key in enumerate(distinct)}
-    prices = pricing.price_batch(
-        list(payoff_col), list(distinct.values()), m_x, m_y, panels=cfg.panels
-    )
-    for a, p, row in zip(axes, payoffs, surfaces, strict=True):
-        values = [float(prices[payoff_col[p], surface_col[id(s)]]) for s in row]
+    prices = pricing.price_batch(payoffs, list(distinct.values()), m_x, m_y, panels=cfg.panels)
+    for a, p, row, row_prices in zip(axes, payoffs, surfaces, prices, strict=True):
+        values = [float(row_prices[surface_col[id(s)]]) for s in row]
         # prices of submodular payoffs decrease along the surface order
         if pricing.payoff_sign(p) < 0:
             values.reverse()

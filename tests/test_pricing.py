@@ -71,6 +71,33 @@ class TestPayoffCatalog:
             cb.payoff_value(cb.put_on_max(50.0), x, y),
         )
 
+    @given(
+        xy=st.lists(st.tuples(st.floats(0.0, 300.0), st.floats(0.0, 300.0)), min_size=1,
+                    max_size=20),
+        k1=st.floats(0.0, 250.0),
+        k2=st.floats(0.0, 250.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_min_max_kinds_equal_their_textbook_formulas(self, xy, k1, k2):
+        x, y = np.array(xy).T
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+
+        def pos(a):
+            return np.maximum(a, 0.0)
+
+        textbook = {
+            cb.call_on_min(k1): pos(lo - k1),
+            cb.put_on_min(k1): pos(k1 - lo),
+            cb.call_on_max(k1): pos(hi - k1),
+            cb.put_on_max(k1): pos(k1 - hi),
+            cb.worst_off_call(k1, k2): np.minimum(pos(x - k1), pos(y - k2)),
+            cb.worst_off_put(k1, k2): np.minimum(pos(k1 - x), pos(k2 - y)),
+            cb.best_off_call(k1, k2): np.maximum(pos(x - k1), pos(y - k2)),
+            cb.best_off_put(k1, k2): np.maximum(pos(k1 - x), pos(k2 - y)),
+        }
+        for payoff, want in textbook.items():
+            np.testing.assert_array_equal(cb.payoff_value(payoff, x, y), want, err_msg=payoff.kind)
+
     def test_rejections(self):
         with pytest.raises(ValueError):
             cb.basket(0.0, 1.0, 5.0)
@@ -229,6 +256,27 @@ class TestDiagonalPrices:
             coupling_expectation(lambda x, y: x, mx, my, direction="sideways")
 
 
+class TestOneStrikeIdentities:
+    @pytest.mark.parametrize("surface", [cb.FRECHET_LOWER, cb.PRODUCT, cb.gaussian_copula(-0.7),
+                                         cb.FRECHET_UPPER], ids=["W", "Pi", "gauss-0.7", "M"])
+    @pytest.mark.parametrize("K", [100.0, 1e5])
+    def test_two_strike_kinds_at_equal_strikes_price_as_one_strike_kinds(
+        self, lognormal_marginals, surface, K
+    ):
+        # the same payoffs, so the same prices; far out of the money the put
+        # paths must stop at the marginals' cutoffs like the one-strike ones
+        pairs = [
+            (cb.worst_off_put(K, K), cb.put_on_max(K)),
+            (cb.best_off_put(K, K), cb.put_on_min(K)),
+            (cb.worst_off_call(K, K), cb.call_on_min(K)),
+            (cb.best_off_call(K, K), cb.call_on_max(K)),
+        ]
+        for two, one in pairs:
+            want = cb.price(one, surface, *lognormal_marginals)
+            got = cb.price(two, surface, *lognormal_marginals)
+            assert got == pytest.approx(want, rel=0.0, abs=1e-9 * max(1.0, abs(want))), two.kind
+
+
 class TestConcordanceMonotonicity:
     @pytest.mark.parametrize("payoff", ALL_TABLE_KINDS, ids=lambda p: p.kind + str(p.strike))
     def test_price_monotone_in_dependence(self, payoff, lognormal_marginals):
@@ -266,6 +314,21 @@ class TestProductPayoff:
         got = cb.price(cb.product_xy(), cb.FRECHET_LOWER, mx, my)
         ref = coupling_price(cb.product_xy(), mx, my, "counter")
         assert got == pytest.approx(ref, rel=2e-6)
+
+
+    def test_copies_share_one_evaluation(self, lognormal_marginals, monkeypatch):
+        # a tensor rule of 500 x 500 nodes: each surface is evaluated on it
+        # once per batch, however many product payoffs the batch holds
+        calls = []
+        evaluate = pricing.evaluate_surfaces
+        monkeypatch.setattr(
+            pricing, "evaluate_surfaces", lambda *a: calls.append(1) or evaluate(*a)
+        )
+        mx, my = lognormal_marginals
+        got = cb.price_batch([cb.product_xy()] * 3, [cb.PRODUCT, cb.FRECHET_UPPER], mx, my)
+        assert len(calls) == 1
+        assert np.all(got == got[0])
+        assert got[0, 0] == cb.price(cb.product_xy(), cb.PRODUCT, mx, my)
 
 
 class TestPriceInterval:
@@ -339,6 +402,29 @@ class TestPriceBatch:
             for K in (0.0, 80.0, 100.0, 125.0)
         ]
         self.assert_matches_price(payoffs, *lognormal_marginals)
+
+    # Two lines: y = x - 10 (the spread at 10 and the three two-strike
+    # kinds at strikes 110 and 100) and the diagonal (the zero-strike spread
+    # and the call on the maximum).
+    MIXED = (cb.spread(10.0), cb.worst_off_call(110.0, 100.0), cb.worst_off_put(110.0, 100.0),
+             cb.best_off_put(110.0, 100.0), cb.spread(0.0), cb.call_on_max(100.0))
+
+    def test_payoffs_sharing_a_line_match_price(self, lognormal_marginals):
+        self.assert_matches_price(list(self.MIXED), *lognormal_marginals)
+
+    def test_one_rule_per_line(self, lognormal_marginals, monkeypatch):
+        lines = []
+        rule = quadrature.interval_rule
+        monkeypatch.setattr(
+            pricing, "interval_rule", lambda *a, **k: lines.append(a[:2]) or rule(*a, **k)
+        )
+        mx, my = lognormal_marginals
+        cb.price_batch(list(self.MIXED), self.SURFACES, mx, my)
+        assert len(lines) == 2
+        lines.clear()
+        prices = cb.price_batch([cb.spread(0.0)] * 3, self.SURFACES, mx, my)
+        assert len(lines) == 1
+        assert np.all(prices == prices[0])
 
     @pytest.mark.parametrize("panels", [0, -3, 40.5])
     @pytest.mark.parametrize("call", ["price", "price_batch", "price_interval"])
