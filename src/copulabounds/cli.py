@@ -124,7 +124,10 @@ def _parse_config_value(key: str, raw: str):
 
 
 def _read_config(path) -> dict:
-    """Values of a key=value file; sweep keys keep their family names."""
+    """Values of a key=value file, long flag names read as their dests
+    (``grid`` as ``grid_n``); sweep keys keep their family names."""
+    dests = {o[2:].replace("-", "_"): a.dest for a in build_parser()._actions
+             for o in a.option_strings if o[:2] == "--" and a.dest not in ("config", "help")}
     out = {}
     try:
         with open(path) as fh:
@@ -138,13 +141,14 @@ def _read_config(path) -> dict:
         if "=" not in body:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
         key, raw = body.split("=", 1)
-        key = key.strip().replace("-", "_")
+        name = key.strip().replace("-", "_")
+        key = dests.get(name, name)
         if key not in _CONFIG_KEYS and key not in _SWEEP_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise UsageError(f"{path}:{lineno}: unknown config key {name!r}")
         try:
             out[key] = _parse_config_value(key, raw)
         except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            raise UsageError(f"{path}:{lineno}: bad value for {name}: {exc}") from exc
     return out
 
 

@@ -357,28 +357,28 @@ class MonotoneFunctional:
         bound copulas (the cases needed by the inversion machinery); other
         copulas should be priced through the pricing representation.
         """
-        return value_of(self, surface)
+        s = surface.structure
+        kind = s[0] if s else None
+        if kind == "frechet-upper":
+            return self.value_comonotone
+        if kind == "frechet-lower":
+            return self.value_countermonotone
+        if kind == "one-point-upper":
+            return float(self.at_one_point_upper(s[1], s[2], s[3]))
+        if kind == "one-point-lower":
+            return float(self.at_one_point_lower(s[1], s[2], s[3]))
+        if kind == "product":
+            u = np.clip(self._t, DEFAULT_EPS, 1 - DEFAULT_EPS)
+            x = self.m_x.quantile_unchecked(u)
+            y = self.m_y.quantile_unchecked(u)
+            vals = np.asarray(self.integrand(x[:, None], y[None, :]), dtype=float)
+            return float(np.einsum("i,ij,j->", self._w, vals, self._w))
+        raise ValueError(f"no one-dimensional reduction for surface {surface.name!r}")
 
 
 def value_of(functional, surface: CopulaSurface) -> float:
-    """Dispatch ``functional`` over the structure of ``surface``."""
-    s = surface.structure
-    kind = s[0] if s else None
-    if kind == "frechet-upper":
-        return functional.value_comonotone
-    if kind == "frechet-lower":
-        return functional.value_countermonotone
-    if kind == "one-point-upper":
-        return float(functional.at_one_point_upper(s[1], s[2], s[3]))
-    if kind == "one-point-lower":
-        return float(functional.at_one_point_lower(s[1], s[2], s[3]))
-    if kind == "product" and isinstance(functional, MonotoneFunctional):
-        u = np.clip(functional._t, DEFAULT_EPS, 1 - DEFAULT_EPS)
-        x = functional.m_x.quantile_unchecked(u)
-        y = functional.m_y.quantile_unchecked(u)
-        vals = np.asarray(functional.integrand(x[:, None], y[None, :]), dtype=float)
-        return float(np.einsum("i,ij,j->", functional._w, vals, functional._w))
-    raise ValueError(f"no one-dimensional reduction for surface {surface.name!r}")
+    """``functional.of(surface)``."""
+    return functional.of(surface)
 
 
 class SurfaceFunctional:
@@ -443,8 +443,8 @@ def _map_blocks(fmap, a, b, theta) -> np.ndarray:
 def _side(functional, side: str):
     """The one-point map of ``side`` and the Frechet bound at the end of the
     points' brackets that decides its saturation: M for the lower map, W
-    for the upper one.  A member inverting that map falls back to the same
-    bound where it saturates."""
+    for the upper one.  Where a level is out of the map's reach, the
+    inversion's bracket lands on that bound, the member's value there."""
     if side == "lower":
         return functional.at_one_point_lower, frechet_upper
     return functional.at_one_point_upper, frechet_lower
@@ -475,38 +475,29 @@ def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
 
     ``level`` broadcasts against the points ``(a, b)``; shape ``(L, 1)``
     against points of shape ``(n,)`` inverts L levels at n points.
-    Returns ``(theta, feasible, saturated)`` in the broadcast shape.
-    ``feasible`` is the full bracket check for the scalar API;
-    ``saturated`` marks points where the level exceeds what the map can
-    reach there (the envelope falls back to the matching Frechet bound at
-    those points).  The map at the bracket end that decides saturation does
-    not depend on the level, so it is evaluated once per point; then every
-    (level, point) bracket still open takes its own steps in one
-    ``solve_brackets`` call.
+    Returns ``(theta, f_lo, f_hi)``: theta in the broadcast shape and the
+    map at the bracket ends W(a, b) and M(a, b).  Where the level is out
+    of reach, the bracket lands before any step on its end that decides
+    saturation, the Frechet bound the envelope falls back to (``_side``).
+    The map there does not depend on the level, so it is evaluated once
+    per point; then every (level, point) bracket still open takes its own
+    steps in one ``solve_brackets`` call.
     """
-    if side not in ("lower", "upper"):  # pragma: no cover
-        raise ValueError(side)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    level = np.asarray(level, dtype=float)
-    lo = frechet_lower(a, b)
-    hi = frechet_upper(a, b)
-    eps_r = functional.level_slack
-    target = _target(functional, level, side)
+    target = _target(functional, np.asarray(level, dtype=float), side)
     fmap, _ = _side(functional, side)
     end = _saturation_end(functional, a, b, side)
-    if side == "lower":
-        f_lo, f_hi = functional.value_countermonotone, end
-    else:
-        f_lo, f_hi = end, functional.value_comonotone
-    feasible = (level >= f_lo - eps_r) & (level <= f_hi + eps_r)
-    saturated = (level > f_hi + eps_r) if side == "lower" else (level < f_lo - eps_r)
-
-    a_flat, b_flat, t_flat = (np.broadcast_to(x, feasible.shape).ravel() for x in (a, b, target))
+    lower = side == "lower"
+    f_lo = functional.value_countermonotone if lower else end
+    f_hi = end if lower else functional.value_comonotone
+    shape = np.broadcast(a, target).shape
+    a_flat, b_flat, t_flat = (np.broadcast_to(x, shape).ravel() for x in (a, b, target))
     left, right = solve_brackets(
         lambda th, i: _map_blocks(fmap, a_flat[i], b_flat[i], th) - t_flat[i],
-        lo, hi, f_lo - target, f_hi - target, theta_tol, strict=side == "upper",
+        frechet_lower(a, b), frechet_upper(a, b), f_lo - target, f_hi - target,
+        theta_tol, strict=not lower,
     )
-    return (left if side == "lower" else right), feasible, saturated
+    return (left if lower else right), f_lo, f_hi
 
 
 def _invert_point(functional, a, b, level, side: str, theta_tol) -> float:
@@ -514,8 +505,9 @@ def _invert_point(functional, a, b, level, side: str, theta_tol) -> float:
     check_theta_tol(theta_tol)
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError("(a, b) must lie in the unit square")
-    theta, feasible, _ = _invert_batch(functional, a, b, level, side, theta_tol)
-    if not bool(np.all(feasible)):
+    theta, f_lo, f_hi = _invert_batch(functional, a, b, level, side, theta_tol)
+    slack = functional.level_slack
+    if not f_lo - slack <= level <= f_hi + slack:
         raise LevelRangeError(f"level {level} unattainable by the {side} map at ({a}, {b})")
     return float(theta)
 
@@ -563,13 +555,11 @@ class _EnvelopeFamily:
         ndim = np.broadcast(u, v).ndim
         found = {}
         for name, side, levels in _levels_by_side(members):
-            theta, _, saturated = _invert_batch(
+            theta, _, _ = _invert_batch(
                 self.functional, u, v, np.reshape(levels, (-1,) + (1,) * ndim),
                 side, self.theta_tol,
             )
-            _, fallback = _side(self.functional, side)
-            vals = np.where(saturated, fallback(u, v), theta)
-            found.update(((name, lvl), val) for lvl, val in zip(levels, vals))
+            found.update(((name, lvl), val) for lvl, val in zip(levels, theta))
         return [found[m] for m in members]
 
     def extremes(self, members) -> set:
@@ -664,17 +654,18 @@ def bound_surfaces_for_levels(
     each of ``levels``; one ``(lower, upper)`` pair per level, both tagged
     quasi-copula.
 
-    At each point the upper envelope is the inverted lower map where the
-    level is reachable there and the comonotone bound otherwise (dually
-    for the lower envelope).  The envelopes need not be copulas, so price
-    bounds derived from them are valid but not always sharp.  All pairs
-    share one family (the last entry of their ``structure``): evaluating
-    one member inverts all of its points in one batch, and
-    ``evaluate_surfaces`` evaluates several members on the same points
-    with one inversion per side, computing the level-free bracket end once
-    per point.  Nothing is kept between calls.  Raises LevelRangeError for
-    a NaN level or one outside the attainable range beyond the slack,
-    and ValueError for a ``theta_tol`` that is not finite or below 1e-15.
+    At each point the upper envelope is the largest root of the lower
+    map; where the level is out of that map's reach, the inversion's
+    bracket lands on the comonotone bound (dually for the lower envelope).
+    The envelopes need not be copulas, so price bounds derived from them
+    are valid but not always sharp.  All pairs share one family (the last
+    entry of their ``structure``): evaluating one member inverts all of its
+    points in one batch, and ``evaluate_surfaces`` evaluates several
+    members on the same points with one inversion per side, computing the
+    level-free bracket end once per point.  Nothing is kept between calls.
+    Raises LevelRangeError for a NaN level or one outside the attainable
+    range beyond the slack, and ValueError for a ``theta_tol`` that is not
+    finite or below 1e-15.
     """
     check_theta_tol(theta_tol)
     rho_w = functional.value_countermonotone

@@ -444,13 +444,16 @@ def price_batch(
     cross the kinks of the surfaces, all found together, and each surface
     is called once per rule.  Payoffs whose curvature lies on one line
     share one rule on it, split at the ends of their segments, and every
-    product payoff takes its value from one tensor rule.  Raises ValueError
+    product payoff takes its value from one tensor rule.  Equal payoffs
+    are priced once and share their row's values.  Raises ValueError
     unless ``panels`` is an integer >= 1, and QuadratureError on
     boundary-integrability violations.
     """
     if not isinstance(panels, (int, np.integer)) or panels < 1:
         raise ValueError(f"panels must be an integer >= 1, got {panels!r}")
-    payoffs = list(payoffs)
+    index = {}  # distinct payoff -> its row in out; equal payoffs share it
+    rows = [index.setdefault(p, len(index)) for p in payoffs]
+    payoffs = list(index)
     surfaces = list(surfaces)
     out = np.empty((len(payoffs), len(surfaces)))
     by_line = {}  # (cx, dx, cy, dy) -> {payoff index: segment}
@@ -473,7 +476,7 @@ def price_batch(
         out[product] = _mu_terms(u, v, np.outer(rx.weights, ry.weights).reshape(1, -1), surfaces)
     at_origin = np.array([float(payoff_value(p, 0.0, 0.0)) for p in payoffs])
     edges = _edge_terms(payoffs, m_x, True) + _edge_terms(payoffs, m_y, False) - at_origin
-    return out + edges[:, None]
+    return (out + edges[:, None])[rows]
 
 
 def price(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
@@ -135,6 +135,11 @@ class TestOnePointMaps:
         assert F.of(cl) == float(F.at_one_point_lower(0.4, 0.6, 0.1))
         with pytest.raises(ValueError):
             F.of(cb.gaussian_copula(0.5))
+
+    @pytest.mark.parametrize("surface", [cb.PRODUCT, cb.gaussian_copula(0.3)])
+    def test_value_of_is_of(self, surface):
+        F = cb.SurfaceFunctional(lambda s: float(s(0.5, 0.7)))
+        assert cb.value_of(F, surface) == F.of(surface)
 
     def test_surface_functional_of_calls_its_map(self):
         F = cb.SurfaceFunctional(lambda s: float(s(0.5, 0.7)))
@@ -399,17 +404,37 @@ class TestMapEvaluationCount:
             assert pen.map_points == sum(own)
 
 
-class TestInvertBatchBranches:
-    def test_saturation_masks(self, product_functional):
+class TestSaturation:
+    # Where a level is out of the map's reach, the inversion's bracket lands
+    # on the Frechet bound the envelope falls back to.
+
+    def test_level_above_the_cap_falls_back_to_frechet_bound(self, product_functional):
         F = product_functional
-        a = np.array([0.5, 0.5])
-        b = np.array([0.5, 0.5])
-        # a level above the lower map's reach at the point saturates it
         cap = float(F.at_one_point_lower(0.5, 0.5, 0.5))
-        level = np.array([cap + 1.0, cap - 1e-3])
-        theta, feasible, saturated = _invert_batch(F, a, b, level, "lower", 1e-10)
-        assert bool(saturated[0]) and not bool(saturated[1])
-        assert not bool(feasible[0]) and bool(feasible[1])
+        _, upper = cb.bound_surfaces_for_level(F, cap + 1.0)
+        assert upper(0.5, 0.5) == cb.frechet_upper(0.5, 0.5)
+        with pytest.raises(LevelRangeError):
+            cb.invert_lower(F, 0.5, 0.5, cap + 1.0)
+        assert cb.invert_lower(F, 0.5, 0.5, cap - 1e-3) < 0.5
+
+    @given(which=st.sampled_from(["product", "neg_spread"]), fraction=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    @example(which="neg_spread", fraction=0.9, seed=0)
+    @example(which="product", fraction=0.1, seed=0)
+    def test_out_of_reach_members_equal_their_frechet_bound(
+        self, product_functional, neg_spread_functional, which, fraction, seed
+    ):
+        F = {"product": product_functional, "neg_spread": neg_spread_functional}[which]
+        u, v = np.random.default_rng(seed).uniform(0.0, 1.0, (2, 40))
+        level = F.value_countermonotone + fraction * (F.value_comonotone - F.value_countermonotone)
+        lower, upper = cb.bound_surfaces_for_level(F, level)
+        w, m = cb.frechet_lower(u, v), cb.frechet_upper(u, v)
+        # the upper envelope inverts the lower map, whose cap is its value at M
+        above = level > F.at_one_point_lower(u, v, m) + F.level_slack
+        below = level < F.at_one_point_upper(u, v, w) - F.level_slack
+        np.testing.assert_array_equal(upper(u, v)[above], m[above])
+        np.testing.assert_array_equal(lower(u, v)[below], w[below])
 
 
 class _CountingMarginal(cb.Marginal):

@@ -426,6 +426,25 @@ class TestPriceBatch:
         assert len(lines) == 1
         assert np.all(prices == prices[0])
 
+    def test_equal_payoffs_are_priced_once(self, lognormal_marginals, monkeypatch):
+        # the default log-correlation sweep passes 21 equal spreads
+        mx, my = lognormal_marginals
+        surfaces = [cb.FRECHET_LOWER, cb.FRECHET_UPPER]
+        one = cb.price_batch([cb.spread(0.0)], surfaces, mx, my)
+        calls = {"integrate_checked": 0, "upper_cutoff": 0}
+        for owner, name in ((quadrature.Rule, "integrate_checked"),
+                            (mx, "upper_cutoff"), (my, "upper_cutoff")):
+            method = getattr(owner, name)
+
+            def counted(*a, method=method, name=name, **k):
+                calls[name] += 1
+                return method(*a, **k)
+
+            monkeypatch.setattr(owner, name, counted)
+        many = cb.price_batch([cb.spread(0.0)] * 21, surfaces, mx, my)
+        assert calls == {"integrate_checked": 2, "upper_cutoff": 2}
+        np.testing.assert_array_equal(many, np.repeat(one, 21, axis=0))
+
     @pytest.mark.parametrize("panels", [0, -3, 40.5])
     @pytest.mark.parametrize("call", ["price", "price_batch", "price_interval"])
     def test_panels_must_be_a_positive_integer(self, lognormal_marginals, call, panels):

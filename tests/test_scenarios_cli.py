@@ -391,6 +391,14 @@ class TestCli:
         args = parser.parse_args(["--scenario", "second-to-default", "--lambda-x", "0.5"])
         assert cli._config_from_args(args).lambda_x == 0.5
 
+    def test_config_keys_named_like_the_long_flags(self, tmp_path):
+        by_flag, by_field = tmp_path / "flag.cfg", tmp_path / "field.cfg"
+        by_flag.write_text("scenario=single-price\ngrid=10\ntol=1e-9\n")
+        by_field.write_text("scenario=single-price\ngrid_n=10\ntheta_tol=1e-9\n")
+        got = ScenarioConfig(**cli.load_config_file(by_flag))
+        assert got == ScenarioConfig(**cli.load_config_file(by_field))
+        assert (got.grid_n, got.theta_tol) == (10, 1e-9)
+
     def test_load_config_file_rejects_what_main_rejects(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("scenario=log-correlation\nstrike_steps=3\n")
