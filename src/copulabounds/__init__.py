@@ -20,7 +20,6 @@ from .functional import (
     bound_surfaces_for_levels,
     invert_lower,
     invert_upper,
-    value_of,
 )
 from .marginals import (
     Exponential,
@@ -48,7 +47,6 @@ from .pricing import (
     price,
     price_batch,
     price_interval,
-    product_xy,
     put_on_max,
     put_on_min,
     spread,

@@ -67,7 +67,6 @@ __all__ = [
     "LevelRangeError",
     "MonotoneFunctional",
     "SurfaceFunctional",
-    "value_of",
     "invert_lower",
     "invert_upper",
     "bound_surfaces_for_level",
@@ -374,11 +373,6 @@ class MonotoneFunctional:
             vals = np.asarray(self.integrand(x[:, None], y[None, :]), dtype=float)
             return float(np.einsum("i,ij,j->", self._w, vals, self._w))
         raise ValueError(f"no one-dimensional reduction for surface {surface.name!r}")
-
-
-def value_of(functional, surface: CopulaSurface) -> float:
-    """``functional.of(surface)``."""
-    return functional.of(surface)
 
 
 class SurfaceFunctional:

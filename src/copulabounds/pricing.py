@@ -11,8 +11,7 @@ computed through the representation
 which needs only pointwise values of C and therefore accepts
 quasi-copula bound surfaces.  For the shipped payoff catalog the
 curvature measure lives on a line, so the double integral collapses to a
-one-dimensional one; the product payoff x*y is the exception (Lebesgue
-measure on the quadrant, priced by tensor quadrature).
+one-dimensional one.
 
 ``price_batch`` is the one place the representation is evaluated; it
 prices a list of payoffs under a list of surfaces.  ``price`` and
@@ -59,7 +58,6 @@ __all__ = [
     "worst_off_put",
     "best_off_call",
     "best_off_put",
-    "product_xy",
     "payoff_value",
     "payoff_sign",
     "survival_weight",
@@ -83,9 +81,6 @@ _MIN_MAX = {
     "best-off-call": (1.0, np.maximum),
     "best-off-put": (-1.0, np.maximum),
 }
-# Panels per axis of the product payoff's tensor rule: under M the product
-# price is 8.6e-7 relative off a direct quadrature along the coupling.
-_PANELS_2D = 100
 
 
 class InconsistentIntervalError(RuntimeError):
@@ -174,13 +169,6 @@ def best_off_put(k1: float, k2: float) -> PayoffSpec:
     return _two_strike("best-off-put", k1, k2)
 
 
-def product_xy() -> PayoffSpec:
-    """X*Y, priced on a tensor rule of 500 x 500 nodes: each surface is
-    evaluated at all 250k of them, and a functional envelope inverts its
-    one-point map at each (seconds per level)."""
-    return PayoffSpec("product-xy")
-
-
 def _min_max(p: PayoffSpec) -> tuple[float, np.ufunc]:
     """``(s, ext)`` of a min/max-family payoff; ValueError for other kinds."""
     try:
@@ -195,8 +183,6 @@ def payoff_value(p: PayoffSpec, x, y):
     y = np.asarray(y, dtype=float)
     if p.kind == "basket":
         return np.maximum(p.alpha * x + p.beta * y - p.strike, 0.0)
-    if p.kind == "product-xy":
-        return x * y
     s, ext = _min_max(p)
     return np.maximum(ext(s * (x - p.strike1), s * (y - p.strike2)), 0.0)
 
@@ -210,8 +196,6 @@ def payoff_sign(p: PayoffSpec) -> int:
     """
     if p.kind == "basket":
         return 1 if p.alpha * p.beta > 0 else -1
-    if p.kind == "product-xy":
-        return 1
     return 1 if _min_max(p)[1] is np.minimum else -1
 
 
@@ -344,7 +328,7 @@ def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
         for kind, kink in _FRECHET_KINKS.items()
     }
     kinks, grading = list(found.values()), []
-    families = envelope_families(surfaces) if paths else []
+    families = envelope_families(surfaces)
     if families:
         probes = np.linspace(lo, hi, panels + 1, axis=-1)
         frechet = _gathered(kinks, [], len(paths))
@@ -388,23 +372,6 @@ def _gathered(kinks, grading, n) -> list[np.ndarray]:
     return out
 
 
-def _mu_terms(u, v, weights: np.ndarray, surfaces) -> np.ndarray:
-    """``weights @ G`` under each surface, G the survival weight at (u, v).
-
-    ``weights`` has one row per payoff and one column per point of the
-    flattened (u, v) grid; each surface is evaluated once on the grid, and
-    the members of one envelope family together.  The sums are einsum
-    reductions: a BLAS product would wake a thread pool that spins on the
-    other cores.
-    """
-    out = np.zeros((weights.shape[0], len(surfaces)))
-    if weights.size:
-        for j, c in enumerate(evaluate_surfaces(surfaces, u, v)):
-            g = np.clip(1.0 - u - v + c, 0.0, 1.0).ravel()
-            out[:, j] = np.einsum("ij,j->i", weights, g)
-    return out
-
-
 def _path_terms(segments, path, breaks, surfaces, m_x, m_y, panels):
     """Curvature terms, shape ``(len(segments), len(surfaces))``, of payoffs
     whose curvature ``segments`` lie on one line, covered by ``path``.
@@ -412,17 +379,24 @@ def _path_terms(segments, path, breaks, surfaces, m_x, m_y, panels):
     One rule covers the path, split at the ends of the nonempty segments and
     at ``breaks``, the path's breakpoints from the surfaces' kinks.  Segment
     ends are panel edges, so each payoff's term is the exact partial sum over
-    the nodes inside its own segment.
+    the nodes inside its own segment.  Each surface is evaluated once on the
+    rule's nodes, and the members of one envelope family together.  The sums
+    are einsum reductions: a BLAS product would wake a thread pool that spins
+    on the other cores.
     """
     rule = interval_rule(
         path.lo, path.hi, panels, breakpoints=_segment_ends(segments) + breaks.tolist()
     )
     z = rule.nodes
-    weights = np.array(
-        [s.sign * np.where((z > s.lo) & (z < s.hi), rule.weights, 0.0) for s in segments]
-    )
-    u, v = _on_square(m_x, m_y, path[2:6], z)
-    return _mu_terms(u, v, weights, surfaces)
+    out = np.zeros((len(segments), len(surfaces)))
+    if z.size:
+        weights = np.array(
+            [s.sign * np.where((z > s.lo) & (z < s.hi), rule.weights, 0.0) for s in segments]
+        )
+        u, v = _on_square(m_x, m_y, path[2:6], z)
+        for j, c in enumerate(evaluate_surfaces(surfaces, u, v)):
+            out[:, j] = np.einsum("ij,j->i", weights, np.clip(1.0 - u - v + c, 0.0, 1.0))
+    return out
 
 
 def price_batch(
@@ -443,11 +417,10 @@ def price_batch(
     graded unit rule per marginal.  The rules are split where the paths
     cross the kinks of the surfaces, all found together, and each surface
     is called once per rule.  Payoffs whose curvature lies on one line
-    share one rule on it, split at the ends of their segments, and every
-    product payoff takes its value from one tensor rule.  Equal payoffs
-    are priced once and share their row's values.  Raises ValueError
-    unless ``panels`` is an integer >= 1, and QuadratureError on
-    boundary-integrability violations.
+    share one rule on it, split at the ends of their segments.  Equal
+    payoffs are priced once and share their row's values.  Raises
+    ValueError unless ``panels`` is an integer >= 1 or for an unknown
+    payoff kind, and QuadratureError on boundary-integrability violations.
     """
     if not isinstance(panels, (int, np.integer)) or panels < 1:
         raise ValueError(f"panels must be an integer >= 1, got {panels!r}")
@@ -455,25 +428,19 @@ def price_batch(
     rows = [index.setdefault(p, len(index)) for p in payoffs]
     payoffs = list(index)
     surfaces = list(surfaces)
+    if not payoffs:
+        return np.empty((0, len(surfaces)))
     out = np.empty((len(payoffs), len(surfaces)))
     by_line = {}  # (cx, dx, cy, dy) -> {payoff index: segment}
     for i, p in enumerate(payoffs):
-        if p.kind != "product-xy":
-            segment = _mu_segment(p, m_x, m_y)
-            by_line.setdefault(segment[2:6], {})[i] = segment
+        segment = _mu_segment(p, m_x, m_y)
+        by_line.setdefault(segment[2:6], {})[i] = segment
     segments = [list(g.values()) for g in by_line.values()]
     paths = [_shared_path(s) for s in segments]
     for g, segs, path, breaks in zip(
         by_line.values(), segments, paths, _path_breaks(surfaces, m_x, m_y, paths, panels)
     ):
         out[list(g)] = _path_terms(segs, path, breaks, surfaces, m_x, m_y, panels)
-    product = [i for i, p in enumerate(payoffs) if p.kind == "product-xy"]
-    if product:
-        rx = interval_rule(0.0, m_x.upper_cutoff(), _PANELS_2D)
-        ry = interval_rule(0.0, m_y.upper_cutoff(), _PANELS_2D)
-        u = m_x.cdf(rx.nodes)[:, None]
-        v = m_y.cdf(ry.nodes)[None, :]
-        out[product] = _mu_terms(u, v, np.outer(rx.weights, ry.weights).reshape(1, -1), surfaces)
     at_origin = np.array([float(payoff_value(p, 0.0, 0.0)) for p in payoffs])
     edges = _edge_terms(payoffs, m_x, True) + _edge_terms(payoffs, m_y, False) - at_origin
     return (out + edges[:, None])[rows]

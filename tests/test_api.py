@@ -19,7 +19,7 @@ PUBLIC = {
     "constraints_from_price_csv", "lower_bound", "upper_bound",
     # functional
     "LevelRangeError", "MonotoneFunctional", "SurfaceFunctional",
-    "bound_surfaces_for_level", "bound_surfaces_for_levels", "invert_lower", "invert_upper", "value_of",
+    "bound_surfaces_for_level", "bound_surfaces_for_levels", "invert_lower", "invert_upper",
     # marginals
     "Exponential", "LognormalMartingale", "Marginal", "Tabulated", "exponential",
     "from_call_prices", "lognormal_martingale", "marginal_from_csv", "tabulated",
@@ -27,7 +27,7 @@ PUBLIC = {
     "InconsistentIntervalError", "PayoffSpec", "PriceInterval", "basket",
     "best_off_call", "best_off_put", "call_on_max", "call_on_min",
     "digital_default_prices", "payoff_sign", "payoff_value", "price", "price_batch",
-    "price_interval", "product_xy", "put_on_max", "put_on_min", "spread",
+    "price_interval", "put_on_max", "put_on_min", "spread",
     "survival_weight", "worst_off_call", "worst_off_put",
     # quadrature
     "QuadratureError",

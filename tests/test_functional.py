@@ -136,14 +136,9 @@ class TestOnePointMaps:
         with pytest.raises(ValueError):
             F.of(cb.gaussian_copula(0.5))
 
-    @pytest.mark.parametrize("surface", [cb.PRODUCT, cb.gaussian_copula(0.3)])
-    def test_value_of_is_of(self, surface):
-        F = cb.SurfaceFunctional(lambda s: float(s(0.5, 0.7)))
-        assert cb.value_of(F, surface) == F.of(surface)
-
     def test_surface_functional_of_calls_its_map(self):
         F = cb.SurfaceFunctional(lambda s: float(s(0.5, 0.7)))
-        for surface in (cb.PRODUCT, cb.one_point_lower(0.4, 0.6, 0.1)):
+        for surface in (cb.PRODUCT, cb.gaussian_copula(0.3), cb.one_point_lower(0.4, 0.6, 0.1)):
             assert F.of(surface) == surface(0.5, 0.7)
 
 

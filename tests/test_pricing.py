@@ -41,7 +41,6 @@ class TestPayoffCatalog:
         assert cb.payoff_value(cb.put_on_max(120.0), 100.0, 95.0) == 20.0
         assert cb.payoff_value(cb.worst_off_call(90.0, 95.0), 100.0, 94.0) == 0.0
         assert cb.payoff_value(cb.best_off_put(90.0, 95.0), 100.0, 94.0) == 1.0
-        assert cb.payoff_value(cb.product_xy(), 3.0, 4.0) == 12.0
 
     def test_signs(self):
         assert cb.payoff_sign(cb.basket(1.0, 2.0, 50.0)) == 1
@@ -53,7 +52,6 @@ class TestPayoffCatalog:
         assert cb.payoff_sign(cb.put_on_max(10.0)) == 1
         assert cb.payoff_sign(cb.worst_off_put(10.0, 20.0)) == 1
         assert cb.payoff_sign(cb.best_off_call(10.0, 20.0)) == -1
-        assert cb.payoff_sign(cb.product_xy()) == 1
 
     def test_put_call_degeneracies(self):
         # worst-off-put(K, K) is the put on the maximum, best-off-put(K, K)
@@ -202,10 +200,11 @@ class TestPrice:
         flipped = cb.price(cb.basket(-1.0, 1.0, -K), surf, mx, my)
         assert direct == pytest.approx(100.0 - 100.0 - K + flipped, abs=1e-6)
 
-    def test_log_product_kind_unknown(self, lognormal_marginals):
+    @pytest.mark.parametrize("kind", ["log-product", "product-xy"])
+    def test_log_product_kind_unknown(self, lognormal_marginals, kind):
         mx, my = lognormal_marginals
-        with pytest.raises(ValueError, match="unknown payoff kind 'log-product'"):
-            cb.price(pricing.PayoffSpec("log-product"), cb.PRODUCT, mx, my)
+        with pytest.raises(ValueError, match=f"unknown payoff kind '{kind}'"):
+            cb.price(pricing.PayoffSpec(kind), cb.PRODUCT, mx, my)
 
     def test_accepts_quasi_copula_surfaces(self, lognormal_marginals):
         mx, my = lognormal_marginals
@@ -288,48 +287,6 @@ class TestConcordanceMonotonicity:
         else:
             assert hi <= lo + 1e-6
 
-    def test_product_payoff_monotone(self, lognormal_marginals):
-        mx, my = lognormal_marginals
-        p = cb.product_xy()
-        lo = cb.price(p, cb.gaussian_copula(-0.5), mx, my)
-        hi = cb.price(p, cb.gaussian_copula(0.5), mx, my)
-        assert lo <= hi
-
-
-class TestProductPayoff:
-    def test_independence_factorizes(self, lognormal_marginals):
-        mx, my = lognormal_marginals
-        got = cb.price(cb.product_xy(), cb.PRODUCT, mx, my)
-        assert got == pytest.approx(100.0 * 100.0, rel=1e-6)
-
-    # The tensor rule's error: 8.6e-7 relative under M, 6.7e-7 under W.
-    def test_diagonal_consistency_coarse(self, lognormal_marginals):
-        mx, my = lognormal_marginals
-        got = cb.price(cb.product_xy(), cb.FRECHET_UPPER, mx, my)
-        ref = coupling_price(cb.product_xy(), mx, my, "co")
-        assert got == pytest.approx(ref, rel=2e-6)
-
-    def test_antidiagonal_consistency_coarse(self, lognormal_marginals):
-        mx, my = lognormal_marginals
-        got = cb.price(cb.product_xy(), cb.FRECHET_LOWER, mx, my)
-        ref = coupling_price(cb.product_xy(), mx, my, "counter")
-        assert got == pytest.approx(ref, rel=2e-6)
-
-
-    def test_copies_share_one_evaluation(self, lognormal_marginals, monkeypatch):
-        # a tensor rule of 500 x 500 nodes: each surface is evaluated on it
-        # once per batch, however many product payoffs the batch holds
-        calls = []
-        evaluate = pricing.evaluate_surfaces
-        monkeypatch.setattr(
-            pricing, "evaluate_surfaces", lambda *a: calls.append(1) or evaluate(*a)
-        )
-        mx, my = lognormal_marginals
-        got = cb.price_batch([cb.product_xy()] * 3, [cb.PRODUCT, cb.FRECHET_UPPER], mx, my)
-        assert len(calls) == 1
-        assert np.all(got == got[0])
-        assert got[0, 0] == cb.price(cb.product_xy(), cb.PRODUCT, mx, my)
-
 
 class TestPriceInterval:
     def test_unconstrained_equals_diagonal_prices(self, lognormal_marginals):
@@ -392,7 +349,7 @@ class TestPriceBatch:
                 assert got[i, j] == pytest.approx(cb.price(p, surf, mx, my), abs=1e-8)
 
     def test_every_catalog_kind_matches_price(self, lognormal_marginals):
-        self.assert_matches_price(ALL_TABLE_KINDS + [cb.product_xy()], *lognormal_marginals)
+        self.assert_matches_price(ALL_TABLE_KINDS, *lognormal_marginals)
 
     def test_mixed_one_strike_batch_matches_price(self, lognormal_marginals):
         # one shared diagonal rule; a strike off its panel edge shows as ~1e-2
@@ -468,7 +425,7 @@ class TestPriceBatch:
         mx, my = lognormal_marginals
         pts = random_point_set(np.random.default_rng(seed), size, "none")
         surfaces = (cb.FRECHET_LOWER, cb.lower_bound(pts), cb.upper_bound(pts), cb.FRECHET_UPPER)
-        payoffs = ALL_TABLE_KINDS + [cb.call_on_max(80.0), cb.put_on_min(120.0), cb.product_xy()]
+        payoffs = ALL_TABLE_KINDS + [cb.call_on_max(80.0), cb.put_on_min(120.0)]
         prices = cb.price_batch(payoffs, surfaces, mx, my, panels=200)
         signs = np.array([cb.payoff_sign(p) for p in payoffs], dtype=float)
         assert np.all(np.diff(signs[:, None] * prices, axis=1) >= -1e-9)
@@ -670,17 +627,20 @@ class TestEnvelopeKinks:
         pairs = cb.bound_surfaces_for_levels(f, [lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo), hi])
         return [s for pair in pairs for s in pair]
 
-    def test_members_price_without_a_path_payoff(self, lognormal_marginals, members, monkeypatch):
-        # the product payoff has its own tensor rule and adds no path; a
-        # coarse one keeps the envelopes' inversions few
-        monkeypatch.setattr(pricing, "_PANELS_2D", 4)
+    def test_members_price_alike_alone_beside_another_line_and_in_an_interval(
+        self, lognormal_marginals, members
+    ):
+        # a payoff on another line adds a path, whose kinks and nodes must
+        # leave the spread's row as it is; an empty batch has no path at all
         mx, my = lognormal_marginals
         low, up = members[:2]
-        alone = cb.price_batch([cb.product_xy()], [low, up], mx, my, panels=40)
-        beside = cb.price_batch([cb.product_xy(), cb.spread(0.0)], [low, up], mx, my, panels=40)
+        alone = cb.price_batch([cb.spread(0.0)], [low, up], mx, my, panels=40)
+        beside = cb.price_batch(
+            [cb.spread(0.0), cb.basket(1.0, 1.0, 200.0)], [low, up], mx, my, panels=40
+        )
         np.testing.assert_array_equal(alone[0], beside[0])
-        iv = cb.price_interval(cb.product_xy(), low, up, mx, my, panels=40)
-        assert (iv.lower, iv.upper) == tuple(alone[0])
+        iv = cb.price_interval(cb.spread(0.0), low, up, mx, my, panels=40)
+        assert (iv.lower, iv.upper) == (alone[0, 1], alone[0, 0])  # submodular: ends swap
         assert cb.price_batch([], [low], mx, my).shape == (0, 1)
 
     def test_a_member_is_told_by_its_family_not_its_name(self, lognormal_marginals):

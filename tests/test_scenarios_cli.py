@@ -50,6 +50,23 @@ SMALL_RUNS = {
 # Small-sweep outputs written by write_rows(run_scenario(cfg), path) for the
 # configs of the tests below.  A golden file changes only together with
 # evidence that the new numbers are closer to a higher-resolution run.
+# TestShippedAccuracy compares the functional sweeps only with themselves at
+# finer settings, so a change that moves coarse and fine runs alike shows
+# only here.  What each golden guards beyond that:
+#   second-to-default      the point-set envelopes of the default-time
+#                          constraints and the digital prices, at rho = 0
+#   max-known-rho-0.7      the point-set envelopes of the max-option curve
+#                          and spread prices under them (no accuracy test)
+#   max-known-rho0         the same at the rho = 0 reference column, where
+#                          the reference surface is the product copula
+#   single-price-rho-0.7   the strikes 60, 80, 120 and 140, which
+#                          TestShippedAccuracy does not run
+#   single-price-rho0      a second known level, the zero-strike spread
+#                          priced under the product copula, and the rho = 0
+#                          reference column
+#   log-correlation        the levels -1, -0.5 and 0, which
+#                          TestShippedAccuracy does not run; at -1 the band
+#                          collapses onto the Frechet upper price
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
 PROBABILITY_TOL = 1e-12
