@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import copulabounds as cb
 from copulabounds import pricing, quadrature
@@ -205,6 +206,21 @@ class TestPrice:
         mx, my = lognormal_marginals
         with pytest.raises(ValueError, match=f"unknown payoff kind '{kind}'"):
             cb.price(pricing.PayoffSpec(kind), cb.PRODUCT, mx, my)
+
+    @pytest.mark.parametrize("K", [80.0, 120.0])
+    @pytest.mark.parametrize("kind", ["call_on_min", "call_on_max"])
+    def test_independent_min_and_max_calls_factorize(self, lognormal_marginals, kind, K):
+        # under the product copula P(min > t) = S_x(t) S_y(t) and
+        # P(max > t) = 1 - F_x(t) F_y(t); a call is the integral of its tail
+        mx, my = lognormal_marginals
+        if kind == "call_on_min":
+            tail = lambda t: (1.0 - float(mx.cdf(t))) * (1.0 - float(my.cdf(t)))
+        else:
+            tail = lambda t: 1.0 - float(mx.cdf(t)) * float(my.cdf(t))
+        ref, err = quad(tail, K, np.inf, epsabs=1e-11, epsrel=1e-11, limit=200)
+        assert err < 1e-9
+        got = cb.price(getattr(cb, kind)(K), cb.PRODUCT, mx, my)
+        assert got == pytest.approx(ref, abs=1e-8)  # measured 1.1e-9 at most
 
     def test_accepts_quasi_copula_surfaces(self, lognormal_marginals):
         mx, my = lognormal_marginals
@@ -412,6 +428,22 @@ class TestPriceBatch:
                 "price_interval": (payoff, surface, surface)}[call]
         with pytest.raises(ValueError, match="panels must be an integer >= 1"):
             getattr(cb, call)(*args, mx, my, panels=panels)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_an_empty_batch_builds_no_rule(self, lognormal_marginals, monkeypatch, n):
+        # with no payoff there is no path and no edge term to integrate: the
+        # batch returns before any kink search, rule or surface call, but
+        # still checks its panels
+        def unused(*a, **k):
+            raise AssertionError("an empty batch did some work")
+
+        for name in ("_path_breaks", "_path_terms", "_edge_terms", "evaluate_surfaces"):
+            monkeypatch.setattr(pricing, name, unused)
+        mx, my = lognormal_marginals
+        surfaces = [cb.FRECHET_LOWER, cb.PRODUCT, cb.FRECHET_UPPER][:n]
+        assert cb.price_batch([], surfaces, mx, my).shape == (0, n)
+        with pytest.raises(ValueError, match="panels must be an integer >= 1"):
+            cb.price_batch([], surfaces, mx, my, panels=0)
 
     def test_log_product_still_raises(self, lognormal_marginals):
         mx, my = lognormal_marginals

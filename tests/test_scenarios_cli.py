@@ -508,6 +508,24 @@ class TestCli:
         assert main(argv) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", list(SWEEP_FAMILY))
+    def test_family_sweep_keys_in_a_file_match_the_flags(self, tmp_path, scenario):
+        # a config file may name the sweep by its family, as the long flags
+        # do; both give the same CSV byte for byte
+        fam = SWEEP_FAMILY[scenario]
+        small = dict(SMALL_RUNS[scenario])
+        sweep = {k[len("sweep_"):]: small.pop(k) for k in list(small) if k.startswith("sweep_")}
+        common = f"scenario={scenario}\n" + "".join(f"{k}={v}\n" for k, v in small.items())
+        by_file, by_flag = tmp_path / "file.cfg", tmp_path / "flag.cfg"
+        by_file.write_text(common + "".join(f"{fam}_{k}={v}\n" for k, v in sweep.items()))
+        by_flag.write_text(common)
+        flags = [a for k, v in sweep.items() for a in (f"--{fam}-{k}", str(v))]
+        outs = tmp_path / "file.csv", tmp_path / "flag.csv"
+        assert main(["--config", str(by_file), "--out", str(outs[0])]) == 0
+        assert main(["--config", str(by_flag), "--out", str(outs[1]), *flags]) == 0
+        assert filecmp.cmp(*outs, shallow=False)
+        assert len(outs[0].read_text().splitlines()) == sweep["steps"] + 1
+
     def test_file_sweep_keys_follow_the_flag_scenario(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("scenario=max-known\nstrike_min=1\nstrike_steps=3\n")
