@@ -17,25 +17,28 @@ The integrand ``f0`` must be 2-increasing (this is spot-checked); for a
 2-decreasing payoff pass its negative and negate the level, which leaves
 the constrained set of copulas unchanged.
 
+A functional's values at the Frechet bounds are fixed when it is built.
 Inversion shrinks a bracket on the Frechet interval of each point onto
 the edge of a monotone predicate (``quadrature.solve_brackets``, ITP
-steps), so that flat segments resolve to the extreme root (largest for
-the lower map, smallest for the upper map).  A point whose level is out
-of reach is decided from the map at one bracket end and costs one map
-evaluation.  The envelopes of one functional at several levels form a
-family: evaluating any of its members on a set of points evaluates that
-bracket end once per point and side, whatever the number of levels,
-decides every level's saturated points from it, and inverts all the
-(level, point) brackets still open in one batch, every bracket stopping
-at its own tolerance.  The same bracket end tells where along a pricing
-path each member starts to fall back to a Frechet bound, which is where
-it is kinked; the family finds those kinks for all its levels from one
-set of probes.  Nothing is kept between calls.
+steps), so that flat segments resolve to the extreme root: the lower
+map's largest root is the upper envelope, the upper map's smallest root
+the lower one (``_SIDES``).  A point whose level is out of reach is
+decided from the map at one bracket end, one map evaluation.  The
+envelopes of one functional at several levels form a family: evaluating
+any of its members on a set of points evaluates that bracket end once
+per point and side, whatever the number of levels, decides every
+level's saturated points from it, and inverts all the (level, point)
+brackets still open in one batch, every bracket stopping at its own
+tolerance.  The same bracket end tells where along a pricing path each
+member starts to fall back to a Frechet bound, which is where it is
+kinked; the family finds those kinks for all its levels from one set of
+probes.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -237,6 +240,11 @@ class MonotoneFunctional:
 
     The integrand is spot-checked for 2-increasingness on sampled
     rectangles at construction.
+
+    Attributes ``value_comonotone`` and ``value_countermonotone``, the
+    values at the Frechet bounds M and W, and ``level_slack``, the
+    tolerance of level comparisons, are fixed at construction; a value
+    at M or W that is not finite raises QuadratureError.
     """
 
     def __init__(
@@ -259,6 +267,12 @@ class MonotoneFunctional:
         self._kink = None if kink is None else _KinkCurve(self)
         self._diag = _RunningIntegral(self, shift=0.0, anti=False)
         self._anti = _RunningIntegral(self, shift=1.0, anti=True)
+        for name, run in (("comonotone", self._diag), ("countermonotone", self._anti)):
+            if not np.isfinite(run.total):
+                raise QuadratureError(f"functional value at the {name} copula is not finite")
+        self.value_comonotone = self._diag.total
+        self.value_countermonotone = self._anti.total
+        self.level_slack = _level_slack(self)
 
     def _spot_check_two_increasing(self) -> None:
         rng = np.random.default_rng(1871)
@@ -330,50 +344,6 @@ class MonotoneFunctional:
         )
         return out if out.ndim else float(out)
 
-    @property
-    def value_comonotone(self) -> float:
-        """Functional value at the upper Frechet bound."""
-        if not np.isfinite(self._diag.total):
-            raise QuadratureError("functional value at the comonotone copula is not finite")
-        return self._diag.total
-
-    @property
-    def value_countermonotone(self) -> float:
-        """Functional value at the lower Frechet bound."""
-        if not np.isfinite(self._anti.total):
-            raise QuadratureError("functional value at the countermonotone copula is not finite")
-        return self._anti.total
-
-    @property
-    def level_slack(self) -> float:
-        """Tolerance for level comparisons, relative to the attainable range."""
-        return 1e-9 * max(1.0, abs(self.value_comonotone - self.value_countermonotone))
-
-    def of(self, surface: CopulaSurface) -> float:
-        """Functional value at a surface with a recognized structure.
-
-        Supports the Frechet bounds, the product copula, and the one-point
-        bound copulas (the cases needed by the inversion machinery); other
-        copulas should be priced through the pricing representation.
-        """
-        s = surface.structure
-        kind = s[0] if s else None
-        if kind == "frechet-upper":
-            return self.value_comonotone
-        if kind == "frechet-lower":
-            return self.value_countermonotone
-        if kind == "one-point-upper":
-            return float(self.at_one_point_upper(s[1], s[2], s[3]))
-        if kind == "one-point-lower":
-            return float(self.at_one_point_lower(s[1], s[2], s[3]))
-        if kind == "product":
-            u = np.clip(self._t, DEFAULT_EPS, 1 - DEFAULT_EPS)
-            x = self.m_x.quantile_unchecked(u)
-            y = self.m_y.quantile_unchecked(u)
-            vals = np.asarray(self.integrand(x[:, None], y[None, :]), dtype=float)
-            return float(np.einsum("i,ij,j->", self._w, vals, self._w))
-        raise ValueError(f"no one-dimensional reduction for surface {surface.name!r}")
-
 
 class SurfaceFunctional:
     """Concordance-monotone functional given directly as a map on surfaces.
@@ -381,22 +351,18 @@ class SurfaceFunctional:
     The generic fallback when no expectation representation exists; the
     one-point maps evaluate the callable on freshly built bound copulas,
     one surface per point, so it is only suitable for cheap functionals
-    or modest grids.
+    or modest grids.  Its attributes are ``MonotoneFunctional``'s.
     """
 
     def __init__(self, fn: Callable[[CopulaSurface], float]):
         self.fn = fn
         self.value_comonotone = float(fn(FRECHET_UPPER))
         self.value_countermonotone = float(fn(FRECHET_LOWER))
+        self.level_slack = _level_slack(self)
 
     def _map(self, builder, a, b, theta):
-        a, b, th = np.broadcast_arrays(
-            np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(theta, dtype=float)
-        )
-        flat = [
-            self.fn(builder(ai, bi, ti))
-            for ai, bi, ti in zip(a.ravel(), b.ravel(), th.ravel())
-        ]
+        a, b, th = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, theta)))
+        flat = [self.fn(builder(*p)) for p in zip(a.ravel(), b.ravel(), th.ravel())]
         out = np.asarray(flat, dtype=float).reshape(a.shape)
         return out if out.ndim else float(out)
 
@@ -406,10 +372,10 @@ class SurfaceFunctional:
     def at_one_point_lower(self, a, b, theta):
         return self._map(one_point_lower, a, b, theta)
 
-    level_slack = MonotoneFunctional.level_slack
 
-    def of(self, surface: CopulaSurface) -> float:
-        return float(self.fn(surface))
+def _level_slack(functional) -> float:
+    """Tolerance for level comparisons, relative to the attainable range."""
+    return 1e-9 * max(1.0, abs(functional.value_comonotone - functional.value_countermonotone))
 
 
 def check_theta_tol(theta_tol) -> None:
@@ -434,31 +400,35 @@ def _map_blocks(fmap, a, b, theta) -> np.ndarray:
     return out
 
 
-def _side(functional, side: str):
-    """The one-point map of ``side`` and the Frechet bound at the end of the
-    points' brackets that decides its saturation: M for the lower map, W
-    for the upper one.  Where a level is out of the map's reach, the
-    inversion's bracket lands on that bound, the member's value there."""
-    if side == "lower":
-        return functional.at_one_point_lower, frechet_upper
-    return functional.at_one_point_upper, frechet_lower
+class _Side(NamedTuple):
+    """One side of the inversion, keyed in ``_SIDES`` by the one-point map
+    it inverts.  Its predicate holds left of the map's extreme root; out of
+    the map's reach, the bracket closes on the saturation bound."""
+
+    envelope: str  # the envelope whose values are the map's extreme roots
+    map: Callable  # functional -> its one-point map
+    saturation: Callable  # Frechet bound at the bracket end deciding saturation
+    slack_sign: float  # the predicate's target is level + slack_sign * slack
+    right: bool  # returns the bracket's right end, not its left
+    strict: bool  # the predicate is map < target, not map <= target
+    extreme: Callable  # Frechet bound the envelope follows at an end of the range
+    value: Callable  # functional -> its value at ``extreme``
 
 
-def _saturation_end(functional, a, b, side: str) -> np.ndarray:
+# The upper side comes first: it fixes the order of the pricing rules'
+# grading splits (``pricing._gathered``).
+_SIDES = {
+    "upper": _Side("functional-lower", attrgetter("at_one_point_upper"), frechet_lower, -1.0,
+                   True, True, frechet_upper, attrgetter("value_comonotone")),
+    "lower": _Side("functional-upper", attrgetter("at_one_point_lower"), frechet_upper, 1.0,
+                   False, False, frechet_lower, attrgetter("value_countermonotone")),
+}
+
+
+def _saturation_end(functional, a, b, side: _Side) -> np.ndarray:
     """The map of ``side`` at the end of the points' Frechet brackets that
-    decides saturation (``_side``).  It does not depend on the level.  (At
-    the other end the lower map's copula is W and the upper map's is M,
-    whose values are constants.)"""
-    fmap, bound = _side(functional, side)
-    return _map_blocks(fmap, a, b, bound(a, b)).reshape(np.shape(a))
-
-
-def _target(functional, level, side: str):
-    """The map value each side's predicate compares with: map <= level +
-    slack holds left of the lower map's rightmost root, map < level - slack
-    left of the upper map's leftmost root."""
-    slack = functional.level_slack
-    return level + slack if side == "lower" else level - slack
+    decides saturation.  It does not depend on the level."""
+    return _map_blocks(side.map(functional), a, b, side.saturation(a, b)).reshape(np.shape(a))
 
 
 def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
@@ -472,26 +442,25 @@ def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
     Returns ``(theta, f_lo, f_hi)``: theta in the broadcast shape and the
     map at the bracket ends W(a, b) and M(a, b).  Where the level is out
     of reach, the bracket lands before any step on its end that decides
-    saturation, the Frechet bound the envelope falls back to (``_side``).
+    saturation, the Frechet bound the envelope falls back to (``_SIDES``).
     The map there does not depend on the level, so it is evaluated once
     per point; then every (level, point) bracket still open takes its own
     steps in one ``solve_brackets`` call.
     """
+    s = _SIDES[side]
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    target = _target(functional, np.asarray(level, dtype=float), side)
-    fmap, _ = _side(functional, side)
-    end = _saturation_end(functional, a, b, side)
-    lower = side == "lower"
-    f_lo = functional.value_countermonotone if lower else end
-    f_hi = end if lower else functional.value_comonotone
+    target = np.asarray(level, dtype=float) + s.slack_sign * functional.level_slack
+    # A saturated bracket closes on the end opposite the one it returns.
+    end, other = _saturation_end(functional, a, b, s), s.value(functional)
+    f_lo, f_hi = (end, other) if s.right else (other, end)
     shape = np.broadcast(a, target).shape
     a_flat, b_flat, t_flat = (np.broadcast_to(x, shape).ravel() for x in (a, b, target))
     left, right = solve_brackets(
-        lambda th, i: _map_blocks(fmap, a_flat[i], b_flat[i], th) - t_flat[i],
+        lambda th, i: _map_blocks(s.map(functional), a_flat[i], b_flat[i], th) - t_flat[i],
         frechet_lower(a, b), frechet_upper(a, b), f_lo - target, f_hi - target,
-        theta_tol, strict=not lower,
+        theta_tol, strict=s.strict,
     )
-    return (left if lower else right), f_lo, f_hi
+    return (right if s.right else left), f_lo, f_hi
 
 
 def _invert_point(functional, a, b, level, side: str, theta_tol) -> float:
@@ -519,17 +488,13 @@ def invert_upper(functional, a: float, b: float, level: float, theta_tol: float 
     return _invert_point(functional, a, b, level, "upper", theta_tol)
 
 
-# Envelope name -> side of the one-point map it inverts.
-_ENVELOPE_SIDES = {"functional-lower": "upper", "functional-upper": "lower"}
-
-
 def _levels_by_side(members):
-    """``(name, side, levels)`` for each envelope name among the ``(name,
-    level)`` pairs ``members``: its distinct levels, in order."""
-    for name, side in _ENVELOPE_SIDES.items():
-        levels = list(dict.fromkeys(lvl for nm, lvl in members if nm == name))
+    """``(side, record, levels)`` for each ``_SIDES`` entry whose envelope is
+    named among the ``(name, level)`` pairs ``members``, with its distinct levels."""
+    for side, record in _SIDES.items():
+        levels = list(dict.fromkeys(lvl for nm, lvl in members if nm == record.envelope))
         if levels:
-            yield name, side, levels
+            yield side, record, levels
 
 
 class _EnvelopeFamily:
@@ -548,27 +513,23 @@ class _EnvelopeFamily:
         u, v = unit_square_args(u, v)
         ndim = np.broadcast(u, v).ndim
         found = {}
-        for name, side, levels in _levels_by_side(members):
+        for side, record, levels in _levels_by_side(members):
             theta, _, _ = _invert_batch(
                 self.functional, u, v, np.reshape(levels, (-1,) + (1,) * ndim),
                 side, self.theta_tol,
             )
-            found.update(((name, lvl), val) for lvl, val in zip(levels, theta))
+            found.update(((record.envelope, lvl), val) for lvl, val in zip(levels, theta))
         return [found[m] for m in members]
 
-    def extremes(self, members) -> set:
-        """Kinds of the Frechet bounds that members at an end of the
-        attainable range follow up to the level slack: the upper bound for
-        a lower envelope at the top, the lower bound for an upper envelope
-        at the bottom."""
+    def extremes(self, members) -> list:
+        """The Frechet bounds (``_SIDES``' ``extreme``), in the table's order,
+        that members at an end of the attainable range follow up to the
+        level slack: M for a lower envelope at the top, W for an upper
+        envelope at the bottom."""
         f = self.functional
-        out = set()
-        for name, level in members:
-            if name == "functional-lower" and level >= f.value_comonotone - f.level_slack:
-                out.add("frechet-upper")
-            if name == "functional-upper" and level <= f.value_countermonotone + f.level_slack:
-                out.add("frechet-lower")
-        return out
+        return [s.extreme for s in _SIDES.values() if any(
+            nm == s.envelope and s.slack_sign * lvl <= s.slack_sign * s.value(f) + f.level_slack
+            for nm, lvl in members)]
 
     def kinks(self, members, at, probes):
         """Where the members named by ``(name, level)`` pairs are kinked
@@ -577,44 +538,46 @@ class _EnvelopeFamily:
         ``at(z, rows)`` maps points ``z`` of the paths ``rows`` to the unit
         square, and ``probes`` holds increasing points of each path, one
         row per path.  A member is kinked where the map at the bracket end
-        that decides saturation crosses the member's target
-        (``_target``).  That map is level-free, so it is evaluated once per
-        probe and side, whatever the number of levels; the sign changes
-        between adjacent probes bracket every level's roots, which are
-        refined in one ``refine_roots`` call.  Two roots between the same
-        two probes are missed.
+        that decides saturation crosses the member's target (``_SIDES``).
+        That map is level-free, so it is evaluated once per probe and side,
+        whatever the number of levels; the sign changes between adjacent
+        probes bracket every level's roots, which are refined in one
+        ``refine_roots`` call.  Two roots between the same two probes are
+        missed.
 
         Returns ``(roots, rows, sides)``: each root, its path row, and the
         side on which the member leaves its Frechet bound, +1 for larger z
         and -1 for smaller.
         """
         u, v = at(probes, np.arange(probes.shape[0])[:, None])
-        found = []
-        for _, side, levels in _levels_by_side(members):
-            target = _target(self.functional, np.array(levels), side)
-            g = _saturation_end(self.functional, u, v, side) - target[:, None, None]
+        found, records = [], []
+        for _, record, levels in _levels_by_side(members):
+            target = np.array(levels) + record.slack_sign * self.functional.level_slack
+            g = _saturation_end(self.functional, u, v, record) - target[:, None, None]
             lv, p, k = np.nonzero(np.sign(g[..., :-1]) * np.sign(g[..., 1:]) < 0)
             found.append((
-                np.full(p.size, side == "lower"), target[lv], p,
+                np.full(p.size, len(records)), target[lv], p,
                 probes[p, k], probes[p, k + 1], g[lv, p, k], g[lv, p, k + 1],
             ))
-        lower, target, rows, left, right, g_left, g_right = (
+            records.append(record)
+        which, target, rows, left, right, g_left, g_right = (
             np.concatenate(x) for x in zip(*found)
         )
 
         def gap(z, i):
             out = np.empty(z.shape)
-            for side, on in (("lower", lower[i]), ("upper", ~lower[i])):
+            for n, record in enumerate(records):
+                on = which[i] == n
                 if np.any(on):
                     a, b = at(z[on], rows[i[on]])
-                    out[on] = _saturation_end(self.functional, a, b, side) - target[i[on]]
+                    out[on] = _saturation_end(self.functional, a, b, record) - target[i[on]]
             return out
 
         roots = refine_roots(gap, left, right, g_left, g_right)
-        # The lower map saturates where the gap is <= 0, the upper map where
-        # it is >= 0; the member inverts on the other side.
-        inverts_right = np.where(lower, g_right > 0, g_right < 0)
-        return roots, rows, np.where(inverts_right, 1.0, -1.0)
+        # A map saturates where its gap has the sign of -slack_sign (<= 0 for
+        # the lower map, >= 0 for the upper); the member inverts on the other side.
+        sign = np.array([r.slack_sign for r in records])[which]
+        return roots, rows, np.where(sign * g_right > 0, 1.0, -1.0)
 
 
 def envelope_families(surfaces) -> list:
@@ -662,8 +625,7 @@ def bound_surfaces_for_levels(
     finite or below 1e-15.
     """
     check_theta_tol(theta_tol)
-    rho_w = functional.value_countermonotone
-    rho_m = functional.value_comonotone
+    rho_w, rho_m = functional.value_countermonotone, functional.value_comonotone
     eps_r = functional.level_slack
     family = _EnvelopeFamily(functional, theta_tol)
 
@@ -683,7 +645,7 @@ def bound_surfaces_for_levels(
                 f"level {level} outside the attainable range [{rho_w}, {rho_m}]"
             )
         level = min(max(level, rho_w), rho_m)
-        pairs.append((member("functional-lower", level), member("functional-upper", level)))
+        pairs.append(tuple(member(s.envelope, level) for s in _SIDES.values()))
     return pairs
 
 

@@ -42,7 +42,7 @@ from .quadrature import (
     refine_sign_changes,
     unit_rule,
 )
-from .surfaces import CopulaSurface
+from .surfaces import CopulaSurface, frechet_lower, frechet_upper
 
 __all__ = [
     "PayoffSpec",
@@ -280,11 +280,11 @@ def _on_square(m_x: Marginal, m_y: Marginal, line, z):
     return m_x.cdf(np.maximum(cx * z + dx, 0.0)), m_y.cdf(np.maximum(cy * z + dy, 0.0))
 
 
-# Kinks of the Frechet surfaces: where a path's u = F_X(x(z)) crosses its
-# v = F_Y(y(z)), or their sum crosses 1.
+# Kinks of the Frechet bounds M and W: where a path's u = F_X(x(z)) crosses
+# its v = F_Y(y(z)), or their sum crosses 1.
 _FRECHET_KINKS = {
-    "frechet-upper": lambda u, v: u - v,
-    "frechet-lower": lambda u, v: u + v - 1.0,
+    frechet_upper: lambda u, v: u - v,
+    frechet_lower: lambda u, v: u + v - 1.0,
 }
 # Past a saturation kink an envelope's curvature is unbounded: the one-point
 # map's slope in theta grows without bound toward the Frechet end.  The panels
@@ -310,7 +310,7 @@ def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
     Every path is split at the kinks of both Frechet surfaces, whatever is
     priced: W and M are kinked there, every envelope falls back to one of
     them, and copulas near W or M bend sharply there.  They are found by
-    one ``refine_sign_changes`` call per kind for every path.  The members
+    one ``refine_sign_changes`` call per bound for every path.  The members
     of an envelope family (``envelope_families``) are also kinked where
     they saturate.  The family finds those kinks for all its levels and
     paths together, probing each path at the edges of its ``panels``
@@ -324,8 +324,8 @@ def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
         return _on_square(m_x, m_y, [c[i] for c in lines], z)
 
     found = {
-        kind: refine_sign_changes(lambda z, i, kink=kink: kink(*at(z, i)), lo, hi)
-        for kind, kink in _FRECHET_KINKS.items()
+        bound: refine_sign_changes(lambda z, i, kink=kink: kink(*at(z, i)), lo, hi)
+        for bound, kink in _FRECHET_KINKS.items()
     }
     kinks, grading = list(found.values()), []
     families = envelope_families(surfaces)
@@ -343,8 +343,8 @@ def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
         kinks.append((roots, rows))
         grading += [(roots + sides * q * width[rows], rows, q * width[rows])
                     for q in _ONSET_SPLITS]
-        for kind in family.extremes(members):
-            roots, rows = found[kind]
+        for bound in family.extremes(members):
+            roots, rows = found[bound]
             grading += [(roots + f * width[rows], rows, q * width[rows])
                         for q in _CUSP_SPLITS for f in (-q, q)]
     return _gathered(kinks, grading, len(paths))
@@ -356,7 +356,10 @@ def _gathered(kinks, grading, n) -> list[np.ndarray]:
     ``(at, rows, offset)`` that no break lies within ``_GRADING_KEEP`` of
     their offset from, finer splits placed first.  Where the kinks of many
     levels crowd together, their breaks grade each other's panels, and the
-    splits would only add nodes at which every level inverts."""
+    splits would only add nodes at which every level inverts.  Of two
+    competing splits of equal offset the first listed is kept, so the order
+    of ``grading``, the families' ``functional._SIDES`` order, reaches the
+    nodes."""
     roots, rows = (np.concatenate(x) for x in zip(*kinks))
     at, at_rows, offset = (
         (np.concatenate(x) for x in zip(*grading)) if grading else np.empty((3, 0))

@@ -88,6 +88,10 @@ class ScenarioConfig:
             )
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")
+        for name in ("sweep_steps", "panels", "grid_n", "constraint_strikes"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         lo, hi, steps = self.sweep_min, self.sweep_max, self.sweep_steps
         if steps < 1 or hi < lo or not np.isfinite([lo, hi]).all():
             raise ValueError("sweep grid must be finite, nonempty and sorted")
@@ -110,7 +114,7 @@ class ScenarioConfig:
 
 
 def sweep_grid(cfg: ScenarioConfig) -> np.ndarray:
-    return np.linspace(float(cfg.sweep_min), float(cfg.sweep_max), int(cfg.sweep_steps))
+    return np.linspace(float(cfg.sweep_min), float(cfg.sweep_max), cfg.sweep_steps)
 
 
 @dataclass(frozen=True)

@@ -364,9 +364,10 @@ class ValidationReport:
 
 def lattice(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     """The validation lattice: ``(U, V)`` of shape ``(grid_n + 1, grid_n + 1)``
-    on the uniform grid of [0, 1]."""
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
+    on the uniform grid of [0, 1].  ValueError unless ``grid_n`` is an
+    integer >= 2."""
+    if not isinstance(grid_n, (int, np.integer)) or grid_n < 2:
+        raise ValueError(f"grid_n must be an integer >= 2, got {grid_n!r}")
     g = np.linspace(0.0, 1.0, grid_n + 1)
     return tuple(np.meshgrid(g, g, indexing="ij"))
 

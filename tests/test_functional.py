@@ -119,27 +119,10 @@ class TestOnePointMaps:
         with pytest.raises(QuadratureError, match=fragment):
             cb.MonotoneFunctional(lambda x, y: x * y, *lognormal_marginals, kink=kink)
 
-    def test_log_product_independence_factorizes(self, lognormal_marginals):
+    def test_infinite_frechet_value_raises_at_construction(self, lognormal_marginals):
         mx, my = lognormal_marginals
-        F = cb.MonotoneFunctional(lambda x, y: np.log(x) * np.log(y), mx, my)
-        got = F.of(cb.PRODUCT)
-        assert got == pytest.approx(mx.log_mean * my.log_mean, abs=1e-8)
-
-    def test_of_dispatch(self, product_functional):
-        F = product_functional
-        assert F.of(cb.FRECHET_UPPER) == F.value_comonotone
-        assert F.of(cb.FRECHET_LOWER) == F.value_countermonotone
-        cu = cb.one_point_upper(0.4, 0.6, 0.3)
-        assert F.of(cu) == pytest.approx(float(F.at_one_point_upper(0.4, 0.6, 0.3)))
-        cl = cb.one_point_lower(0.4, 0.6, 0.1)
-        assert F.of(cl) == float(F.at_one_point_lower(0.4, 0.6, 0.1))
-        with pytest.raises(ValueError):
-            F.of(cb.gaussian_copula(0.5))
-
-    def test_surface_functional_of_calls_its_map(self):
-        F = cb.SurfaceFunctional(lambda s: float(s(0.5, 0.7)))
-        for surface in (cb.PRODUCT, cb.gaussian_copula(0.3), cb.one_point_lower(0.4, 0.6, 0.1)):
-            assert F.of(surface) == surface(0.5, 0.7)
+        with pytest.raises(QuadratureError, match="comonotone copula is not finite"):
+            cb.MonotoneFunctional(lambda x, y: np.where(x > 200.0, np.inf, x * y), mx, my)
 
 
 class TestRunningIntegral:

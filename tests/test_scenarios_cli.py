@@ -5,8 +5,11 @@ import filecmp
 import io
 import itertools
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 import types
 import warnings
@@ -69,6 +72,7 @@ SMALL_RUNS = {
 #                          collapses onto the Frechet upper price
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
+SRC = str(Path(__file__).parent.parent / "src")
 PROBABILITY_TOL = 1e-12
 MONEY_TOL = 1e-8
 
@@ -103,6 +107,14 @@ class TestConfig:
     def test_panels_at_least_8(self, scenario):
         with pytest.raises(ValueError, match="panels must be at least 8"):
             ScenarioConfig(scenario=scenario, panels=7).check()
+
+    @pytest.mark.parametrize("scenario, field, value", [
+        ("max-known", "sweep_steps", 2.5), ("max-known", "panels", 40.5),
+        ("second-to-default", "grid_n", 10.5), ("max-known", "constraint_strikes", 2.5),
+    ])
+    def test_counts_must_be_integers(self, scenario, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ScenarioConfig(scenario=scenario, **{field: value}).check()
 
     def test_default_sweeps(self):
         grid = sweep_grid(ScenarioConfig(scenario="second-to-default"))
@@ -296,6 +308,18 @@ class TestDeterminism:
         )
         write_rows(run_scenario(cfg2), cfg2.out)
         assert filecmp.cmp(cfg.out, cfg2.out, shallow=False)
+
+    def test_csv_independent_of_the_hash_seed(self, tmp_path):
+        # both levels at an end of the range: each member follows a Frechet
+        # bound there, and both bounds' cusp splits grade the same panels
+        args = ["--scenario", "log-correlation", "--corr-min", "-1", "--corr-max", "1",
+                "--corr-steps", "2"]
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+            subprocess.run([sys.executable, "-m", "copulabounds.cli", *args,
+                            "--out", str(tmp_path / f"{seed}.csv")],
+                           env=env, check=True, capture_output=True)
+        assert filecmp.cmp(tmp_path / "0.csv", tmp_path / "1.csv", shallow=False)
 
 
 class TestCli:

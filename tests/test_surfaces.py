@@ -246,6 +246,10 @@ class TestValidators:
         with pytest.raises(ValueError):
             cb.validate_copula(cb.PRODUCT, grid_n=1)
 
+    def test_grid_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="grid_n must be an integer"):
+            cb.validate_copula(cb.PRODUCT, grid_n=2.5)
+
     def test_report_summary_renders(self):
         rep = cb.validate_copula(cb.PRODUCT, grid_n=20)
         text = rep.summary()
