@@ -310,10 +310,24 @@ class MonotoneFunctional:
         return out
 
     def _seg(self, lo, hi, shift, anti: bool) -> np.ndarray:
+        """Path integral over [lo, hi], split at the kink crossings; the
+        pieces of a kinked functional take one stacked rule call."""
         lo, hi, shift = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (lo, hi, shift)))
         hi = np.maximum(hi, lo)
-        m1, m2 = (hi, hi) if self._kink is None else self._kink.splits(lo, hi, shift, anti)
-        return sum(self._plain_seg(p, q, shift, anti) for p, q in ((lo, m1), (m1, m2), (m2, hi)))
+        if self._kink is None:
+            return self._plain_seg(lo, hi, shift, anti)
+        m1, m2 = self._kink.splits(lo, hi, shift, anti)
+        pieces = np.stack([lo, m1, m2]), np.stack([m1, m2, hi]), np.stack([shift] * 3)
+        return sum(self._plain_seg(*pieces, anti))
+
+    def _one_point(self, run, ends, lo, hi, shift, anti: bool):
+        """``run`` below ``ends[0]`` and above ``ends[1]`` plus the path
+        integrals over the two shifted segments ``[lo[k], hi[k]]``: one
+        running-integral lookup and one ``_seg`` call cover both of each."""
+        at = run(np.stack(ends))
+        seg = self._seg(np.stack(lo), np.stack(hi), np.stack(shift), anti)
+        out = at[0] + (run.total - at[1]) + seg[0] + seg[1]
+        return out if out.ndim else float(out)
 
     # -- the monotone maps -----------------------------------------------
 
@@ -324,25 +338,18 @@ class MonotoneFunctional:
         and along two unit-slope segments through (a, b) inside, giving two
         running-integral differences plus two shifted segment integrals.
         """
-        a, b, th = (np.asarray(x, dtype=float) for x in (a, b, theta))
-        out = (
-            self._diag(th)
-            + (self._diag.total - self._diag(a + b - th))
-            + self._seg(th, a, b - th, False)
-            + self._seg(a + 0.0 * th, a + b - th, th - a, False)
+        a, b, th = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, theta)))
+        return self._one_point(
+            self._diag, (th, a + b - th), (th, a), (a, a + b - th), (b - th, th - a), False
         )
-        return out if out.ndim else float(out)
 
     def at_one_point_lower(self, a, b, theta):
         """Functional value at the smallest copula with C(a, b) = theta."""
-        a, b, th = (np.asarray(x, dtype=float) for x in (a, b, theta))
-        out = (
-            self._anti(a - th)
-            + (self._anti.total - self._anti(1.0 - b + th))
-            + self._seg(a - th, a + 0.0 * th, a + b - th, True)
-            + self._seg(a + 0.0 * th, 1.0 - b + th, 1.0 + th, True)
+        a, b, th = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, theta)))
+        return self._one_point(
+            self._anti, (a - th, 1.0 - b + th),
+            (a - th, a), (a, 1.0 - b + th), (a + b - th, 1.0 + th), True,
         )
-        return out if out.ndim else float(out)
 
 
 class SurfaceFunctional:
@@ -351,13 +358,17 @@ class SurfaceFunctional:
     The generic fallback when no expectation representation exists; the
     one-point maps evaluate the callable on freshly built bound copulas,
     one surface per point, so it is only suitable for cheap functionals
-    or modest grids.  Its attributes are ``MonotoneFunctional``'s.
+    or modest grids.  Its attributes are ``MonotoneFunctional``'s; a value
+    at M or W that is not finite raises ValueError.
     """
 
     def __init__(self, fn: Callable[[CopulaSurface], float]):
         self.fn = fn
         self.value_comonotone = float(fn(FRECHET_UPPER))
         self.value_countermonotone = float(fn(FRECHET_LOWER))
+        for bound, value in (("M", self.value_comonotone), ("W", self.value_countermonotone)):
+            if not np.isfinite(value):
+                raise ValueError(f"functional value at the Frechet bound {bound} is not finite: {value}")
         self.level_slack = _level_slack(self)
 
     def _map(self, builder, a, b, theta):

@@ -124,6 +124,17 @@ class TestOnePointMaps:
         with pytest.raises(QuadratureError, match="comonotone copula is not finite"):
             cb.MonotoneFunctional(lambda x, y: np.where(x > 200.0, np.inf, x * y), mx, my)
 
+    @pytest.mark.parametrize("at_m, at_w, bound", [
+        (float("inf"), 0.0, "M"),
+        (0.0, float("nan"), "W"),
+    ])
+    def test_surface_functional_non_finite_frechet_value_raises(self, at_m, at_w, bound):
+        # an infinite value would make the level slack infinite and accept
+        # any level; a NaN one would name a NaN attainable range
+        fn = lambda surface: at_m if surface is cb.FRECHET_UPPER else at_w
+        with pytest.raises(ValueError, match=f"Frechet bound {bound} is not finite"):
+            cb.SurfaceFunctional(fn)
+
 
 class TestRunningIntegral:
     """The unshifted paths' running integrals on the graded unit grid,
@@ -464,6 +475,58 @@ class TestKinkSubsegments:
             nodes, weights = mapped_nodes(F._t, F._w, a, b)
             full = full + (weights * F._path_values(nodes, shift[:, None], anti)).sum(axis=-1)
         np.testing.assert_array_equal(got, full)
+
+
+class _CallCountingMarginal(_CountingMarginal):
+    """Marginal that also counts the calls of its quantile hot path."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.quantile_calls = 0
+
+    def quantile_unchecked(self, u):
+        self.quantile_calls += 1
+        return super().quantile_unchecked(u)
+
+
+class TestStackedMaps:
+    """A map call integrates all its segments in one stacked rule call and
+    reads all its running-integral ends in one lookup; each point's value
+    is the same whatever the batch around it."""
+
+    @pytest.mark.parametrize("which", ["log_product_functional", "neg_spread_functional"])
+    def test_batch_equals_one_point_at_a_time(self, which, request):
+        F = request.getfixturevalue(which)
+        point = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                          st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+
+        @given(st.lists(point, min_size=1, max_size=12))
+        @settings(max_examples=20, deadline=None)
+        @example([(0.4, 0.7, 0.0), (0.4, 0.7, 1.0), (0.0, 0.3, 0.5), (1.0, 1.0, 0.5)])
+        def check(points):
+            a, b, frac = np.array(points).T
+            lo, hi = cb.frechet_lower(a, b), cb.frechet_upper(a, b)
+            # theta at W(a, b), at M(a, b) and between: empty segments occur
+            theta = np.where(frac == 1.0, hi, lo + frac * (hi - lo))
+            for fmap in (F.at_one_point_upper, F.at_one_point_lower):
+                batch = fmap(a, b, theta)
+                alone = np.array([fmap(*p) for p in zip(a, b, theta)])
+                assert batch.tobytes() == alone.tobytes()
+
+        check()
+
+    @pytest.mark.parametrize("n", [1, 512])
+    def test_unkinked_map_call_takes_two_quantile_calls_per_marginal(
+        self, lognormal_marginals, rng, n
+    ):
+        mx, my = (_CallCountingMarginal(m) for m in lognormal_marginals)
+        F = cb.MonotoneFunctional(lambda x, y: np.log(x) * np.log(y), mx, my)
+        a, b = rng.uniform(0.0, 1.0, (2, n))
+        theta = 0.5 * (cb.frechet_lower(a, b) + cb.frechet_upper(a, b))
+        for fmap in (F.at_one_point_upper, F.at_one_point_lower):
+            mx.quantile_calls = my.quantile_calls = 0
+            fmap(a, b, theta)
+            assert (mx.quantile_calls, my.quantile_calls) == (2, 2)
 
 
 def _record_maps(monkeypatch, F):
