@@ -47,18 +47,18 @@ from .quadrature import (
     DEFAULT_EPS,
     DEFAULT_ORDER,
     QuadratureError,
-    gauss_legendre_01,
     mapped_nodes,
     refine_roots,
     refine_sign_changes,
     solve_brackets,
     tanh_sinh_01,
-    unit_panel_edges,
+    unit_rule,
 )
 from .surfaces import (
     FRECHET_LOWER,
     FRECHET_UPPER,
     CopulaSurface,
+    check_unit_point,
     frechet_lower,
     frechet_upper,
     one_point_lower,
@@ -96,34 +96,40 @@ class LevelRangeError(ValueError):
 
 
 class _RunningIntegral:
-    """Antiderivative of the path integrand, tabulated at panel edges.
+    """Antiderivative of the integrand along the support of M (the co path
+    of shift 0) or, if ``anti``, of W (the anti path of shift 1), tabulated
+    at the panel edges of the unit rule.
 
     Evaluating the running integral at an arbitrary point costs one table
-    lookup plus a short Gauss-Legendre sum over the partial panel, so the
-    two unshifted segments of the one-point maps become O(1) instead of a
-    full quadrature per evaluation.  Its panels are the unit grid's.
+    lookup plus the rule on the partial panel, so the two unshifted
+    segments of the one-point maps become O(1) instead of a full quadrature
+    per evaluation.  A total (the value at M or W) that is not finite, or a
+    tail divergence (``Rule.check``), raises QuadratureError.
     """
 
-    def __init__(self, func: "MonotoneFunctional", shift: float, anti: bool):
+    def __init__(self, func: "MonotoneFunctional", anti: bool):
         self.func = func
-        self.shift = float(shift)
+        self.shift = 1.0 if anti else 0.0
         self.anti = anti
         breaks = []
         if func._kink is not None:
-            breaks = np.ravel(func._kink.splits(np.zeros(1), np.ones(1), np.full(1, shift), anti))
-        edges = unit_panel_edges(breakpoints=breaks)
-        nodes, weights = mapped_nodes(*gauss_legendre_01(DEFAULT_ORDER), edges[:-1], edges[1:])
-        sums = (weights * func._path_values(nodes, self.shift, anti)).sum(axis=-1)
-        self.edges = edges
+            ends = np.zeros(1), np.ones(1), np.full(1, self.shift)
+            breaks = np.ravel(func._kink.splits(*ends, anti))
+        self.rule = unit_rule(breakpoints=breaks)
+        vals = func._path_values(self.rule.nodes, self.shift, anti)
+        sums = (self.rule.weights * vals).reshape(-1, DEFAULT_ORDER).sum(axis=-1)
         self.cum = np.concatenate([[0.0], np.cumsum(sums)])
         self.total = float(self.cum[-1])
+        if not np.isfinite(self.total):
+            name = "countermonotone" if anti else "comonotone"
+            raise QuadratureError(f"functional value at the {name} copula is not finite")
+        self.rule.check(vals, self.total)
 
     def __call__(self, t):
         t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-        idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, self.edges.size - 2)
-        nodes, weights = mapped_nodes(*gauss_legendre_01(DEFAULT_ORDER), self.edges[idx], t)
+        panel, nodes, weights = self.rule.partial_panels(t)
         part = (weights * self.func._path_values(nodes, self.shift, self.anti)).sum(axis=-1)
-        return self.cum[idx] + part
+        return self.cum[panel] + part
 
 
 class _KinkCurve:
@@ -265,11 +271,8 @@ class MonotoneFunctional:
         self._t, self._w = tanh_sinh_01(_MAP_NODES)
         self._spot_check_two_increasing()
         self._kink = None if kink is None else _KinkCurve(self)
-        self._diag = _RunningIntegral(self, shift=0.0, anti=False)
-        self._anti = _RunningIntegral(self, shift=1.0, anti=True)
-        for name, run in (("comonotone", self._diag), ("countermonotone", self._anti)):
-            if not np.isfinite(run.total):
-                raise QuadratureError(f"functional value at the {name} copula is not finite")
+        self._diag = _RunningIntegral(self, anti=False)
+        self._anti = _RunningIntegral(self, anti=True)
         self.value_comonotone = self._diag.total
         self.value_countermonotone = self._anti.total
         self.level_slack = _level_slack(self)
@@ -477,8 +480,7 @@ def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
 def _invert_point(functional, a, b, level, side: str, theta_tol) -> float:
     """The extreme root of the map of ``side`` at one point (a, b)."""
     check_theta_tol(theta_tol)
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ValueError("(a, b) must lie in the unit square")
+    check_unit_point(a, b)
     theta, f_lo, f_hi = _invert_batch(functional, a, b, level, side, theta_tol)
     slack = functional.level_slack
     if not f_lo - slack <= level <= f_hi + slack:
@@ -600,10 +602,10 @@ def envelope_families(surfaces) -> list:
     for j, s in enumerate(surfaces):
         family = s.structure[-1] if s.structure else None
         if isinstance(family, _EnvelopeFamily):
-            _, positions, members = families.setdefault(id(family), (family, [], []))
+            positions, members = families.setdefault(family, ([], []))
             positions.append(j)
             members.append(s.structure[:2])
-    return list(families.values())
+    return [(family, *found) for family, found in families.items()]
 
 
 def evaluate_surfaces(surfaces, u, v) -> list:

@@ -421,7 +421,8 @@ def price_batch(
     cross the kinks of the surfaces, all found together, and each surface
     is called once per rule.  Payoffs whose curvature lies on one line
     share one rule on it, split at the ends of their segments.  Equal
-    payoffs are priced once and share their row's values.  Raises
+    payoffs are priced once and share their row's values; a surface listed
+    more than once is priced once, and its columns are equal.  Raises
     ValueError unless ``panels`` is an integer >= 1 or for an unknown
     payoff kind, and QuadratureError on boundary-integrability violations.
     """
@@ -430,9 +431,11 @@ def price_batch(
     index = {}  # distinct payoff -> its row in out; equal payoffs share it
     rows = [index.setdefault(p, len(index)) for p in payoffs]
     payoffs = list(index)
-    surfaces = list(surfaces)
+    column = {}  # distinct surface -> its column in out; surfaces hash by identity
+    cols = [column.setdefault(s, len(column)) for s in surfaces]
+    surfaces = list(column)
     if not payoffs:
-        return np.empty((0, len(surfaces)))
+        return np.empty((0, len(cols)))
     out = np.empty((len(payoffs), len(surfaces)))
     by_line = {}  # (cx, dx, cy, dy) -> {payoff index: segment}
     for i, p in enumerate(payoffs):
@@ -446,7 +449,7 @@ def price_batch(
         out[list(g)] = _path_terms(segs, path, breaks, surfaces, m_x, m_y, panels)
     at_origin = np.array([float(payoff_value(p, 0.0, 0.0)) for p in payoffs])
     edges = _edge_terms(payoffs, m_x, True) + _edge_terms(payoffs, m_y, False) - at_origin
-    return (out + edges[:, None])[rows]
+    return (out + edges[:, None])[np.ix_(rows, cols)]
 
 
 def price(

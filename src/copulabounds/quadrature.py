@@ -20,7 +20,6 @@ __all__ = [
     "QuadratureError",
     "Rule",
     "unit_rule",
-    "unit_panel_edges",
     "interval_rule",
     "gauss_legendre_01",
     "tanh_sinh_01",
@@ -67,39 +66,48 @@ def tanh_sinh_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Rule:
-    """Fixed nodes and positive weights for one integral."""
+    """Fixed nodes and positive weights for one integral: DEFAULT_ORDER
+    Gauss-Legendre nodes on each panel between adjacent ``edges``."""
 
     nodes: np.ndarray
     weights: np.ndarray
+    edges: np.ndarray
 
     def integrate_checked(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Integrate and raise QuadratureError on non-finite values or
-        geometric tail divergence near 0 or 1 (unit rules only)."""
+        """Integrate and raise QuadratureError as ``check`` does."""
         vals = np.asarray(fn(self.nodes), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError("integrand is non-finite at a quadrature node")
         total = float(np.einsum("i,i->", self.weights, vals))  # no BLAS threads woken
-        _check_tail_divergence(self.nodes, self.weights * vals, total)
+        self.check(vals, total)
         return total
 
+    def check(self, vals: np.ndarray, total: float) -> None:
+        """Raise QuadratureError for non-finite ``vals`` (the integrand at the
+        nodes) or, on unit rules, for a tail divergence of their ``total``."""
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureError("integrand is non-finite at a quadrature node")
+        # Convergent endpoint behaviour shows up as decade contributions that
+        # shrink toward the endpoint; flat or growing decades mean divergence.
+        contrib = self.weights * vals
+        scale = max(1.0, abs(total))
+        for dist in (self.nodes, 1.0 - self.nodes):
+            near = dist < 1e-2
+            if not np.any(near):
+                continue
+            decades = np.floor(-np.log10(np.maximum(dist[near], 1e-300))).astype(int)
+            sums = np.bincount(decades, weights=contrib[near])
+            mags = np.abs(sums[2:])
+            mags = mags[mags > 1e-13 * scale]
+            if mags.size >= 3 and mags[-1] >= 0.9 * mags[-2] >= 0.81 * mags[-3]:
+                raise QuadratureError(
+                    "integrand appears non-integrable near an endpoint "
+                    f"(decade sums {mags[-3:]!r})"
+                )
 
-def _check_tail_divergence(nodes: np.ndarray, contrib: np.ndarray, total: float) -> None:
-    # Convergent endpoint behaviour shows up as decade contributions that
-    # shrink toward the endpoint; flat or growing decades mean divergence.
-    scale = max(1.0, abs(total))
-    for dist in (nodes, 1.0 - nodes):
-        near = dist < 1e-2
-        if not np.any(near):
-            continue
-        decades = np.floor(-np.log10(np.maximum(dist[near], 1e-300))).astype(int)
-        sums = np.bincount(decades, weights=contrib[near])
-        mags = np.abs(sums[2:])
-        mags = mags[mags > 1e-13 * scale]
-        if mags.size >= 3 and mags[-1] >= 0.9 * mags[-2] >= 0.81 * mags[-3]:
-            raise QuadratureError(
-                "integrand appears non-integrable near an endpoint "
-                f"(decade sums {mags[-3:]!r})"
-            )
+    def partial_panels(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(panel, nodes, weights)``: the panel holding each point ``t`` and
+        its rule mapped onto the part of it left of the point."""
+        panel = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, self.edges.size - 2)
+        return (panel, *mapped_nodes(*gauss_legendre_01(DEFAULT_ORDER), self.edges[panel], t))
 
 
 def _unit_edges() -> np.ndarray:
@@ -112,32 +120,19 @@ def _unit_edges() -> np.ndarray:
     return np.unique(np.concatenate([stack[::-1], mid[1:-1], 1.0 - stack]))
 
 
-def _rule_from_edges(edges: np.ndarray, order: int) -> Rule:
-    t, w = gauss_legendre_01(order)
-    nodes, weights = mapped_nodes(t, w, edges[:-1], edges[1:])
-    return Rule(nodes.ravel(), weights.ravel())
-
-
-def _merge_breaks(
-    edges: np.ndarray, breakpoints: Iterable[float], lo: float, hi: float
-) -> np.ndarray:
-    """``edges`` merged with the ``breakpoints`` strictly inside (lo, hi)."""
+def _rule(edges: np.ndarray, breakpoints: Iterable[float], lo: float, hi: float) -> Rule:
+    """Rule on ``edges`` merged with the ``breakpoints`` strictly inside (lo, hi)."""
     b = np.asarray(list(breakpoints), dtype=float)
     if b.size:
         edges = np.unique(np.concatenate([edges, b[(b > lo) & (b < hi)]]))
-    return edges
-
-
-def unit_panel_edges(breakpoints: Iterable[float] = ()) -> np.ndarray:
-    """Edges of the graded unit grid on (DEFAULT_EPS, 1-DEFAULT_EPS) merged
-    with ``breakpoints``."""
-    return _merge_breaks(_unit_edges(), breakpoints, DEFAULT_EPS, 1.0 - DEFAULT_EPS)
+    nodes, weights = mapped_nodes(*gauss_legendre_01(DEFAULT_ORDER), edges[:-1], edges[1:])
+    return Rule(nodes.ravel(), weights.ravel(), edges)
 
 
 def unit_rule(breakpoints: Iterable[float] = ()) -> Rule:
-    """Rule of order DEFAULT_ORDER on the graded unit grid split at
+    """Rule on the graded unit grid on [DEFAULT_EPS, 1-DEFAULT_EPS] split at
     ``breakpoints``; built on every call, nothing is cached."""
-    return _rule_from_edges(unit_panel_edges(breakpoints), DEFAULT_ORDER)
+    return _rule(_unit_edges(), breakpoints, DEFAULT_EPS, 1.0 - DEFAULT_EPS)
 
 
 def interval_rule(
@@ -146,12 +141,10 @@ def interval_rule(
     panels: int,
     breakpoints: Iterable[float] = (),
 ) -> Rule:
-    """Uniform composite rule of order DEFAULT_ORDER on [lo, hi] with panels
-    split at breakpoints."""
+    """Uniform composite rule on [lo, hi] with panels split at breakpoints."""
     if not hi > lo:
-        return Rule(np.empty(0), np.empty(0))
-    edges = np.linspace(lo, hi, int(panels) + 1)
-    return _rule_from_edges(_merge_breaks(edges, breakpoints, lo, hi), DEFAULT_ORDER)
+        return _rule(np.empty(0), (), lo, hi)
+    return _rule(np.linspace(lo, hi, int(panels) + 1), breakpoints, lo, hi)
 
 
 def mapped_nodes(

@@ -9,11 +9,12 @@ point; the reference is the Gaussian-copula model that synthesizes the
 "known" dependence information.  Each row holds five curves: the Frechet
 band, the improved band and the reference.  Without a payoff they are
 surface values at the sweep point's marginal probabilities; with one, the
-whole sweep is priced by one ``pricing.price_batch`` call.  Its nodes
-depend on the payoffs, the marginals, ``panels`` and the kinks of all the
-sweep's surfaces, and every curve is priced on them, so the ordering of
-the curves is exact; the payoff's concordance sign decides which surface
-prices which end of each band.
+whole sweep is priced by one ``pricing.price_batch`` call, which takes
+each row's five surfaces and prices a surface shared by rows once.  Its
+nodes depend on the payoffs, the marginals, ``panels`` and the kinks of
+all the sweep's surfaces, and every curve is priced on them, so the
+ordering of the curves is exact; the payoff's concordance sign decides
+which surface prices which end of each band.
 """
 
 from __future__ import annotations
@@ -267,13 +268,11 @@ def run_scenario(cfg: ScenarioConfig, pieces: tuple | None = None) -> list[Curve
             u, v = float(m_x.cdf(a)), float(m_y.cdf(a))
             rows.append(CurveRow(a, *(float(s(u, v)) for s in row)))
         return rows
-    # Surfaces hold arrays and do not hash, so they are told apart by identity.
     payoffs = [spec.payoff(a) for a in axes]
-    distinct = {id(s): s for row in surfaces for s in row}
-    surface_col = {key: j for j, key in enumerate(distinct)}
-    prices = pricing.price_batch(payoffs, list(distinct.values()), m_x, m_y, panels=cfg.panels)
-    for a, p, row, row_prices in zip(axes, payoffs, surfaces, prices, strict=True):
-        values = [float(row_prices[surface_col[id(s)]]) for s in row]
+    flat = [s for row in surfaces for s in row]
+    prices = pricing.price_batch(payoffs, flat, m_x, m_y, panels=cfg.panels)
+    for i, (a, p, row) in enumerate(zip(axes, payoffs, surfaces, strict=True)):
+        values = prices[i, i * len(row) : (i + 1) * len(row)].tolist()  # row i's own surfaces
         # prices of submodular payoffs decrease along the surface order
         if pricing.payoff_sign(p) < 0:
             values.reverse()
@@ -294,18 +293,13 @@ def check_rows(cfg: ScenarioConfig, rows: list[CurveRow]) -> list[str]:
 
 def validate_scenario_surfaces(cfg: ScenarioConfig, pieces: tuple | None = None) -> list:
     """Grid validation reports for the distinct improved surfaces of the
-    sweep, in sweep order (lower before upper); distinct by identity, as in
-    ``run_scenario``, so a band that does not vary along the sweep gives
-    one pair.  ``pieces`` as in ``run_scenario``.  The lattice has
-    ``cfg.grid_n`` cells per side; the members of one envelope family are
-    evaluated on it together.
+    sweep, in sweep order (lower before upper), so a band that does not vary
+    along the sweep gives one pair.  ``pieces`` as in ``run_scenario``.  The
+    lattice has ``cfg.grid_n`` cells per side; the members of one envelope
+    family are evaluated on it together.
     """
     bands = (pieces or SCENARIOS[cfg.scenario].pieces(cfg))[2]
-    distinct = {}
-    for low, _, up in bands:
-        distinct.setdefault(id(low), low)
-        distinct.setdefault(id(up), up)
-    surfaces = list(distinct.values())
+    surfaces = list(dict.fromkeys(s for low, _, up in bands for s in (low, up)))
     return [
         _validate(values, kind="copula" if s.is_copula else "quasi-copula")
         for s, values in zip(surfaces, evaluate_surfaces(surfaces, *lattice(cfg.grid_n)))

@@ -6,8 +6,8 @@ concurrently.  Each surface carries a provenance tag: ``known-copula``
 for surfaces that are copulas by construction, ``quasi-copula`` for
 best-possible bounds that need not be 2-increasing, and ``unverified``
 for arbitrary user evaluators.  A ``structure`` tuple records how the
-surface was built so downstream code can specialize (for example the
-one-dimensional reductions of concordance functionals).
+surface was built, and marks the members of an envelope family, which
+are evaluated together.
 """
 
 from __future__ import annotations
@@ -70,22 +70,29 @@ class Rectangle(NamedTuple):
 
 def unit_square_args(u, v) -> tuple[np.ndarray, np.ndarray]:
     """``u`` and ``v`` as float arrays clipped to [0, 1]; ValueError for
-    arguments more than 1e-12 outside the unit square."""
+    arguments that are NaN or more than 1e-12 outside the unit square."""
     uu = np.asarray(u, dtype=float)
     vv = np.asarray(v, dtype=float)
-    if (
-        np.any(uu < -_DOMAIN_SLACK)
-        or np.any(uu > 1.0 + _DOMAIN_SLACK)
-        or np.any(vv < -_DOMAIN_SLACK)
-        or np.any(vv > 1.0 + _DOMAIN_SLACK)
+    if not (  # every comparison with NaN is false
+        np.all(uu >= -_DOMAIN_SLACK)
+        and np.all(uu <= 1.0 + _DOMAIN_SLACK)
+        and np.all(vv >= -_DOMAIN_SLACK)
+        and np.all(vv <= 1.0 + _DOMAIN_SLACK)
     ):
         raise ValueError("arguments must lie in the unit square")
     return np.clip(uu, 0.0, 1.0), np.clip(vv, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
+def check_unit_point(a: float, b: float) -> None:
+    """ValueError unless (a, b) lies in the closed unit square; NaN fails."""
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise ValueError("(a, b) must lie in the unit square")
+
+
+@dataclass(frozen=True, eq=False)
 class CopulaSurface:
-    """Evaluable function on the unit square with provenance metadata."""
+    """Evaluable function on the unit square with provenance metadata.
+    Surfaces compare and hash by identity."""
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     tag: str = "unverified"
@@ -133,11 +140,10 @@ def volume(surface: CopulaSurface, rect: Rectangle) -> float:
 
 def _check_point_value(a: float, b: float, theta: float) -> tuple[float, float, float]:
     a, b, theta = float(a), float(b), float(theta)
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ValueError("(a, b) must lie in the unit square")
+    check_unit_point(a, b)
     lo = max(0.0, a + b - 1.0)
     hi = min(a, b)
-    if theta < lo - _DOMAIN_SLACK or theta > hi + _DOMAIN_SLACK:
+    if not lo - _DOMAIN_SLACK <= theta <= hi + _DOMAIN_SLACK:
         raise ValueError(
             f"value {theta} at ({a}, {b}) violates the Frechet bounds [{lo}, {hi}]"
         )

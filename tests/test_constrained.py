@@ -233,6 +233,15 @@ def _checked_chains(draw):
 
 
 class TestChainPath:
+    def test_a_chain_envelope_is_a_dict_key(self):
+        # surfaces compare and hash by identity, although a point-set
+        # envelope's structure holds the constraint arrays
+        points = [(0.2, 0.3, 0.1), (0.5, 0.6, 0.4), (0.8, 0.9, 0.7)]
+        up = cb.upper_bound(points)
+        assert cb.ConstraintSet.from_points(points).is_increasing
+        assert {up: "upper"}[up] == "upper"
+        assert len({up, up, cb.upper_bound(points)}) == 2
+
     @given(points=_checked_chains())
     @settings(max_examples=150, deadline=None)
     def test_chain_scan_matches_the_pairwise_check(self, points):

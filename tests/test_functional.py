@@ -124,6 +124,25 @@ class TestOnePointMaps:
         with pytest.raises(QuadratureError, match="comonotone copula is not finite"):
             cb.MonotoneFunctional(lambda x, y: np.where(x > 200.0, np.inf, x * y), mx, my)
 
+    @pytest.mark.parametrize("scale", [10.0, 40.0])
+    def test_divergent_frechet_value_raises_at_construction(self, lognormal_marginals, scale):
+        # E[exp((X + Y) / scale)] is infinite for lognormal X and Y, though
+        # the sums on the clipped unit grid are finite (1.3e39 and 689.4):
+        # the running integrals pass the unit rule's tail-divergence check
+        with pytest.raises(QuadratureError, match="non-integrable near an endpoint"):
+            cb.MonotoneFunctional(lambda x, y: np.exp((x + y) / scale), *lognormal_marginals)
+
+    def test_shipped_frechet_values_are_pinned(self, neg_spread_functional, log_product_functional):
+        # the bits of the values at M and W of the two shipped functionals:
+        # the running integrals sum the unit rule's nodes panel by panel
+        for F, at_m, at_w in (
+            (neg_spread_functional, "-0x1.fe6ef53baf1eep+1", "-0x1.3bdc38d4d9243p+4"),
+            (log_product_functional, "0x1.4f81aa1ebd961p+4", "0x1.4d962500061eap+4"),
+        ):
+            assert (F.value_comonotone, F.value_countermonotone) == (
+                float.fromhex(at_m), float.fromhex(at_w)
+            )
+
     @pytest.mark.parametrize("at_m, at_w, bound", [
         (float("inf"), 0.0, "M"),
         (0.0, float("nan"), "W"),
@@ -143,7 +162,7 @@ class TestRunningIntegral:
 
     @staticmethod
     def finer(ri, t):
-        fine = np.linspace(ri.edges[:-1], ri.edges[1:], 5).T.ravel()
+        fine = np.linspace(ri.rule.edges[:-1], ri.rule.edges[1:], 5).T.ravel()
         fine = np.unique(np.append(fine[fine < t], t))
         nodes, weights = mapped_nodes(*gauss_legendre_01(DEFAULT_ORDER), fine[:-1], fine[1:])
         return float((weights * ri.func._path_values(nodes, ri.shift, ri.anti)).sum())
@@ -206,6 +225,15 @@ class TestInversion:
             call(F, a, 0.5, level)
         with pytest.raises(ValueError, match=r"\(a, b\) must lie in the unit square"):
             call(F, 0.5, a, level)
+
+    @pytest.mark.parametrize("u, v", [(np.nan, 0.5), (0.5, [0.3, np.nan])])
+    def test_nan_point_on_an_envelope_member_raises(self, product_functional, u, v):
+        F = product_functional
+        lower, _ = cb.bound_surfaces_for_level(F, 0.5 * (F.value_comonotone + F.value_countermonotone))
+        with pytest.raises(ValueError, match="arguments must lie in the unit square"):
+            lower(u, v)
+        with pytest.raises(ValueError, match="arguments must lie in the unit square"):
+            evaluate_surfaces([lower], u, v)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, 1e-16])
     def test_unreachable_theta_tolerance_raises(self, product_functional, tol):

@@ -418,6 +418,20 @@ class TestPriceBatch:
         assert calls == {"integrate_checked": 2, "upper_cutoff": 2}
         np.testing.assert_array_equal(many, np.repeat(one, 21, axis=0))
 
+    def test_a_surface_listed_twice_is_priced_once(self, lognormal_marginals):
+        # a scenario lists each row's five surfaces, so a band shared by the
+        # rows of a sweep is listed once per row
+        mx, my = lognormal_marginals
+        ref, calls = cb.gaussian_copula(0.4), []
+        counted = cb.CopulaSurface(lambda u, v: calls.append(np.shape(u)) or ref.fn(u, v))
+        payoffs = [cb.spread(0.0), cb.spread(10.0)]  # two lines, so two path rules
+        once = cb.price_batch(payoffs, [counted, cb.PRODUCT], mx, my)
+        calls.clear()
+        twice = cb.price_batch(payoffs, [counted, cb.PRODUCT, counted], mx, my)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(twice[:, 0], twice[:, 2])
+        np.testing.assert_array_equal(twice, once[:, [0, 1, 0]])
+
     @pytest.mark.parametrize("panels", [0, -3, 40.5])
     @pytest.mark.parametrize("call", ["price", "price_batch", "price_interval"])
     def test_panels_must_be_a_positive_integer(self, lognormal_marginals, call, panels):

@@ -198,6 +198,16 @@ class TestGaussianCopula:
     (lambda: cb.CopulaSurface(np.minimum, tag="copula"), "unknown provenance tag 'copula'"),
     (lambda: cb.one_point_upper(1.2, 0.5, 0.4), r"\(a, b\) must lie in the unit square"),
     (lambda: cb.one_point_upper(0.5, -0.1, 0.0), r"\(a, b\) must lie in the unit square"),
+    # every comparison with NaN is false: NaN must fail the range tests
+    (lambda: cb.one_point_upper(0.5, 0.5, np.nan), "value nan at .* violates the Frechet bounds"),
+    (lambda: cb.one_point_lower(0.5, 0.5, np.nan), "value nan at .* violates the Frechet bounds"),
+    (lambda: cb.one_point_lower(np.nan, 0.5, 0.2), r"\(a, b\) must lie in the unit square"),
+    (lambda: cb.PRODUCT(np.nan, 0.3), "arguments must lie in the unit square"),
+    (lambda: cb.PRODUCT(0.3, [0.2, np.nan]), "arguments must lie in the unit square"),
+    (lambda: cb.upper_bound([(0.2, 0.3, 0.1), (0.5, 0.6, 0.4)])(np.nan, 0.5),
+     "arguments must lie in the unit square"),
+    (lambda: cb.lower_bound([(0.2, 0.3, 0.1), (0.5, 0.6, 0.4)])([0.5, 0.7], np.nan),
+     "arguments must lie in the unit square"),
     (lambda: bivariate_normal_cdf(0.0, 0.0, 1.0), r"strictly inside \(-1, 1\)"),
     (lambda: bivariate_normal_cdf(0.0, 0.0, -1.0), r"strictly inside \(-1, 1\)"),
 ])
