@@ -10,6 +10,8 @@ from .constrained import (
     constraints_from_csv,
     constraints_from_price_csv,
     lower_bound,
+    one_point_lower,
+    one_point_upper,
     upper_bound,
 )
 from .functional import (
@@ -66,8 +68,6 @@ from .surfaces import (
     frechet_lower,
     frechet_upper,
     gaussian_copula,
-    one_point_lower,
-    one_point_upper,
     reflect_second,
     survival_value,
     validate_copula,

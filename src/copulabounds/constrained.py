@@ -4,9 +4,10 @@ Given the values of an unknown copula on a finite set of points, the
 pointwise envelope of all quasi-copulas matching those values is
 computable in closed form.  The upper envelope adds the one-sided
 Lipschitz cone to each constraint and takes the minimum; the lower
-envelope subtracts it and takes the maximum.  When the point set is
-decreasing the upper envelope is itself a copula (and hence sharp for
-copulas too); when it is increasing the lower envelope is.
+envelope subtracts it and takes the maximum; the upper one is coded as
+the lower one's image under negating a, b, theta, u and v.  When the point
+set is decreasing the upper envelope is itself a copula (and hence sharp
+for copulas too); when it is increasing the lower envelope is.
 
 When the point set is a chain (increasing: every pair ordered the same
 way in both coordinates), sorting it by (a, b) makes both coordinates
@@ -38,6 +39,8 @@ __all__ = [
     "classify",
     "upper_bound",
     "lower_bound",
+    "one_point_lower",
+    "one_point_upper",
     "bounds_from_second_to_default",
     "bounds_from_max_options",
     "constraints_from_csv",
@@ -54,6 +57,12 @@ _BLOCK_POINTS = 1 << 13
 
 def _nondecreasing(x: np.ndarray) -> bool:
     return bool(np.all(x[1:] >= x[:-1]))
+
+
+def _is_chain(a, b) -> bool:
+    """Every pair satisfies (a_i - a_j)(b_i - b_j) >= 0: sorted by (a, b),
+    b is nondecreasing."""
+    return _nondecreasing(b[np.lexsort((b, a))])
 
 
 class ConstraintError(ValueError):
@@ -163,15 +172,13 @@ class ConstraintSet:
 
     @property
     def is_increasing(self) -> bool:
-        """Every pair satisfies (a_i - a_j)(b_i - b_j) >= 0: sorted by
-        (a, b), b is nondecreasing."""
-        return _nondecreasing(self.b[np.lexsort((self.b, self.a))])
+        """Every pair satisfies (a_i - a_j)(b_i - b_j) >= 0."""
+        return _is_chain(self.a, self.b)
 
     @property
     def is_decreasing(self) -> bool:
-        """Every pair satisfies (a_i - a_j)(b_i - b_j) <= 0: sorted by
-        (a, -b), b is nonincreasing."""
-        return _nondecreasing(-self.b[np.lexsort((-self.b, self.a))])
+        """Every pair satisfies (a_i - a_j)(b_i - b_j) <= 0: (a, -b) is a chain."""
+        return _is_chain(self.a, -self.b)
 
     def reflected(self) -> "ConstraintSet":
         """Image under (a, b, theta) -> (a, 1-b, a-theta); swaps the roles of
@@ -200,44 +207,40 @@ def _as_constraints(constraints) -> ConstraintSet:
     return ConstraintSet.from_points(constraints)
 
 
-def _upper_term(t, a, b, u, v):
-    return t + np.maximum(u - a, 0.0) + np.maximum(v - b, 0.0)
-
-
 def _lower_term(t, a, b, u, v):
     return t - np.maximum(a - u, 0.0) - np.maximum(b - v, 0.0)
 
 
-def _direct_envelope(cs: ConstraintSet, bound, term, best):
-    """The envelope by its definition: ``best`` of the Frechet ``bound``
-    and every constraint's term, one constraint at a time."""
+def _direct_envelope(a, b, t, bound):
+    """The lower envelope by its definition: the largest of ``bound`` and
+    every constraint's term, one constraint at a time."""
 
     def fn(u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         out = bound(u, v)
-        for ak, bk, tk in zip(cs.a, cs.b, cs.theta):
-            out = best(out, term(tk, ak, bk, u, v))
+        for ak, bk, tk in zip(a, b, t):
+            out = np.maximum(out, _lower_term(tk, ak, bk, u, v))
         return out
 
     return fn
 
 
 class _RangeBest:
-    """Index of the best key over index ranges of the rows of ``keys``
+    """Index of the largest key over index ranges of the rows of ``keys``
     (m x n), from a sparse table of best indices: entry [r, k, p] is the
-    index of the best key in ``keys[r, p:p + 2**k]``, the earliest on ties
-    (entries with p > n - 2**k are unused).  O(n log n) to build; a range
-    query reads two overlapping power-of-two windows."""
+    index of the largest key in ``keys[r, p:p + 2**k]``, the earliest on
+    ties (entries with p > n - 2**k are unused).  O(n log n) to build; a
+    range query reads two overlapping power-of-two windows."""
 
-    def __init__(self, keys: np.ndarray, better):
+    def __init__(self, keys: np.ndarray):
         m, n = keys.shape
         levels = [np.tile(np.arange(n), (m, 1))]
         w = 1
         while 2 * w <= n:
             prev = levels[-1]
             left, right = prev[:, : n - w], prev[:, w:]
-            take = better(np.take_along_axis(keys, right, 1), np.take_along_axis(keys, left, 1))
+            take = np.take_along_axis(keys, right, 1) > np.take_along_axis(keys, left, 1)
             level = prev.copy()
             level[:, : n - w] = np.where(take, right, left)
             levels.append(level)
@@ -245,7 +248,7 @@ class _RangeBest:
         # flat storage: one gather per lookup instead of a multi-index one
         self.table = np.stack(levels, axis=1).ravel()  # [r, k, p] at (r * depth + k) * n + p
         self.keys = keys.ravel()  # [r, p] at r * n + p
-        self.n, self.depth, self.better = n, len(levels), better
+        self.n, self.depth = n, len(levels)
         # floor(log2(length)) and 2**floor(log2(length)) for lengths 1..n
         self.log2 = np.frexp(np.arange(n + 1))[1] - 1
         self.pow2 = 1 << np.maximum(self.log2, 0)
@@ -258,29 +261,30 @@ class _RangeBest:
         window = (row * self.depth + self.log2[length]) * n + start
         c1 = self.table[window]
         c2 = self.table[window + length - self.pow2[length]]
-        return np.where(self.better(self.keys[row * n + c2], self.keys[row * n + c1]), c2, c1)
+        return np.where(self.keys[row * n + c2] > self.keys[row * n + c1], c2, c1)
 
 
-def _chain_envelope(cs: ConstraintSet, bound, term, best, better, keys):
-    """The envelope of a chain, equal to ``_direct_envelope``.
+def _chain_envelope(a, b, t, bound):
+    """The lower envelope of a chain, equal to ``_direct_envelope``.
 
     Sorted by (a, b), a chain has both coordinates nondecreasing, so with
-    i = #{a_k <= u} and j = #{b_k <= v} each term is ``keys(a, b, t)[r]``
-    plus a function of (u, v) on index range r: k < min(i, j), then
-    i <= k < j or j <= k < i, then k >= max(i, j).  (A constraint with
-    a_k = u or b_k = v has the same term in either neighbouring range.)
-    Each point evaluates ``term`` on the best index of each nonempty range.
+    i = #{a_k <= u} and j = #{b_k <= v} each term is a key plus a function
+    of (u, v) on index range r: t on k < min(i, j), t - a on i <= k < j,
+    t - b on j <= k < i and t - a - b on k >= max(i, j).  (A constraint
+    with a_k = u or b_k = v has the same term in either neighbouring
+    range.)  Each point evaluates the term on the best index of each
+    nonempty range.
     """
-    order = np.lexsort((cs.b, cs.a))
-    a, b, t = cs.a[order], cs.b[order], cs.theta[order]
+    order = np.lexsort((b, a))
+    a, b, t = a[order], b[order], t[order]
     n = a.size
-    best_in = _RangeBest(np.stack(keys(a, b, t)), better)
+    best_in = _RangeBest(np.stack((t, t - a, t - b, t - a - b)))
     every = np.arange(n)
     prefix = best_in(0, np.zeros(n, dtype=int), every + 1)
     suffix = best_in(3, every, np.full(n, n))
 
     def block(u, v, out):
-        # tightens ``out``, a view of the result, in place
+        # raises ``out``, a view of the result, in place
         i = np.searchsorted(a, u, side="right")
         j = np.searchsorted(b, v, side="right")
         lo, hi = np.minimum(i, j), np.maximum(i, j)
@@ -290,7 +294,7 @@ def _chain_envelope(cs: ConstraintSet, bound, term, best, better, keys):
             (middle, lo < hi),
             (suffix[np.minimum(hi, n - 1)], hi < n),
         ):
-            best(out, term(t[k], a[k], b[k], u, v), out=out, where=nonempty)
+            np.maximum(out, _lower_term(t[k], a[k], b[k], u, v), out=out, where=nonempty)
 
     def fn(u, v):
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
@@ -305,12 +309,13 @@ def _chain_envelope(cs: ConstraintSet, bound, term, best, better, keys):
     return fn
 
 
-def _envelope(cs: ConstraintSet, bound, term, best, better, keys):
-    """The envelope's function: ``_chain_envelope`` for a nonempty
-    increasing set, ``_direct_envelope`` otherwise."""
-    if len(cs) and cs.is_increasing:
-        return _chain_envelope(cs, bound, term, best, better, keys)
-    return _direct_envelope(cs, bound, term, best)
+def _envelope(a, b, t, bound):
+    """The lower envelope's function from the start value ``bound``:
+    ``_chain_envelope`` for a nonempty chain, ``_direct_envelope``
+    otherwise."""
+    if a.size and _is_chain(a, b):
+        return _chain_envelope(a, b, t, bound)
+    return _direct_envelope(a, b, t, bound)
 
 
 def upper_bound(constraints) -> CopulaSurface:
@@ -320,9 +325,10 @@ def upper_bound(constraints) -> CopulaSurface:
     in general only a quasi-copula.
     """
     cs = _as_constraints(constraints)
-    # term = t + (u - a)^+ + (v - b)^+, smallest wins
-    fn = _envelope(cs, frechet_upper, _upper_term, np.minimum, np.less,
-                   lambda a, b, t: (t - a - b, t - b, t - a, t))
+    # The lower envelope of the negated data from -M = max(-u, -v), at (-u, -v),
+    # negated: its terms are t + (u - a)^+ + (v - b)^+ bit for bit.
+    lower = _envelope(-cs.a, -cs.b, -cs.theta, np.maximum)
+    fn = lambda u, v: -lower(-np.asarray(u, dtype=float), -np.asarray(v, dtype=float))
     tag = "known-copula" if cs.is_decreasing else "quasi-copula"
     return CopulaSurface(
         fn, tag=tag, name=f"constrained-upper(n={len(cs)})", structure=("point-set-upper", cs)
@@ -335,13 +341,21 @@ def lower_bound(constraints) -> CopulaSurface:
     A copula (tagged ``known-copula``) when the point set is increasing.
     """
     cs = _as_constraints(constraints)
-    # term = t - (a - u)^+ - (b - v)^+, largest wins
-    fn = _envelope(cs, frechet_lower, _lower_term, np.maximum, np.greater,
-                   lambda a, b, t: (t, t - a, t - b, t - a - b))
+    fn = _envelope(cs.a, cs.b, cs.theta, frechet_lower)
     tag = "known-copula" if cs.is_increasing else "quasi-copula"
     return CopulaSurface(
         fn, tag=tag, name=f"constrained-lower(n={len(cs)})", structure=("point-set-lower", cs)
     )
+
+
+def one_point_upper(a: float, b: float, theta: float) -> CopulaSurface:
+    """Largest copula with value ``theta`` at ``(a, b)``, its upper envelope."""
+    return upper_bound([(a, b, theta)])
+
+
+def one_point_lower(a: float, b: float, theta: float) -> CopulaSurface:
+    """Smallest copula with value ``theta`` at ``(a, b)``, its lower envelope."""
+    return lower_bound([(a, b, theta)])
 
 
 def bounds_from_second_to_default(

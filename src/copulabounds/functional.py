@@ -42,6 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .constrained import one_point_lower, one_point_upper
 from .marginals import Marginal
 from .quadrature import (
     DEFAULT_EPS,
@@ -61,8 +62,6 @@ from .surfaces import (
     check_unit_point,
     frechet_lower,
     frechet_upper,
-    one_point_lower,
-    one_point_upper,
     unit_square_args,
 )
 
@@ -555,42 +554,29 @@ class _EnvelopeFamily:
         That map is level-free, so it is evaluated once per probe and side,
         whatever the number of levels; the sign changes between adjacent
         probes bracket every level's roots, which are refined in one
-        ``refine_roots`` call.  Two roots between the same two probes are
-        missed.
+        ``refine_roots`` call per side.  Two roots between the same two
+        probes are missed.
 
         Returns ``(roots, rows, sides)``: each root, its path row, and the
         side on which the member leaves its Frechet bound, +1 for larger z
         and -1 for smaller.
         """
         u, v = at(probes, np.arange(probes.shape[0])[:, None])
-        found, records = [], []
+        found = []
         for _, record, levels in _levels_by_side(members):
             target = np.array(levels) + record.slack_sign * self.functional.level_slack
             g = _saturation_end(self.functional, u, v, record) - target[:, None, None]
-            lv, p, k = np.nonzero(np.sign(g[..., :-1]) * np.sign(g[..., 1:]) < 0)
-            found.append((
-                np.full(p.size, len(records)), target[lv], p,
-                probes[p, k], probes[p, k + 1], g[lv, p, k], g[lv, p, k + 1],
-            ))
-            records.append(record)
-        which, target, rows, left, right, g_left, g_right = (
-            np.concatenate(x) for x in zip(*found)
-        )
+            lv, rows, k = np.nonzero(np.sign(g[..., :-1]) * np.sign(g[..., 1:]) < 0)
+            target, g_left, g_right = target[lv], g[lv, rows, k], g[lv, rows, k + 1]
 
-        def gap(z, i):
-            out = np.empty(z.shape)
-            for n, record in enumerate(records):
-                on = which[i] == n
-                if np.any(on):
-                    a, b = at(z[on], rows[i[on]])
-                    out[on] = _saturation_end(self.functional, a, b, record) - target[i[on]]
-            return out
+            def gap(z, i):
+                return _saturation_end(self.functional, *at(z, rows[i]), record) - target[i]
 
-        roots = refine_roots(gap, left, right, g_left, g_right)
-        # A map saturates where its gap has the sign of -slack_sign (<= 0 for
-        # the lower map, >= 0 for the upper); the member inverts on the other side.
-        sign = np.array([r.slack_sign for r in records])[which]
-        return roots, rows, np.where(sign * g_right > 0, 1.0, -1.0)
+            roots = refine_roots(gap, probes[rows, k], probes[rows, k + 1], g_left, g_right)
+            # A map saturates where its gap has the sign of -slack_sign (<= 0 for
+            # the lower map, >= 0 for the upper); the member inverts on the other side.
+            found.append((roots, rows, np.where(record.slack_sign * g_right > 0, 1.0, -1.0)))
+        return tuple(np.concatenate(x) for x in zip(*found))
 
 
 def envelope_families(surfaces) -> list:

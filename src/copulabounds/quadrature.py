@@ -74,8 +74,16 @@ class Rule:
     edges: np.ndarray
 
     def integrate_checked(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Integrate and raise QuadratureError as ``check`` does."""
+        """Integrate ``fn``, whose values broadcast to the nodes' shape, and
+        raise QuadratureError as ``check`` does or for another shape."""
         vals = np.asarray(fn(self.nodes), dtype=float)
+        try:
+            vals = np.broadcast_to(vals, self.nodes.shape)
+        except ValueError:
+            raise QuadratureError(
+                f"integrand values of shape {vals.shape} do not broadcast to the "
+                f"nodes' shape {self.nodes.shape}"
+            ) from None
         total = float(np.einsum("i,i->", self.weights, vals))  # no BLAS threads woken
         self.check(vals, total)
         return total

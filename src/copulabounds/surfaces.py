@@ -30,8 +30,6 @@ __all__ = [
     "FRECHET_UPPER",
     "PRODUCT",
     "volume",
-    "one_point_lower",
-    "one_point_upper",
     "reflect_second",
     "survival_value",
     "gaussian_copula",
@@ -135,54 +133,6 @@ def volume(surface: CopulaSurface, rect: Rectangle) -> float:
     r = Rectangle(*rect).validate()
     return float(
         surface(r.u2, r.v2) + surface(r.u1, r.v1) - surface(r.u1, r.v2) - surface(r.u2, r.v1)
-    )
-
-
-def _check_point_value(a: float, b: float, theta: float) -> tuple[float, float, float]:
-    a, b, theta = float(a), float(b), float(theta)
-    check_unit_point(a, b)
-    lo = max(0.0, a + b - 1.0)
-    hi = min(a, b)
-    if not lo - _DOMAIN_SLACK <= theta <= hi + _DOMAIN_SLACK:
-        raise ValueError(
-            f"value {theta} at ({a}, {b}) violates the Frechet bounds [{lo}, {hi}]"
-        )
-    return a, b, min(max(theta, lo), hi)
-
-
-def one_point_upper(a: float, b: float, theta: float) -> CopulaSurface:
-    """Largest copula taking the value ``theta`` at ``(a, b)``."""
-    a, b, theta = _check_point_value(a, b, theta)
-
-    def fn(u, v):
-        return np.minimum(
-            np.minimum(u, v),
-            theta + np.maximum(u - a, 0.0) + np.maximum(v - b, 0.0),
-        )
-
-    return CopulaSurface(
-        fn,
-        tag="known-copula",
-        name=f"one-point-upper({a:.6g},{b:.6g},{theta:.6g})",
-        structure=("one-point-upper", a, b, theta),
-    )
-
-
-def one_point_lower(a: float, b: float, theta: float) -> CopulaSurface:
-    """Smallest copula taking the value ``theta`` at ``(a, b)``."""
-    a, b, theta = _check_point_value(a, b, theta)
-
-    def fn(u, v):
-        return np.maximum(
-            np.maximum(0.0, u + v - 1.0),
-            theta - np.maximum(a - u, 0.0) - np.maximum(b - v, 0.0),
-        )
-
-    return CopulaSurface(
-        fn,
-        tag="known-copula",
-        name=f"one-point-lower({a:.6g},{b:.6g},{theta:.6g})",
-        structure=("one-point-lower", a, b, theta),
     )
 
 

@@ -16,7 +16,8 @@ PUBLIC = {
     # constrained
     "ConstraintError", "ConstraintSet", "bounds_from_max_options",
     "bounds_from_second_to_default", "classify", "constraints_from_csv",
-    "constraints_from_price_csv", "lower_bound", "upper_bound",
+    "constraints_from_price_csv", "lower_bound", "one_point_lower", "one_point_upper",
+    "upper_bound",
     # functional
     "LevelRangeError", "MonotoneFunctional", "SurfaceFunctional",
     "bound_surfaces_for_level", "bound_surfaces_for_levels", "invert_lower", "invert_upper",
@@ -34,7 +35,7 @@ PUBLIC = {
     # surfaces
     "FRECHET_LOWER", "FRECHET_UPPER", "PRODUCT", "CopulaSurface", "Rectangle",
     "ValidationReport", "bivariate_normal_cdf", "frechet_lower", "frechet_upper",
-    "gaussian_copula", "one_point_lower", "one_point_upper", "reflect_second",
+    "gaussian_copula", "reflect_second",
     "survival_value", "validate_copula", "validate_quasi_copula", "volume",
 }
 

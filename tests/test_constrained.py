@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import copulabounds as cb
@@ -128,10 +128,9 @@ class TestEnvelopes:
         U, V = grid(41)
         a, b = 0.35, 0.6
         theta = 0.3
-        A = cb.upper_bound([(a, b, theta)])
-        B = cb.lower_bound([(a, b, theta)])
-        assert np.max(np.abs(A(U, V) - cb.one_point_upper(a, b, theta)(U, V))) == 0.0
-        assert np.max(np.abs(B(U, V) - cb.one_point_lower(a, b, theta)(U, V))) == 0.0
+        want_upper, want_lower = direct_envelopes([(a, b, theta)], U, V)
+        assert np.max(np.abs(cb.one_point_upper(a, b, theta)(U, V) - want_upper)) == 0.0
+        assert np.max(np.abs(cb.one_point_lower(a, b, theta)(U, V) - want_lower)) == 0.0
 
     def test_counterexample_point_values(self):
         A = cb.upper_bound([(1 / 3, 1 / 3, 0.0), (2 / 3, 2 / 3, 1 / 3)])
@@ -210,11 +209,28 @@ def _chains(draw):
     n = draw(st.integers(1, 40))
     a = np.sort(draw(st.lists(_COORD, min_size=n, max_size=n)))
     b = np.sort(draw(st.lists(_COORD, min_size=n, max_size=n)))
-    w = np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3))) + 1e-3
-    w = w / w.sum()
-    t = w[0] * np.maximum(0.0, a + b - 1.0) + w[1] * a * b + w[2] * np.minimum(a, b)
+    t = _mixture(draw, a, b)
     perm = draw(st.permutations(range(n)))
     return [(a[k], b[k], t[k]) for k in perm]
+
+
+def _mixture(draw, a, b):
+    """Copula values at (a, b) of a drawn Frechet/product mixture."""
+    w = np.array(draw(st.tuples(*[st.floats(0.0, 1.0)] * 3))) + 1e-3
+    w = w / w.sum()
+    return w[0] * np.maximum(0.0, a + b - 1.0) + w[1] * a * b + w[2] * np.minimum(a, b)
+
+
+@st.composite
+def _off_chains(draw):
+    """Decreasing point sets (reflected chains) and unordered ones (a and b
+    drawn apart), with copula values from a Frechet/product mixture."""
+    if draw(st.booleans()):
+        return [(a, 1.0 - b, a - t) for a, b, t in draw(_chains())]
+    n = draw(st.integers(2, 40))
+    a = np.array(draw(st.lists(_COORD, min_size=n, max_size=n)))
+    b = np.array(draw(st.lists(_COORD, min_size=n, max_size=n)))
+    return list(zip(a, b, _mixture(draw, a, b)))
 
 
 @st.composite
@@ -307,6 +323,23 @@ class TestChainPath:
         assert peak < 32 * 2**20
 
 
+class TestDirectPath:
+    @given(points=_off_chains(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_other_sets_equal_the_definition_bit_for_bit(self, points, data):
+        # decreasing and unordered sets take the direct path on both sides;
+        # the upper side runs the lower one on negated data, exactly
+        cs = cb.ConstraintSet.from_points(points)
+        assume(not cs.is_increasing)
+        coord = st.one_of(st.sampled_from([c for p in points for c in p[:2]]), _COORD)
+        size = data.draw(st.integers(1, 60), label="size")
+        u = np.array(data.draw(st.lists(coord, min_size=size, max_size=size), label="u"))
+        v = np.array(data.draw(st.lists(coord, min_size=size, max_size=size), label="v"))
+        want_upper, want_lower = direct_envelopes(points, u, v)
+        assert np.array_equal(cb.upper_bound(cs)(u, v), want_upper)
+        assert np.array_equal(cb.lower_bound(cs)(u, v), want_lower)
+
+
 class TestBuilders:
     def test_second_to_default_matches_quotes(self, exp_marginals):
         mx, my = exp_marginals
@@ -373,8 +406,9 @@ class TestBuilders:
         low, up = cb.bounds_from_max_options(curve, mx, my, [100.0])
         a, b = float(mx.cdf(100.0)), float(my.cdf(100.0))
         theta = curve(100.0)
-        assert np.max(np.abs(up(U, V) - cb.one_point_upper(a, b, theta)(U, V))) == 0.0
-        assert np.max(np.abs(low(U, V) - cb.one_point_lower(a, b, theta)(U, V))) == 0.0
+        want_upper, want_lower = direct_envelopes([(a, b, theta)], U, V)
+        assert np.max(np.abs(up(U, V) - want_upper)) == 0.0
+        assert np.max(np.abs(low(U, V) - want_lower)) == 0.0
 
 
 class TestCsv:

@@ -104,6 +104,16 @@ class TestUnitRuleIntegrateChecked:
             1.0, abs=1e-11
         )
 
+    def test_a_constant_integrates_to_it_times_the_weights(self):
+        rule = unit_rule()
+        got = rule.integrate_checked(lambda u: 2.5)
+        assert got == pytest.approx(2.5 * rule.weights.sum(), rel=1e-15)
+
+    def test_values_of_another_shape_raise_naming_both_shapes(self):
+        rule = unit_rule()
+        with pytest.raises(QuadratureError, match=rf"shape \(3,\) .* shape \({rule.nodes.size},\)"):
+            rule.integrate_checked(lambda u: np.ones(3))
+
     def test_exponential_mean(self, exp_marginals):
         mx, _ = exp_marginals
         assert unit_rule().integrate_checked(mx.quantile) == pytest.approx(5.0, abs=1e-8)

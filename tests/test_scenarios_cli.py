@@ -708,6 +708,28 @@ def test_single_price_envelope_map_points(monkeypatch):
         assert 0 < seen[0] < 8000
 
 
+@pytest.mark.parametrize("config, calls, points", [
+    (dict(scenario="single-price", rho=-0.7), 39, 2361),
+    (dict(scenario="log-correlation"), 248, 59780),
+    (dict(scenario="log-correlation", sweep_min=-0.5, sweep_max=0.5, sweep_steps=3), 72, 3356),
+])
+def test_map_calls_and_points_are_pinned(monkeypatch, config, calls, points):
+    # the one-point-map calls and points of the default runs and of the
+    # benchmark's 3-level input, inversions and kink refinements together
+    seen = [0, 0]
+    for name in ("at_one_point_lower", "at_one_point_upper"):
+        original = getattr(MonotoneFunctional, name)
+
+        def counting(self, a, b, theta, original=original):
+            seen[0] += 1
+            seen[1] += np.broadcast(np.asarray(a), np.asarray(b), np.asarray(theta)).size
+            return original(self, a, b, theta)
+
+        monkeypatch.setattr(MonotoneFunctional, name, counting)
+    run_scenario(ScenarioConfig(**config))
+    assert seen == [calls, points]
+
+
 # config keys the exit-code property sets, and the values it draws for them;
 # "typical" keeps the small run's own value
 EXTREME_KEYS = ("rho", "lambda_x", "lambda_y", "sigma_x", "sigma_y", "spot", "maturity",
