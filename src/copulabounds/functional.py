@@ -125,8 +125,7 @@ class _RunningIntegral:
         self.rule.check(vals, self.total)
 
     def __call__(self, t):
-        t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-        panel, nodes, weights = self.rule.partial_panels(t)
+        panel, nodes, weights = self.rule.partial_panels(np.asarray(t, dtype=float))
         part = (weights * self.func._path_values(nodes, self.shift, self.anti)).sum(axis=-1)
         return self.cum[panel] + part
 

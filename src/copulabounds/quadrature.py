@@ -112,8 +112,10 @@ class Rule:
                 )
 
     def partial_panels(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(panel, nodes, weights)``: the panel holding each point ``t`` and
-        its rule mapped onto the part of it left of the point."""
+        """``(panel, nodes, weights)``: the panel holding each point ``t``,
+        clipped to the edges, and its rule mapped onto the part of it left
+        of the point."""
+        t = np.clip(t, self.edges[0], self.edges[-1])
         panel = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, self.edges.size - 2)
         return (panel, *mapped_nodes(*gauss_legendre_01(DEFAULT_ORDER), self.edges[panel], t))
 

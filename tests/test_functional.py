@@ -174,6 +174,14 @@ class TestRunningIntegral:
         for t in (0.003, 0.37, 0.9993):
             assert abs(float(ri(t)) - self.finer(ri, t)) <= 2e-12
 
+    @pytest.mark.parametrize("which", ["neg_spread_functional", "log_product_functional"])
+    @pytest.mark.parametrize("path", ["_diag", "_anti"])
+    def test_ends_read_zero_and_the_total_exactly(self, which, path, request):
+        # the rule stops 1e-12 short of 0 and of 1, and so does the integral
+        ri = getattr(request.getfixturevalue(which), path)
+        assert float(ri(0.0)) == 0.0
+        assert float(ri(1.0)) == ri.total
+
 
 class TestInversion:
     def test_round_trip(self, neg_spread_functional, rng):

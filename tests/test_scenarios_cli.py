@@ -710,8 +710,8 @@ def test_single_price_envelope_map_points(monkeypatch):
 
 @pytest.mark.parametrize("config, calls, points", [
     (dict(scenario="single-price", rho=-0.7), 39, 2361),
-    (dict(scenario="log-correlation"), 248, 59780),
-    (dict(scenario="log-correlation", sweep_min=-0.5, sweep_max=0.5, sweep_steps=3), 72, 3356),
+    (dict(scenario="log-correlation"), 224, 59812),
+    (dict(scenario="log-correlation", sweep_min=-0.5, sweep_max=0.5, sweep_steps=3), 73, 3360),
 ])
 def test_map_calls_and_points_are_pinned(monkeypatch, config, calls, points):
     # the one-point-map calls and points of the default runs and of the
