@@ -26,6 +26,7 @@ too, and other point sets pair by pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -50,8 +51,8 @@ __all__ = [
 _TOL = 1e-12
 # Entries per block of the pairwise compatibility check (8 bytes each).
 _BLOCK_ELEMENTS = 1 << 17
-# Points per block of a chain envelope evaluation: bounds its temporaries
-# (about 130 bytes a point) and keeps them in cache.
+# Points per block of an envelope evaluation: bounds its temporaries (about
+# 130 bytes a point on a chain) and keeps them in cache.
 _BLOCK_POINTS = 1 << 13
 
 
@@ -211,19 +212,28 @@ def _lower_term(t, a, b, u, v):
     return t - np.maximum(a - u, 0.0) - np.maximum(b - v, 0.0)
 
 
+def _in_blocks(block, u, v):
+    """``block`` on the broadcast points ``(u, v)``, ``_BLOCK_POINTS`` at a time."""
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    out = np.empty(u.shape)
+    flat, u, v = out.reshape(-1), u.ravel(), v.ravel()
+    for p in range(0, flat.size, _BLOCK_POINTS):
+        sl = slice(p, p + _BLOCK_POINTS)
+        flat[sl] = block(u[sl], v[sl])
+    return out
+
+
 def _direct_envelope(a, b, t, bound):
     """The lower envelope by its definition: the largest of ``bound`` and
     every constraint's term, one constraint at a time."""
 
-    def fn(u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+    def block(u, v):
         out = bound(u, v)
         for ak, bk, tk in zip(a, b, t):
             out = np.maximum(out, _lower_term(tk, ak, bk, u, v))
         return out
 
-    return fn
+    return block
 
 
 class _RangeBest:
@@ -283,8 +293,8 @@ def _chain_envelope(a, b, t, bound):
     prefix = best_in(0, np.zeros(n, dtype=int), every + 1)
     suffix = best_in(3, every, np.full(n, n))
 
-    def block(u, v, out):
-        # raises ``out``, a view of the result, in place
+    def block(u, v):
+        out = bound(u, v)
         i = np.searchsorted(a, u, side="right")
         j = np.searchsorted(b, v, side="right")
         lo, hi = np.minimum(i, j), np.maximum(i, j)
@@ -295,24 +305,15 @@ def _chain_envelope(a, b, t, bound):
             (suffix[np.minimum(hi, n - 1)], hi < n),
         ):
             np.maximum(out, _lower_term(t[k], a[k], b[k], u, v), out=out, where=nonempty)
+        return out
 
-    def fn(u, v):
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        shape = u.shape
-        u, v = u.ravel(), v.ravel()
-        out = bound(u, v)
-        for p in range(0, out.size, _BLOCK_POINTS):
-            sl = slice(p, p + _BLOCK_POINTS)
-            block(u[sl], v[sl], out[sl])
-        return out.reshape(shape)
-
-    return fn
+    return block
 
 
 def _envelope(a, b, t, bound):
-    """The lower envelope's function from the start value ``bound``:
-    ``_chain_envelope`` for a nonempty chain, ``_direct_envelope``
-    otherwise."""
+    """The lower envelope from the start value ``bound``, on one block of
+    flat points: ``_chain_envelope`` for a nonempty chain,
+    ``_direct_envelope`` otherwise."""
     if a.size and _is_chain(a, b):
         return _chain_envelope(a, b, t, bound)
     return _direct_envelope(a, b, t, bound)
@@ -328,7 +329,7 @@ def upper_bound(constraints) -> CopulaSurface:
     # The lower envelope of the negated data from -M = max(-u, -v), at (-u, -v),
     # negated: its terms are t + (u - a)^+ + (v - b)^+ bit for bit.
     lower = _envelope(-cs.a, -cs.b, -cs.theta, np.maximum)
-    fn = lambda u, v: -lower(-np.asarray(u, dtype=float), -np.asarray(v, dtype=float))
+    fn = partial(_in_blocks, lambda u, v: -lower(-u, -v))
     tag = "known-copula" if cs.is_decreasing else "quasi-copula"
     return CopulaSurface(
         fn, tag=tag, name=f"constrained-upper(n={len(cs)})", structure=("point-set-upper", cs)
@@ -341,7 +342,7 @@ def lower_bound(constraints) -> CopulaSurface:
     A copula (tagged ``known-copula``) when the point set is increasing.
     """
     cs = _as_constraints(constraints)
-    fn = _envelope(cs.a, cs.b, cs.theta, frechet_lower)
+    fn = partial(_in_blocks, _envelope(cs.a, cs.b, cs.theta, frechet_lower))
     tag = "known-copula" if cs.is_increasing else "quasi-copula"
     return CopulaSurface(
         fn, tag=tag, name=f"constrained-lower(n={len(cs)})", structure=("point-set-lower", cs)
