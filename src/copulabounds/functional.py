@@ -594,12 +594,14 @@ def envelope_families(surfaces) -> list:
 
 
 def evaluate_surfaces(surfaces, u, v) -> list:
-    """``[s(u, v) for s in surfaces]``, except that the members of one
-    envelope family are evaluated together, by one call of the family."""
+    """``[s(u, v) for s in surfaces]``, except that the points are checked
+    once (``unit_square_args``) and the members of one envelope family are
+    evaluated together, by one call of the family."""
+    u, v = unit_square_args(u, v)
     out = {}
     for family, positions, members in envelope_families(surfaces):
         out.update(zip(positions, family.values(u, v, members)))
-    return [out[j] if j in out else s(u, v) for j, s in enumerate(surfaces)]
+    return [out[j] if j in out else s.fn(u, v) for j, s in enumerate(surfaces)]
 
 
 def bound_surfaces_for_levels(

@@ -380,7 +380,10 @@ def _path_terms(segments, path, breaks, surfaces, m_x, m_y, panels):
     whose curvature ``segments`` lie on one line, covered by ``path``.
 
     One rule covers the path, split at the ends of the nonempty segments and
-    at ``breaks``, the path's breakpoints from the surfaces' kinks.  Segment
+    at ``breaks``, the path's breakpoints from the surfaces' kinks.  Its
+    uniform panels are merged where the path's survival bound
+    s = min(1 - F_X(x), 1 - F_Y(y)) is below ``quadrature._TAIL_SURVIVAL``:
+    every surface priced lies between W and M, and M - W <= s.  Segment
     ends are panel edges, so each payoff's term is the exact partial sum over
     the nodes inside its own segment.  Each surface is evaluated once on the
     rule's nodes, and the members of one envelope family together.  The sums
@@ -388,7 +391,8 @@ def _path_terms(segments, path, breaks, surfaces, m_x, m_y, panels):
     on the other cores.
     """
     rule = interval_rule(
-        path.lo, path.hi, panels, breakpoints=_segment_ends(segments) + breaks.tolist()
+        path.lo, path.hi, panels, breakpoints=_segment_ends(segments) + breaks.tolist(),
+        survival=lambda z: 1.0 - np.maximum(*_on_square(m_x, m_y, path[2:6], z)),
     )
     z = rule.nodes
     out = np.zeros((len(segments), len(surfaces)))
@@ -416,8 +420,9 @@ def price_batch(
 
     Works for any surface (copula or quasi-copula); only pointwise values
     of the surfaces enter.  ``panels`` sets the uniform panels of the
-    money-space path rules; the edge expectations of all payoffs share one
-    graded unit rule per marginal.  The rules are split where the paths
+    money-space path rules, merged in their far tails (``_path_terms``);
+    the edge expectations of all payoffs share one graded unit rule per
+    marginal.  The rules are split where the paths
     cross the kinks of the surfaces, all found together, and each surface
     is called once per rule.  Payoffs whose curvature lies on one line
     share one rule on it, split at the ends of their segments.  Equal

@@ -4,8 +4,8 @@ Probability-space integrals over (0, 1) have integrands from quantile
 transforms (slowly divergent derivatives at the endpoints); money-space
 integrals run over truncated half-lines.  Composite Gauss-Legendre rules
 split at breakpoints serve both: one fixed grid, graded toward 0 and 1, for
-every unit-interval integral and uniform panels on money intervals.  The
-one-point maps map one tanh-sinh rule on [0, 1] onto each short segment.
+every unit-interval integral and uniform panels on money intervals, merged
+in the far tails (``interval_rule``).  The one-point maps map one tanh-sinh rule on [0, 1] onto each short segment.
 """
 
 from __future__ import annotations
@@ -41,6 +41,13 @@ DEFAULT_EPS = 1e-12
 
 # Panels of the graded unit grid, chosen by measurement (README).
 UNIT_PANELS = 400
+# Graded panels per decade: of the unit grid toward its ends, and of the
+# merged tails of money rules.
+_PER_DECADE = 6
+# Survival bound below which money rules merge their uniform panels; the
+# largest power of ten at which the default max-known outputs move by at
+# most 1e-9 (README).
+_TAIL_SURVIVAL = 1e-8
 
 
 class QuadratureError(RuntimeError):
@@ -121,9 +128,9 @@ class Rule:
 
 
 def _unit_edges() -> np.ndarray:
-    """Edges of UNIT_PANELS panels: 6 per decade from 1e-2 down to
-    DEFAULT_EPS toward each end, the rest uniform on [1e-2, 1 - 1e-2]."""
-    graded = (int(np.ceil(-np.log10(DEFAULT_EPS))) - 2) * 6
+    """Edges of UNIT_PANELS panels: _PER_DECADE per decade from 1e-2 down
+    to DEFAULT_EPS toward each end, the rest uniform on [1e-2, 1 - 1e-2]."""
+    graded = (int(np.ceil(-np.log10(DEFAULT_EPS))) - 2) * _PER_DECADE
     expo = np.linspace(2.0, -np.log10(DEFAULT_EPS), graded + 1)
     stack = 10.0 ** (-expo)  # 1e-2 ... DEFAULT_EPS, descending
     mid = np.linspace(1e-2, 1.0 - 1e-2, UNIT_PANELS - 2 * graded + 1)
@@ -145,16 +152,47 @@ def unit_rule(breakpoints: Iterable[float] = ()) -> Rule:
     return _rule(_unit_edges(), breakpoints, DEFAULT_EPS, 1.0 - DEFAULT_EPS)
 
 
+def _merged_tails(edges: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The ``edges`` kept where the bound ``s`` at them is below
+    _TAIL_SURVIVAL: of each run of adjacent edges in one band of
+    1/_PER_DECADE decade of ``s`` (s = 0 forms its own band), only the one
+    where ``s`` is largest, nearest the bulk.  Every other edge is kept,
+    and so are both ends."""
+    tail = s < _TAIL_SURVIVAL
+    with np.errstate(divide="ignore"):
+        band = np.floor(_PER_DECADE * np.log10(s))  # -inf at s = 0
+    same = tail[1:] & tail[:-1] & (band[1:] == band[:-1])  # edge k + 1 continues k's run
+    first = np.flatnonzero(tail & ~np.concatenate([[False], same]))
+    last = np.flatnonzero(tail & ~np.concatenate([same, [False]]))
+    keep = ~tail
+    keep[np.where(s[last] <= s[first], first, last)] = True
+    keep[[0, -1]] = True
+    return edges[keep]
+
+
 def interval_rule(
     lo: float,
     hi: float,
     panels: int,
     breakpoints: Iterable[float] = (),
+    survival: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Rule:
-    """Uniform composite rule on [lo, hi] with panels split at breakpoints."""
+    """Composite rule on [lo, hi]: ``panels`` uniform panels, split at
+    breakpoints.
+
+    ``survival(z)``, if given, bounds at the uniform edges ``z`` how far
+    apart the integrands priced on the rule can be.  Where it is below
+    _TAIL_SURVIVAL the uniform panels are merged, so that at most one
+    edge is kept per 1/_PER_DECADE decade of it (``_merged_tails``); a
+    merged panel is never finer than a uniform one.  The breakpoints are
+    added after the merge.
+    """
     if not hi > lo:
         return _rule(np.empty(0), (), lo, hi)
-    return _rule(np.linspace(lo, hi, int(panels) + 1), breakpoints, lo, hi)
+    edges = np.linspace(lo, hi, int(panels) + 1)
+    if survival is not None:
+        edges = _merged_tails(edges, np.asarray(survival(edges), dtype=float))
+    return _rule(edges, breakpoints, lo, hi)
 
 
 def mapped_nodes(
@@ -184,8 +222,11 @@ _ITP_N0 = 1
 _ULPS = 4
 # Sign-change roots are refined to this fraction of their bracket's width.
 _ROOT_REL_TOL = 2.0**-40
-# Probe points per interval in refine_sign_changes.
+# Probe points per interval in refine_sign_changes, and intervals probed
+# per call of the function, so that its probe grids stay at most 64 x 257
+# points however many intervals are searched.
 _SIGN_PROBES = 257
+_SIGN_BLOCK = 64
 
 
 def solve_brackets(g, left, right, g_left, g_right, tol, strict: bool = False):
@@ -276,7 +317,9 @@ def refine_sign_changes(fn, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     with ``hi <= lo`` has no roots.  ``fn(z, rows)`` evaluates the function
     of interval ``rows`` at ``z`` (the two broadcast), so one call finds the
     roots of a whole family of functions.  Each interval is probed at
-    ``np.linspace(lo[i], hi[i], 257)`` and its roots do not depend on the
+    ``np.linspace(lo[i], hi[i], 257)``, at most ``_SIGN_BLOCK`` intervals
+    per call of ``fn``, and every bracket found is refined in one
+    ``refine_roots`` call, so the roots of an interval do not depend on the
     other intervals.  Returns the roots and their interval indices, ordered
     by interval and then by root.
 
@@ -288,15 +331,17 @@ def refine_sign_changes(fn, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     # Empty intervals stay out of the grid: one zero width would make
     # linspace build every row by another formula.
     live = np.flatnonzero(hi > lo)
-    grid = np.linspace(lo[live], hi[live], _SIGN_PROBES, axis=-1)
-    vals = np.asarray(fn(grid, live[:, None]), dtype=float)
-    sign = np.sign(vals)
-    row, col = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-    rows = live[row]
+    found = [(live[:0], *np.empty((4, 0)))]  # (rows, left, right, f_left, f_right)
+    for start in range(0, live.size, _SIGN_BLOCK):
+        block = live[start : start + _SIGN_BLOCK]
+        grid = np.linspace(lo[block], hi[block], _SIGN_PROBES, axis=-1)
+        vals = np.asarray(fn(grid, block[:, None]), dtype=float)
+        sign = np.sign(vals)
+        row, col = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+        found.append((block[row], grid[row, col], grid[row, col + 1],
+                      vals[row, col], vals[row, col + 1]))
+    rows, left, right, f_left, f_right = (np.concatenate(x) for x in zip(*found))
     if rows.size == 0:
         return np.empty(0), rows
-    roots = refine_roots(
-        lambda x, i: fn(x, rows[i]),
-        grid[row, col], grid[row, col + 1], vals[row, col], vals[row, col + 1],
-    )
+    roots = refine_roots(lambda x, i: fn(x, rows[i]), left, right, f_left, f_right)
     return roots, rows

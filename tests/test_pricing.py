@@ -507,6 +507,97 @@ class TestPriceBatch:
         assert held < 2**20
 
 
+def _zero_tail_marginal() -> cb.Tabulated:
+    """Step CDF of an exponential of mean 12 on 800 abscissas up to 400,
+    whose survival reaches 0 at 350, before its last abscissa."""
+    xs = np.linspace(0.5, 400.0, 800)
+    return cb.tabulated(xs, np.where(xs >= 350.0, 1.0, -np.expm1(-xs / 12.0)))
+
+
+class TestMergedTails:
+    """Path rules merge their uniform panels where the path's survival bound
+    s = min(1 - F_X(x), 1 - F_Y(y)) is below quadrature._TAIL_SURVIVAL."""
+
+    SURFACES = (cb.FRECHET_LOWER, cb.PRODUCT, cb.gaussian_copula(0.4), cb.FRECHET_UPPER)
+    CASES = [
+        (cb.spread(10.0), False),  # s falls toward the path's upper end
+        (cb.basket(1.0, 1.0, 600.0), False),  # cy < 0: s is small at both ends
+        (cb.spread(0.0), True),  # s reaches 0 at x = 350, inside the path
+    ]
+
+    @pytest.mark.parametrize("payoff, zero_tail", CASES)
+    def test_rule_shape(self, lognormal_marginals, monkeypatch, payoff, zero_tail):
+        mx, my = lognormal_marginals
+        if zero_tail:
+            mx = _zero_tail_marginal()
+        seen = []
+        rule = quadrature.interval_rule
+
+        def spy(lo, hi, panels, breakpoints=(), survival=None):
+            seen.append((rule(lo, hi, panels, breakpoints, survival), lo, hi, list(breakpoints)))
+            return seen[-1][0]
+
+        monkeypatch.setattr(pricing, "interval_rule", spy)
+        cb.price_batch([payoff], self.SURFACES, mx, my, panels=2001)
+        assert len(seen) == 1
+        rule, lo, hi, breakpoints = seen[0]
+        cx, dx, cy, dy = pricing._mu_segment(payoff, mx, my)[2:6]
+        uniform = np.linspace(lo, hi, 2002)
+        s = np.minimum(1.0 - mx.cdf(np.maximum(cx * uniform + dx, 0.0)),
+                       1.0 - my.cdf(np.maximum(cy * uniform + dy, 0.0)))
+        tail = s < quadrature._TAIL_SURVIVAL
+        edges = rule.edges
+        inside = [b for b in breakpoints if lo < b < hi]
+        kept = np.isin(uniform, edges)
+        # the bulk keeps its uniform edges bit for bit, every breakpoint
+        # stays, and nothing else is added
+        assert np.all(kept[~tail])
+        assert np.all(np.isin(inside, edges))
+        assert np.all(np.isin(edges, np.concatenate([uniform, inside])))
+        # the tail was merged, never into panels finer than uniform ones
+        assert kept.sum() < uniform.size
+        assert np.all(np.diff(uniform[kept]) >= (hi - lo) / 2001 * (1.0 - 1e-9))
+        # beyond the path's ends, at most one edge per 1/6 decade of s on
+        # each side of its largest value (s = 0 is one band)
+        with np.errstate(divide="ignore"):
+            band = np.floor(6.0 * np.log10(s))
+        side = np.arange(s.size) > np.argmax(s)
+        inner = kept & tail
+        inner[[0, -1]] = False
+        pairs = list(zip(band[inner].tolist(), side[inner].tolist()))
+        assert len(pairs) == len(set(pairs))
+        if cy < 0.0:
+            assert tail[0] and tail[-1]
+        if zero_tail:
+            # the merged panels stop where s turns 0
+            assert s[-1] == 0.0 and uniform[np.argmax(s == 0.0)] in edges
+
+    @pytest.mark.parametrize("payoff, zero_tail", CASES)
+    def test_prices_match_uniform_panels(self, lognormal_marginals, monkeypatch, payoff, zero_tail):
+        mx, my = lognormal_marginals
+        if zero_tail:
+            mx = _zero_tail_marginal()
+        graded = cb.price_batch([payoff], self.SURFACES, mx, my)
+        monkeypatch.setattr(quadrature, "_TAIL_SURVIVAL", 0.0)
+        uniform = cb.price_batch([payoff], self.SURFACES, mx, my)
+        assert np.max(np.abs(graded - uniform)) <= 1e-9
+
+    def test_deep_tail_point_constraints_match_uniform_panels(self, lognormal_marginals,
+                                                             monkeypatch):
+        # the point-set envelopes declare no kinks; 60 of these constraints
+        # lie at survivals 1e-5 to 1e-10, where the panels are merged
+        mx, my = lognormal_marginals
+        a = np.concatenate([np.linspace(0.05, 0.95, 20), 1.0 - np.logspace(-5.0, -10.0, 60)])
+        ref = cb.gaussian_copula(0.5)
+        pts = cb.ConstraintSet.from_points(zip(a, a, ref(a, a)))
+        surfaces = [cb.lower_bound(pts), ref, cb.upper_bound(pts)]
+        payoffs = [cb.spread(k) for k in np.linspace(-50.0, 50.0, 11)]
+        graded = cb.price_batch(payoffs, surfaces, mx, my)
+        monkeypatch.setattr(quadrature, "_TAIL_SURVIVAL", 0.0)
+        uniform = cb.price_batch(payoffs, surfaces, mx, my)
+        assert np.max(np.abs(graded - uniform)) <= 1e-9
+
+
 @pytest.fixture(scope="module")
 def coupling_oracles(lognormal_marginals):
     """Payoffs with their prices under W and M by the coupling oracle."""

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copulabounds.quadrature import QuadratureError, solve_brackets, unit_rule
+from copulabounds import quadrature
+from copulabounds.quadrature import (
+    QuadratureError,
+    refine_sign_changes,
+    solve_brackets,
+    unit_rule,
+)
 
 
 def _ramps(data):
@@ -77,6 +83,31 @@ def test_solver_matches_reference_bisection(data, strict, ends, log_tol):
         assert sum(points) <= math.ceil(math.log2((hi - lo) / tol)) + 1
     else:
         assert sum(points) == 0
+
+
+def test_sign_changes_are_probed_in_bounded_blocks(monkeypatch):
+    # more intervals than one block holds, some of them empty: each probe
+    # call sees at most one block, and the roots equal those of probing
+    # every interval at once bit for bit
+    n = 3 * quadrature._SIGN_BLOCK + 5
+    lo = np.linspace(-1.0, 0.5, n)
+    hi = lo + np.where(np.arange(n) % 7 == 3, 0.0, np.linspace(0.5, 3.0, n))
+    k = np.linspace(1.0, 9.0, n)
+    probed = []
+
+    def fn(z, i):
+        if np.shape(z)[-1] == quadrature._SIGN_PROBES:
+            probed.append(np.shape(z)[0])
+        return np.sin(k[i] * z) - 0.3
+
+    roots, rows = refine_sign_changes(fn, lo, hi)
+    assert max(probed) == quadrature._SIGN_BLOCK and len(probed) > 1
+    assert roots.size > n and np.all(hi[rows] > lo[rows])
+    monkeypatch.setattr(quadrature, "_SIGN_BLOCK", n)
+    probed.clear()
+    one_roots, one_rows = refine_sign_changes(fn, lo, hi)
+    assert len(probed) == 1
+    assert np.array_equal(roots, one_roots) and np.array_equal(rows, one_rows)
 
 
 def test_brackets_stop_on_their_own():

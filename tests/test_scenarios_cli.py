@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import copulabounds as cb
-from copulabounds import cli, pricing
+from copulabounds import cli, pricing, quadrature
 from copulabounds.cli import main
 from copulabounds.functional import MonotoneFunctional
 from copulabounds.scenarios import (
@@ -728,6 +728,39 @@ def test_map_calls_and_points_are_pinned(monkeypatch, config, calls, points):
         monkeypatch.setattr(MonotoneFunctional, name, counting)
     run_scenario(ScenarioConfig(**config))
     assert seen == [calls, points]
+
+
+@pytest.mark.parametrize("config, points", [
+    (dict(scenario="max-known"), 764945),
+    (dict(scenario="single-price", rho=-0.7), 665),
+    (dict(scenario="log-correlation"), 700),
+    (dict(scenario="log-correlation", sweep_min=-0.5, sweep_max=0.5, sweep_steps=3), 305),
+])
+def test_surface_points_are_pinned(monkeypatch, config, points):
+    # the points each surface is evaluated at, over every path rule of the
+    # default runs and of the benchmark's 3-level input; max-known evaluated
+    # 1,011,415 before its tails were merged, the others are unmerged
+    seen = [0]
+    original = pricing.evaluate_surfaces
+
+    def counting(surfaces, u, v):
+        seen[0] += np.size(u)
+        return original(surfaces, u, v)
+
+    monkeypatch.setattr(pricing, "evaluate_surfaces", counting)
+    run_scenario(ScenarioConfig(**config))
+    assert seen[0] == points
+
+
+@pytest.mark.parametrize("rho", [-0.9, -0.7, -0.3, 0.0, 0.3, 0.5, 0.9])
+def test_max_known_merged_tails_match_uniform_panels(monkeypatch, rho):
+    # every max-known column stays within 1e-9 of the unmerged 2001-panel rule
+    cfg = ScenarioConfig(scenario="max-known", rho=rho)
+    pieces = SCENARIOS["max-known"].pieces(cfg)
+    merged = [dataclasses.astuple(r) for r in run_scenario(cfg, pieces)]
+    monkeypatch.setattr(quadrature, "_TAIL_SURVIVAL", 0.0)
+    uniform = [dataclasses.astuple(r) for r in run_scenario(cfg, pieces)]
+    assert np.max(np.abs(np.subtract(merged, uniform))) <= 1e-9
 
 
 # config keys the exit-code property sets, and the values it draws for them;
