@@ -52,7 +52,6 @@ from .pricing import (
     put_on_max,
     put_on_min,
     spread,
-    survival_weight,
     worst_off_call,
     worst_off_put,
 )
@@ -62,17 +61,13 @@ from .surfaces import (
     FRECHET_UPPER,
     PRODUCT,
     CopulaSurface,
-    Rectangle,
     ValidationReport,
     bivariate_normal_cdf,
     frechet_lower,
     frechet_upper,
     gaussian_copula,
-    reflect_second,
-    survival_value,
     validate_copula,
     validate_quasi_copula,
-    volume,
 )
 
 __version__ = "0.1.0"

@@ -31,8 +31,9 @@ level's saturated points from it, and inverts all the (level, point)
 brackets still open in one batch, every bracket stopping at its own
 tolerance.  The same bracket end tells where along a pricing path each
 member starts to fall back to a Frechet bound, which is where it is
-kinked; the family finds those kinks for all its levels from one set of
-probes.  Nothing is kept between calls.
+kinked; the family, the members' group (``surfaces.surface_groups``),
+finds those kinks for all its levels from one set of probes.  Nothing is
+kept between calls.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .surfaces import (
     check_unit_point,
     frechet_lower,
     frechet_upper,
-    unit_square_args,
 )
 
 __all__ = [
@@ -88,6 +88,15 @@ _TURN_ROWS = 129
 _MAP_BLOCK = 512
 # Sampled rectangles of the 2-increasing spot check.
 _SPOT_CHECK_SAMPLES = 64
+# Past a saturation kink an envelope's curvature is unbounded: the one-point
+# map's slope in theta grows without bound toward the Frechet end.  The pricing
+# panels on that side are graded toward the kink by splits at these fractions
+# of a panel width from it.
+_ONSET_SPLITS = (1.0 / 4.0, 1.0 / 16.0)
+# An envelope at an end of the attainable range is its Frechet bound up to
+# the level slack, with a narrow bump at that bound's kink; the panels on
+# both sides of the kink are split at these fractions of a panel width.
+_CUSP_SPLITS = (1.0 / 4.0, 1.0 / 16.0, 1.0 / 64.0)
 
 
 class LevelRangeError(ValueError):
@@ -423,17 +432,17 @@ class _Side(NamedTuple):
     slack_sign: float  # the predicate's target is level + slack_sign * slack
     right: bool  # returns the bracket's right end, not its left
     strict: bool  # the predicate is map < target, not map <= target
-    extreme: Callable  # Frechet bound the envelope follows at an end of the range
+    extreme: str  # Frechet bound, "M" or "W", the envelope follows at an end of the range
     value: Callable  # functional -> its value at ``extreme``
 
 
-# The upper side comes first: it fixes the order of the pricing rules'
-# grading splits (``pricing._gathered``).
+# The upper side comes first: ``_EnvelopeFamily.breaks`` lists the sides'
+# grading splits in this order, which reaches the nodes (``pricing._gathered``).
 _SIDES = {
     "upper": _Side("functional-lower", attrgetter("at_one_point_upper"), frechet_lower, -1.0,
-                   True, True, frechet_upper, attrgetter("value_comonotone")),
+                   True, True, "M", attrgetter("value_comonotone")),
     "lower": _Side("functional-upper", attrgetter("at_one_point_lower"), frechet_upper, 1.0,
-                   False, False, frechet_lower, attrgetter("value_countermonotone")),
+                   False, False, "W", attrgetter("value_countermonotone")),
 }
 
 
@@ -509,10 +518,9 @@ def _levels_by_side(members):
 
 
 class _EnvelopeFamily:
-    """The envelopes of one functional at several levels, evaluated together.
-
-    Member surfaces carry ``(name, level, family)`` as their structure.
-    """
+    """The envelopes of one functional at several levels, evaluated together:
+    the group (``surfaces.surface_groups``) of its members, whose keys are
+    their ``(name, level)`` pairs."""
 
     def __init__(self, functional, theta_tol: float):
         self.functional = functional
@@ -521,7 +529,6 @@ class _EnvelopeFamily:
     def values(self, u, v, members) -> list[np.ndarray]:
         """Values at ``(u, v)`` of the members named by ``(name, level)``
         pairs, in order; one inversion per side covers all their levels."""
-        u, v = unit_square_args(u, v)
         ndim = np.broadcast(u, v).ndim
         found = {}
         for side, record, levels in _levels_by_side(members):
@@ -532,24 +539,13 @@ class _EnvelopeFamily:
             found.update(((record.envelope, lvl), val) for lvl, val in zip(levels, theta))
         return [found[m] for m in members]
 
-    def extremes(self, members) -> list:
-        """The Frechet bounds (``_SIDES``' ``extreme``), in the table's order,
-        that members at an end of the attainable range follow up to the
-        level slack: M for a lower envelope at the top, W for an upper
-        envelope at the bottom."""
-        f = self.functional
-        return [s.extreme for s in _SIDES.values() if any(
-            nm == s.envelope and s.slack_sign * lvl <= s.slack_sign * s.value(f) + f.level_slack
-            for nm, lvl in members)]
-
     def kinks(self, members, at, probes):
         """Where the members named by ``(name, level)`` pairs are kinked
-        along paths: where they start to fall back to a Frechet bound.
+        along paths, probed at ``probes``, one row per path (``breaks``):
+        where they start to fall back to a Frechet bound.
 
-        ``at(z, rows)`` maps points ``z`` of the paths ``rows`` to the unit
-        square, and ``probes`` holds increasing points of each path, one
-        row per path.  A member is kinked where the map at the bracket end
-        that decides saturation crosses the member's target (``_SIDES``).
+        A member is kinked where the map at the bracket end that decides
+        saturation crosses the member's target (``_SIDES``).
         That map is level-free, so it is evaluated once per probe and side,
         whatever the number of levels; the sign changes between adjacent
         probes bracket every level's roots, which are refined in one
@@ -577,31 +573,20 @@ class _EnvelopeFamily:
             found.append((roots, rows, np.where(record.slack_sign * g_right > 0, 1.0, -1.0)))
         return tuple(np.concatenate(x) for x in zip(*found))
 
-
-def envelope_families(surfaces) -> list:
-    """``(family, positions, members)`` for each envelope family among
-    ``surfaces``, told apart by the family object their structure ends
-    with: the positions of its members in ``surfaces`` and their ``(name,
-    level)`` pairs."""
-    families = {}
-    for j, s in enumerate(surfaces):
-        family = s.structure[-1] if s.structure else None
-        if isinstance(family, _EnvelopeFamily):
-            positions, members = families.setdefault(family, ([], []))
-            positions.append(j)
-            members.append(s.structure[:2])
-    return [(family, *found) for family, found in families.items()]
-
-
-def evaluate_surfaces(surfaces, u, v) -> list:
-    """``[s(u, v) for s in surfaces]``, except that the points are checked
-    once (``unit_square_args``) and the members of one envelope family are
-    evaluated together, by one call of the family."""
-    u, v = unit_square_args(u, v)
-    out = {}
-    for family, positions, members in envelope_families(surfaces):
-        out.update(zip(positions, family.values(u, v, members)))
-    return [out[j] if j in out else s.fn(u, v) for j, s in enumerate(surfaces)]
+    def breaks(self, members, at, probes, width, frechet):
+        """The members' kinks along paths (``surfaces.surface_groups``), the
+        onset splits on the side of each where its member inverts, and the
+        cusp splits around the ``frechet`` kinks of the bound (``_SIDES``'
+        ``extreme``) that members at an end of the range follow."""
+        roots, rows, sides = self.kinks(members, at, probes)
+        grading = [(roots + sides * q * width[rows], rows, q * width[rows]) for q in _ONSET_SPLITS]
+        f, slack = self.functional, self.functional.level_slack
+        for _, s, levels in _levels_by_side(members):
+            if min(s.slack_sign * lvl for lvl in levels) <= s.slack_sign * s.value(f) + slack:
+                cusps, at_rows = frechet[s.extreme]
+                grading += [(cusps + g * width[at_rows], at_rows, q * width[at_rows])
+                            for q in _CUSP_SPLITS for g in (-q, q)]
+        return [(roots, rows)], grading
 
 
 def bound_surfaces_for_levels(
@@ -615,9 +600,9 @@ def bound_surfaces_for_levels(
     map; where the level is out of that map's reach, the inversion's
     bracket lands on the comonotone bound (dually for the lower envelope).
     The envelopes need not be copulas, so price bounds derived from them
-    are valid but not always sharp.  All pairs share one family (the last
-    entry of their ``structure``): evaluating one member inverts all of its
-    points in one batch, and ``evaluate_surfaces`` evaluates several
+    are valid but not always sharp.  All pairs share one family, their
+    ``group``: evaluating one member inverts all of its points in one
+    batch, and ``surfaces.evaluate_surfaces`` evaluates several
     members on the same points with one inversion per side, computing the
     level-free bracket end once per point.  Nothing is kept between calls.
     Raises LevelRangeError for a NaN level or one outside the attainable
@@ -635,7 +620,7 @@ def bound_surfaces_for_levels(
 
         return CopulaSurface(
             fn, tag="quasi-copula", name=f"{name}(level={level:.6g})",
-            structure=(name, level, family),
+            structure=(name, level), group=(family, (name, level)),
         )
 
     pairs = []

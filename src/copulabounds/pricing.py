@@ -21,9 +21,10 @@ the surfaces priced together, and every surface of one call is evaluated
 on the same nodes, so prices of pointwise-ordered surfaces are ordered
 exactly as computed within one call.  Each path's rule is split at the
 strikes, where the path crosses a kink of the Frechet bounds (whatever
-is priced), and where it crosses the kinks of the functional envelopes
-priced, where they start to fall back to a Frechet bound.  Payoffs
-priced together whose curvature lies on one line share one rule on it.
+is priced), and where it crosses the kinks that the groups of the
+surfaces priced declare (``surfaces.surface_groups``), with their
+grading splits.  Payoffs priced together whose curvature lies on one
+line share one rule on it.
 Discounting is assumed absorbed into the payoff; the scenario rate is zero.
 """
 
@@ -34,7 +35,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .functional import envelope_families, evaluate_surfaces
 from .marginals import Marginal
 from .quadrature import (
     DEFAULT_PANELS,
@@ -42,7 +42,7 @@ from .quadrature import (
     refine_sign_changes,
     unit_rule,
 )
-from .surfaces import CopulaSurface, frechet_lower, frechet_upper
+from .surfaces import CopulaSurface, evaluate_surfaces, surface_groups
 
 __all__ = [
     "PayoffSpec",
@@ -60,7 +60,6 @@ __all__ = [
     "best_off_put",
     "payoff_value",
     "payoff_sign",
-    "survival_weight",
     "price",
     "price_batch",
     "price_interval",
@@ -199,14 +198,6 @@ def payoff_sign(p: PayoffSpec) -> int:
     return 1 if _min_max(p)[1] is np.minimum else -1
 
 
-def survival_weight(surface: CopulaSurface, m_x: Marginal, m_y: Marginal, x, y):
-    """Joint survival weight 1 - F_X(x) - F_Y(y) + C(F_X(x), F_Y(y)) in [0, 1]."""
-    u = m_x.cdf(np.maximum(np.asarray(x, dtype=float), 0.0))
-    v = m_y.cdf(np.maximum(np.asarray(y, dtype=float), 0.0))
-    out = np.clip(1.0 - u - v + surface(u, v), 0.0, 1.0)
-    return out if np.ndim(out) else float(out)
-
-
 def _strike_candidates(p: PayoffSpec) -> list[float]:
     vals = []
     if p.kind == "basket":
@@ -283,22 +274,13 @@ def _on_square(m_x: Marginal, m_y: Marginal, line, z):
 # Kinks of the Frechet bounds M and W: where a path's u = F_X(x(z)) crosses
 # its v = F_Y(y(z)), or their sum crosses 1.
 _FRECHET_KINKS = {
-    frechet_upper: lambda u, v: u - v,
-    frechet_lower: lambda u, v: u + v - 1.0,
+    "M": lambda u, v: u - v,
+    "W": lambda u, v: u + v - 1.0,
 }
-# Past a saturation kink an envelope's curvature is unbounded: the one-point
-# map's slope in theta grows without bound toward the Frechet end.  The panels
-# on that side are graded toward the kink by splits at these fractions of a
-# panel width from it.
-_ONSET_SPLITS = (1.0 / 4.0, 1.0 / 16.0)
-# An envelope at an end of the attainable range is its Frechet bound up to
-# the level slack, with a narrow bump at that bound's kink; the panels on
-# both sides of the kink are split at these fractions of a panel width.
-_CUSP_SPLITS = (1.0 / 4.0, 1.0 / 16.0, 1.0 / 64.0)
 # A grading split is left out where another break lies closer to it than
 # this fraction of its offset (its distance from its kink): that break grades
 # the panels already.  Chosen by measurement (README); it must stay below 3/4,
-# or the cusp splits, a factor 4 apart, would remove each other.
+# or the envelopes' cusp splits, a factor 4 apart, would remove each other.
 _GRADING_KEEP = 0.5
 
 
@@ -310,43 +292,37 @@ def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
     Every path is split at the kinks of both Frechet surfaces, whatever is
     priced: W and M are kinked there, every envelope falls back to one of
     them, and copulas near W or M bend sharply there.  They are found by
-    one ``refine_sign_changes`` call per bound for every path.  The members
-    of an envelope family (``envelope_families``) are also kinked where
-    they saturate.  The family finds those kinks for all its levels and
-    paths together, probing each path at the edges of its ``panels``
-    uniform panels and at its Frechet kinks, where the saturation end map
-    is kinked too (a dip there can fit inside one panel).  Other surfaces
-    declare no kinks.
+    one ``refine_sign_changes`` call per bound for every path.  Each group
+    of surfaces (``surface_groups``) declares its members' kinks and
+    grading splits for all paths together, from probes at the edges of
+    each path's ``panels`` uniform panels and at its Frechet kinks, where a
+    kink of a surface that follows a Frechet bound can hide inside one
+    panel.  A surface without a group declares no kinks.
     """
     lo, hi, *lines = np.array([p[:6] for p in paths], dtype=float).reshape(-1, 6).T
 
     def at(z, i):
         return _on_square(m_x, m_y, [c[i] for c in lines], z)
 
-    found = {
-        bound: refine_sign_changes(lambda z, i, kink=kink: kink(*at(z, i)), lo, hi)
-        for bound, kink in _FRECHET_KINKS.items()
+    frechet = {
+        key: refine_sign_changes(lambda z, i, kink=kink: kink(*at(z, i)), lo, hi)
+        for key, kink in _FRECHET_KINKS.items()
     }
-    kinks, grading = list(found.values()), []
-    families = envelope_families(surfaces)
-    if families:
+    kinks, grading = list(frechet.values()), []
+    groups = surface_groups(surfaces)
+    if groups:
         probes = np.linspace(lo, hi, panels + 1, axis=-1)
-        frechet = _gathered(kinks, [], len(paths))
-        most = max(b.size for b in frechet)
+        ends = _gathered(kinks, [], len(paths))
+        most = max(b.size for b in ends)
         if most:  # each path's Frechet kinks, padded with its end
             padded = np.array([np.pad(b, (0, most - b.size), constant_values=h)
-                               for b, h in zip(frechet, hi)])
+                               for b, h in zip(ends, hi)])
             probes = np.sort(np.hstack([probes, padded]), axis=-1)
         width = (hi - lo) / panels
-    for family, _, members in families:
-        roots, rows, sides = family.kinks(members, at, probes)
-        kinks.append((roots, rows))
-        grading += [(roots + sides * q * width[rows], rows, q * width[rows])
-                    for q in _ONSET_SPLITS]
-        for bound in family.extremes(members):
-            roots, rows = found[bound]
-            grading += [(roots + f * width[rows], rows, q * width[rows])
-                        for q in _CUSP_SPLITS for f in (-q, q)]
+    for group, _, keys in groups:
+        group_kinks, group_grading = group.breaks(keys, at, probes, width, frechet)
+        kinks += group_kinks
+        grading += group_grading
     return _gathered(kinks, grading, len(paths))
 
 
@@ -358,8 +334,8 @@ def _gathered(kinks, grading, n) -> list[np.ndarray]:
     levels crowd together, their breaks grade each other's panels, and the
     splits would only add nodes at which every level inverts.  Of two
     competing splits of equal offset the first listed is kept, so the order
-    of ``grading``, the families' ``functional._SIDES`` order, reaches the
-    nodes."""
+    of ``grading``, the order in which the groups list their splits,
+    reaches the nodes."""
     roots, rows = (np.concatenate(x) for x in zip(*kinks))
     at, at_rows, offset = (
         (np.concatenate(x) for x in zip(*grading)) if grading else np.empty((3, 0))
@@ -386,7 +362,7 @@ def _path_terms(segments, path, breaks, surfaces, m_x, m_y, panels):
     every surface priced lies between W and M, and M - W <= s.  Segment
     ends are panel edges, so each payoff's term is the exact partial sum over
     the nodes inside its own segment.  Each surface is evaluated once on the
-    rule's nodes, and the members of one envelope family together.  The sums
+    rule's nodes, and the members of one group together.  The sums
     are einsum reductions: a BLAS product would wake a thread pool that spins
     on the other cores.
     """

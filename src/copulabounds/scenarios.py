@@ -30,10 +30,11 @@ from .functional import (
     bound_surfaces_for_level,
     bound_surfaces_for_levels,
     check_theta_tol,
-    evaluate_surfaces,
 )
 from .marginals import exponential, lognormal_martingale
-from .surfaces import FRECHET_LOWER, FRECHET_UPPER, _validate, gaussian_copula, lattice
+from .surfaces import (
+    FRECHET_LOWER, FRECHET_UPPER, _validate, evaluate_surfaces, gaussian_copula, lattice,
+)
 
 __all__ = [
     "SCENARIOS",

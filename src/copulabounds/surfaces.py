@@ -6,14 +6,14 @@ concurrently.  Each surface carries a provenance tag: ``known-copula``
 for surfaces that are copulas by construction, ``quasi-copula`` for
 best-possible bounds that need not be 2-increasing, and ``unverified``
 for arbitrary user evaluators.  A ``structure`` tuple records how the
-surface was built, and marks the members of an envelope family, which
-are evaluated together.
+surface was built, for provenance only; the members of a group
+(``surface_groups``) are evaluated together and declare their kinks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr, ndtri, owens_t
@@ -22,16 +22,12 @@ from .quadrature import gauss_legendre_01
 
 __all__ = [
     "CopulaSurface",
-    "Rectangle",
     "ValidationReport",
     "frechet_lower",
     "frechet_upper",
     "FRECHET_LOWER",
     "FRECHET_UPPER",
     "PRODUCT",
-    "volume",
-    "reflect_second",
-    "survival_value",
     "gaussian_copula",
     "bivariate_normal_cdf",
     "validate_quasi_copula",
@@ -50,20 +46,6 @@ def frechet_lower(u, v):
 def frechet_upper(u, v):
     """Comonotone bound M(u, v) = min(u, v)."""
     return np.minimum(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-
-
-class Rectangle(NamedTuple):
-    """Axis-aligned rectangle [u1, u2] x [v1, v2] inside the unit square."""
-
-    u1: float
-    u2: float
-    v1: float
-    v2: float
-
-    def validate(self) -> "Rectangle":
-        if not (0.0 <= self.u1 <= self.u2 <= 1.0 and 0.0 <= self.v1 <= self.v2 <= 1.0):
-            raise ValueError(f"invalid rectangle {self}")
-        return self
 
 
 def unit_square_args(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -90,12 +72,14 @@ def check_unit_point(a: float, b: float) -> None:
 @dataclass(frozen=True, eq=False)
 class CopulaSurface:
     """Evaluable function on the unit square with provenance metadata.
-    Surfaces compare and hash by identity."""
+    Surfaces compare and hash by identity.  ``group``, if set, is
+    ``(group, key)``: the surface is the member ``key`` of ``group``."""
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     tag: str = "unverified"
     name: str = "surface"
     structure: tuple = ()
+    group: tuple | None = None
 
     def __post_init__(self):
         if self.tag not in ("known-copula", "quasi-copula", "unverified"):
@@ -127,41 +111,31 @@ PRODUCT = CopulaSurface(
 )
 
 
-def volume(surface: CopulaSurface, rect: Rectangle) -> float:
-    """Mass the surface assigns to a rectangle; negative values reveal
-    quasi-copulas that are not copulas."""
-    r = Rectangle(*rect).validate()
-    return float(
-        surface(r.u2, r.v2) + surface(r.u1, r.v1) - surface(r.u1, r.v2) - surface(r.u2, r.v1)
-    )
+def surface_groups(surfaces) -> list:
+    """``(group, positions, keys)`` for each group among ``surfaces``: the
+    positions of its members in ``surfaces`` and their keys, in order.
+    ``group.values(u, v, keys)`` returns the members' values at checked
+    points, and ``group.breaks(keys, at, probes, width, frechet)`` their
+    kinks and grading splits along pricing paths (``pricing._path_breaks``)."""
+    found = {}
+    for j, s in enumerate(surfaces):
+        if s.group is not None:
+            group, key = s.group
+            positions, keys = found.setdefault(group, ([], []))
+            positions.append(j)
+            keys.append(key)
+    return [(group, *members) for group, members in found.items()]
 
 
-def reflect_second(surface: CopulaSurface) -> CopulaSurface:
-    """Reflection in the second argument: (u, v) -> u - C(u, 1 - v).
-
-    Maps copulas to copulas and quasi-copulas to quasi-copulas; an
-    involution.  Decreasing point sets become increasing under the same
-    reflection (``ConstraintSet.reflected``), and the upper constrained
-    bound of a set is the reflection of the lower bound of its reflected
-    set.  ``constrained.upper_bound`` does not use this identity.
-    """
-
-    def fn(u, v):
-        return np.asarray(u, dtype=float) - surface.fn(
-            np.asarray(u, dtype=float), 1.0 - np.asarray(v, dtype=float)
-        )
-
-    tag = surface.tag if surface.tag in ("known-copula", "quasi-copula") else "unverified"
-    return CopulaSurface(
-        fn, tag=tag, name=f"reflect({surface.name})", structure=("reflect", surface)
-    )
-
-
-def survival_value(surface: CopulaSurface, u, v):
-    """Survival coupling value u + v - 1 + C(1 - u, 1 - v)."""
-    uu = np.asarray(u, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    return uu + vv - 1.0 + surface(1.0 - uu, 1.0 - vv)
+def evaluate_surfaces(surfaces, u, v) -> list:
+    """``[s(u, v) for s in surfaces]``, except that the points are checked
+    once (``unit_square_args``) and the members of one group are evaluated
+    together, by one call of the group."""
+    u, v = unit_square_args(u, v)
+    out = {}
+    for group, positions, keys in surface_groups(surfaces):
+        out.update(zip(positions, group.values(u, v, keys)))
+    return [out[j] if j in out else s.fn(u, v) for j, s in enumerate(surfaces)]
 
 
 # Gauss-Legendre orders of the Drezner-Wesolowsky integral by |rho| below

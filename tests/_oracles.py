@@ -81,6 +81,12 @@ def random_point_set(rng, size, kind):
     return list(zip(a.tolist(), b.tolist(), theta.tolist()))
 
 
+def volume(surface, u1, u2, v1, v2) -> float:
+    """Mass that ``surface`` assigns to the rectangle [u1, u2] x [v1, v2];
+    a negative value shows a quasi-copula that is not a copula."""
+    return float(surface(u2, v2) + surface(u1, v1) - surface(u1, v2) - surface(u2, v1))
+
+
 def direct_envelopes(points, u, v):
     """(upper, lower) point-set envelopes at (u, v) by their definition: the
     Frechet bounds tightened by every constraint's Lipschitz cone, with all

@@ -29,14 +29,13 @@ PUBLIC = {
     "best_off_call", "best_off_put", "call_on_max", "call_on_min",
     "digital_default_prices", "payoff_sign", "payoff_value", "price", "price_batch",
     "price_interval", "put_on_max", "put_on_min", "spread",
-    "survival_weight", "worst_off_call", "worst_off_put",
+    "worst_off_call", "worst_off_put",
     # quadrature
     "QuadratureError",
     # surfaces
-    "FRECHET_LOWER", "FRECHET_UPPER", "PRODUCT", "CopulaSurface", "Rectangle",
+    "FRECHET_LOWER", "FRECHET_UPPER", "PRODUCT", "CopulaSurface",
     "ValidationReport", "bivariate_normal_cdf", "frechet_lower", "frechet_upper",
-    "gaussian_copula", "reflect_second",
-    "survival_value", "validate_copula", "validate_quasi_copula", "volume",
+    "gaussian_copula", "validate_copula", "validate_quasi_copula",
 }
 
 README = Path(__file__).parent.parent / "README.md"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 import copulabounds as cb
-from copulabounds.functional import LevelRangeError, _invert_batch, evaluate_surfaces
+from copulabounds.functional import LevelRangeError, _invert_batch
 from copulabounds.quadrature import (
     DEFAULT_EPS,
     DEFAULT_ORDER,
@@ -13,7 +13,7 @@ from copulabounds.quadrature import (
     gauss_legendre_01,
     mapped_nodes,
 )
-from copulabounds.surfaces import _validate, lattice
+from copulabounds.surfaces import _validate, evaluate_surfaces, lattice
 
 from _oracles import TwoPointPenalty, expectation_by_disintegration, random_point_set
 
@@ -601,7 +601,7 @@ class TestEnvelopeFamily:
         u[:3], v[:3] = [0.0, 1.0, 0.4], [0.3, 0.2, 1.0]
         pairs = cb.bound_surfaces_for_levels(F, self._levels(F))
         members = [s for pair in pairs for s in pair]
-        assert len({id(s.structure[-1]) for s in members}) == 1
+        assert len({id(s.group[0]) for s in members}) == 1
         values = evaluate_surfaces(members, u, v)
         saturated = unsaturated = 0
         for level, pair, got in zip(self._levels(F), pairs, zip(values[::2], values[1::2])):

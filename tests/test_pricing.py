@@ -126,29 +126,6 @@ class TestPayoffCatalog:
                 make(**{**params, name: bad})
 
 
-class TestSurvivalWeight:
-    def test_comonotone(self, lognormal_marginals):
-        mx, my = lognormal_marginals
-        x = float(mx.quantile(0.3))
-        y = float(my.quantile(0.3))
-        got = cb.survival_weight(cb.FRECHET_UPPER, mx, my, x, y)
-        assert got == pytest.approx(0.7, abs=1e-12)
-
-    def test_countermonotone_boundary(self, lognormal_marginals):
-        mx, my = lognormal_marginals
-        x = float(mx.quantile(0.4))
-        y = float(my.quantile(0.6))
-        got = cb.survival_weight(cb.FRECHET_LOWER, mx, my, x, y)
-        assert got == pytest.approx(0.0, abs=1e-12)
-
-    def test_independence(self, lognormal_marginals):
-        mx, my = lognormal_marginals
-        x = float(mx.quantile(0.3))
-        y = float(my.quantile(0.4))
-        got = cb.survival_weight(cb.PRODUCT, mx, my, x, y)
-        assert got == pytest.approx(0.42, abs=1e-12)
-
-
 class TestPrice:
     def test_basket_zero_strike_is_sum_of_means(self, lognormal_marginals):
         mx, my = lognormal_marginals
@@ -780,11 +757,15 @@ class TestEnvelopeKinks:
         assert (iv.lower, iv.upper) == (alone[0, 1], alone[0, 0])  # submodular: ends swap
         assert cb.price_batch([], [low], mx, my).shape == (0, 1)
 
-    def test_a_member_is_told_by_its_family_not_its_name(self, lognormal_marginals):
-        # a surface named like an envelope member, not built as one, prices
-        # as the plain surface it is
+    @pytest.mark.parametrize("real", [False, True], ids=["named", "real-structure"])
+    def test_a_member_is_told_by_its_family_not_its_name(self, lognormal_marginals, members,
+                                                         real):
+        # a surface named like an envelope member, or even built with a real
+        # member's structure, but not a member of its group, prices as the
+        # plain surface it is: the structure is provenance only
         mx, my = lognormal_marginals
-        named = cb.CopulaSurface(lambda u, v: np.minimum(u, v), structure=("functional-lower", 0.3))
+        structure = members[0].structure if real else ("functional-lower", 0.3)
+        named = cb.CopulaSurface(lambda u, v: np.minimum(u, v), structure=structure)
         payoff = cb.spread(0.0)
         got = cb.price_batch([payoff], [named, cb.FRECHET_UPPER], mx, my, panels=40)
         assert got[0, 0] == got[0, 1] == cb.price(payoff, named, mx, my, panels=40)
@@ -811,11 +792,11 @@ class TestEnvelopeKinks:
             return mx.cdf(z), my.cdf(z)
 
         probes = np.linspace(path.lo, path.hi, 41)[None, :]
-        family = members[0].structure[-1]
+        family = members[0].group[0]
         found = 0
         for s in members[:4]:
-            roots, _, sides = family.kinks([s.structure[:2]], at, probes)
-            fallback = cb.FRECHET_UPPER if s.structure[0] == "functional-upper" else cb.FRECHET_LOWER
+            roots, _, sides = family.kinks([s.group[1]], at, probes)
+            fallback = cb.FRECHET_UPPER if s.group[1][0] == "functional-upper" else cb.FRECHET_LOWER
             for r, side in zip(roots, sides):
                 u, v = at(r + side * np.array([-1e-5, 1e-5]), None)
                 got, bound = s(u, v), fallback(u, v)
@@ -837,3 +818,54 @@ class TestEnvelopeKinks:
             together = cb.price_batch([payoff], [cb.FRECHET_LOWER, member, cb.FRECHET_UPPER],
                                       mx, my, panels=40)
             assert alone == together[0, 1]
+
+
+class _DeclaredKink:
+    """A test group of plain surfaces, keyed by their functions, that declares
+    one kink on every path at ``z`` and records each ``values`` call."""
+
+    def __init__(self, z):
+        self.z = z
+        self.calls = []
+
+    def values(self, u, v, keys):
+        self.calls.append(list(keys))
+        return [fn(u, v) for fn in keys]
+
+    def breaks(self, keys, at, probes, width, frechet):
+        rows = np.arange(probes.shape[0])
+        return [(np.full(rows.size, self.z), rows)], []
+
+
+class TestSurfaceGroups:
+    def test_the_pricer_takes_any_group_by_its_protocol(self, lognormal_marginals, monkeypatch):
+        # a group that is no functional envelope: its declared kink reaches
+        # the path rule, its members are evaluated by the group alone, once
+        # per rule, and they price as their plain surfaces on the same breaks
+        mx, my = lognormal_marginals
+        z = 123.456
+        plain = [cb.FRECHET_LOWER, cb.gaussian_copula(0.5), cb.FRECHET_UPPER]
+        group = _DeclaredKink(z)
+
+        def unused(u, v):
+            raise AssertionError("a member's fn was called")
+
+        members = [cb.CopulaSurface(unused, group=(group, s.fn)) for s in plain]
+        seen = []
+        rule = quadrature.interval_rule
+
+        def spy(lo, hi, panels, breakpoints=(), survival=None):
+            seen.append(list(breakpoints))
+            return rule(lo, hi, panels, breakpoints, survival)
+
+        monkeypatch.setattr(pricing, "interval_rule", spy)
+        payoffs = [cb.spread(0.0), cb.basket(1.0, 1.0, 200.0)]
+        got = cb.price_batch(payoffs, members, mx, my, panels=40)
+        assert len(seen) == 2 and all(z in b for b in seen)
+        assert group.calls == [[s.fn for s in plain]] * len(seen)
+
+        breaks = pricing._path_breaks
+        monkeypatch.setattr(
+            pricing, "_path_breaks", lambda *a: [np.sort(np.append(b, z)) for b in breaks(*a)]
+        )
+        np.testing.assert_array_equal(got, cb.price_batch(payoffs, plain, mx, my, panels=40))
