@@ -87,6 +87,19 @@ def volume(surface, u1, u2, v1, v2) -> float:
     return float(surface(u2, v2) + surface(u1, v1) - surface(u1, v2) - surface(u2, v1))
 
 
+def reflect_second(surface):
+    """The reflection (u, v) -> u - C(u, 1 - v) of ``surface``: it maps a
+    copula to the copula of (U, 1 - V), and is an involution."""
+    return lambda u, v: np.asarray(u, dtype=float) - surface(u, 1.0 - np.asarray(v, dtype=float))
+
+
+def survival_value(surface, u, v):
+    """The survival copula u + v - 1 + C(1 - u, 1 - v) of ``surface``: the
+    copula of (1 - U, 1 - V)."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    return u + v - 1.0 + surface(1.0 - u, 1.0 - v)
+
+
 def direct_envelopes(points, u, v):
     """(upper, lower) point-set envelopes at (u, v) by their definition: the
     Frechet bounds tightened by every constraint's Lipschitz cone, with all

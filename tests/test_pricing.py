@@ -126,6 +126,30 @@ class TestPayoffCatalog:
                 make(**{**params, name: bad})
 
 
+class TestSurvivalWeight:
+    # the joint survival weight P(X > T, Y > T) = 1 - F_X(T) - F_Y(T) + C(F_X(T), F_Y(T))
+    # is one minus the first-to-default digital price
+    def test_comonotone(self, lognormal_marginals):
+        mx, _ = lognormal_marginals
+        first, _ = cb.digital_default_prices(cb.FRECHET_UPPER, mx, mx, float(mx.quantile(0.3)))
+        assert 1.0 - first == pytest.approx(0.7, abs=1e-12)
+
+    def test_countermonotone_boundary(self, lognormal_marginals):
+        # on or above the antidiagonal F_X + F_Y >= 1, W leaves no joint survival
+        mx, my = lognormal_marginals
+        T = float(mx.quantile(0.6))
+        assert float(mx.cdf(T)) + float(my.cdf(T)) >= 1.0
+        first, _ = cb.digital_default_prices(cb.FRECHET_LOWER, mx, my, T)
+        assert 1.0 - first == pytest.approx(0.0, abs=1e-12)
+
+    def test_independence(self, lognormal_marginals):
+        mx, my = lognormal_marginals
+        T = float(mx.quantile(0.3))
+        first, _ = cb.digital_default_prices(cb.PRODUCT, mx, my, T)
+        expected = (1.0 - float(mx.cdf(T))) * (1.0 - float(my.cdf(T)))
+        assert 1.0 - first == pytest.approx(expected, abs=1e-12)
+
+
 class TestPrice:
     def test_basket_zero_strike_is_sum_of_means(self, lognormal_marginals):
         mx, my = lognormal_marginals

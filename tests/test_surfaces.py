@@ -7,7 +7,7 @@ import copulabounds as cb
 from copulabounds.quadrature import unit_rule
 from copulabounds.surfaces import bivariate_normal_cdf
 
-from _oracles import owens_t_bivariate_normal_cdf, volume
+from _oracles import owens_t_bivariate_normal_cdf, reflect_second, survival_value, volume
 
 # rho on both sides of each limit where the kernel changes its rule
 REGIME_EDGES = (0.2999, 0.3001, 0.7499, 0.7501, 0.9249, 0.9251)
@@ -71,6 +71,48 @@ class TestOnePointBounds:
             cb.one_point_upper(0.2, 0.3, 0.25)
         with pytest.raises(ValueError):
             cb.one_point_lower(0.8, 0.9, 0.5)
+
+
+class TestReflection:
+    def test_reflect_m_is_w(self):
+        r = reflect_second(cb.FRECHET_UPPER)
+        assert r(0.7, 0.6) == pytest.approx(0.3, abs=1e-15)
+
+    def test_reflect_w_is_m(self):
+        r = reflect_second(cb.FRECHET_LOWER)
+        assert r(0.2, 0.9) == pytest.approx(0.2, abs=1e-15)
+
+    def test_involution_on_gaussian(self):
+        C = cb.gaussian_copula(0.5)
+        CC = reflect_second(reflect_second(C))
+        g = np.linspace(0.0, 1.0, 101)
+        U, V = np.meshgrid(g, g, indexing="ij")
+        assert np.max(np.abs(CC(U, V) - C(U, V))) <= 1e-12
+
+    @pytest.mark.parametrize("rho", REGIME_EDGES)
+    def test_reflected_gaussian_negates_rho(self, rho, rng):
+        # (U, 1 - V) is Gaussian with -rho, so both signs of every kernel
+        # regime must agree through the reflection
+        u, v = rng.uniform(0.0, 1.0, (2, 2000))
+        got = reflect_second(cb.gaussian_copula(rho))(u, v)
+        np.testing.assert_allclose(got, cb.gaussian_copula(-rho)(u, v), rtol=0, atol=1e-14)
+
+
+class TestSurvival:
+    def test_m_self_dual(self):
+        assert survival_value(cb.FRECHET_UPPER, 0.4, 0.4) == pytest.approx(0.4, abs=1e-15)
+
+    def test_product_invariant(self):
+        assert survival_value(cb.PRODUCT, 0.5, 0.5) == pytest.approx(0.25, abs=1e-15)
+
+    def test_w_on_antidiagonal(self):
+        assert survival_value(cb.FRECHET_LOWER, 0.3, 0.5) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("rho", REGIME_EDGES)
+    def test_gaussian_is_radially_symmetric(self, rho, rng):
+        u, v = rng.uniform(0.0, 1.0, (2, 2000))
+        C = cb.gaussian_copula(rho)
+        np.testing.assert_allclose(survival_value(C, u, v), C(u, v), rtol=0, atol=1e-14)
 
 
 class TestGaussianCopula:
