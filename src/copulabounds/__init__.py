@@ -6,7 +6,6 @@ from .constrained import (
     ConstraintSet,
     bounds_from_max_options,
     bounds_from_second_to_default,
-    classify,
     constraints_from_csv,
     constraints_from_price_csv,
     lower_bound,
@@ -62,7 +61,6 @@ from .surfaces import (
     PRODUCT,
     CopulaSurface,
     ValidationReport,
-    bivariate_normal_cdf,
     frechet_lower,
     frechet_upper,
     gaussian_copula,

@@ -37,7 +37,6 @@ from .surfaces import CopulaSurface, frechet_lower, frechet_upper
 __all__ = [
     "ConstraintError",
     "ConstraintSet",
-    "classify",
     "upper_bound",
     "lower_bound",
     "one_point_lower",
@@ -112,34 +111,32 @@ def _chain_excess(a, b, t) -> float | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """Finite set of (a, b, theta) point constraints on a copula.
 
-    Construction verifies that each value respects the Frechet bounds at
-    its point and that every pair satisfies the directed Lipschitz
-    inequality ``theta_j - theta_i <= (a_j - a_i)^+ + (b_j - b_i)^+``,
-    which is exactly quasi-copula compatibility for point data.
-    Inconsistent data is rejected, never projected.
+    Construction, direct or through ``from_points``, stores a, b and theta
+    as 1-d float arrays of one length.  It verifies that each value
+    respects the Frechet bounds at its point and that every pair satisfies
+    the directed Lipschitz inequality
+    ``theta_j - theta_i <= (a_j - a_i)^+ + (b_j - b_i)^+``, which is
+    exactly quasi-copula compatibility for point data.
+    Inconsistent data is rejected, never projected.  The arrays are
+    read-only, so the checked data cannot change; sets compare and hash by
+    identity.
     """
 
     a: np.ndarray
     b: np.ndarray
     theta: np.ndarray
 
-    @classmethod
-    def from_points(cls, points: Iterable[tuple[float, float, float]]) -> "ConstraintSet":
-        pts = [(float(a), float(b), float(t)) for a, b, t in points]
-        if pts:
-            a, b, t = (np.asarray(col, dtype=float) for col in zip(*pts))
-        else:
-            a = b = t = np.empty(0)
-        obj = cls(a, b, t)
-        obj._validate()
-        return obj
-
-    def _validate(self) -> None:
-        a, b, t = self.a, self.b, self.theta
+    def __post_init__(self):
+        a, b, t = (np.array(c, dtype=float) for c in (self.a, self.b, self.theta))
+        if not (a.ndim == b.ndim == t.ndim == 1 and a.size == b.size == t.size):
+            raise ConstraintError("a, b and theta must be 1-d arrays of one length")
+        for name, col in (("a", a), ("b", b), ("theta", t)):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(t))):
             raise ConstraintError("constraints must be finite")
         if np.any(a < 0) or np.any(a > 1) or np.any(b < 0) or np.any(b > 1):
@@ -165,11 +162,13 @@ class ConstraintSet:
                 f"value {t[i]} at ({a[i]}, {b[i]}) and {t[j]} at ({a[j]}, {b[j]})"
             )
 
+    @classmethod
+    def from_points(cls, points: Iterable[tuple[float, float, float]]) -> "ConstraintSet":
+        pts = [(float(a), float(b), float(t)) for a, b, t in points]
+        return cls(*np.reshape(pts, (-1, 3)).T)
+
     def __len__(self) -> int:
         return int(self.a.size)
-
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.a.tolist(), self.b.tolist(), self.theta.tolist()))
 
     @property
     def is_increasing(self) -> bool:
@@ -180,26 +179,6 @@ class ConstraintSet:
     def is_decreasing(self) -> bool:
         """Every pair satisfies (a_i - a_j)(b_i - b_j) <= 0: (a, -b) is a chain."""
         return _is_chain(self.a, -self.b)
-
-    def reflected(self) -> "ConstraintSet":
-        """Image under (a, b, theta) -> (a, 1-b, a-theta); swaps the roles of
-        increasing and decreasing sets and of the two envelopes."""
-        return ConstraintSet.from_points(
-            zip(self.a.tolist(), (1.0 - self.b).tolist(), (self.a - self.theta).tolist())
-        )
-
-
-def classify(constraints: ConstraintSet) -> str:
-    """'increasing', 'decreasing', or 'neither'.
-
-    Pairs sharing a coordinate count as both ordered ways, so chains with
-    ties classify as increasing whenever that is consistent.
-    """
-    if constraints.is_increasing:
-        return "increasing"
-    if constraints.is_decreasing:
-        return "decreasing"
-    return "neither"
 
 
 def _as_constraints(constraints) -> ConstraintSet:

@@ -99,10 +99,6 @@ class Exponential(Marginal):
     def quantile_unchecked(self, u):
         return -np.log1p(-u) / self.rate
 
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
     def __repr__(self) -> str:
         return f"Exponential(rate={self.rate})"
 
@@ -138,10 +134,6 @@ class LognormalMartingale(Marginal):
 
     def quantile_unchecked(self, u):
         return self.spot * np.exp(self._sig_sqrt_t * ndtri(u) - self._half_var)
-
-    @property
-    def mean(self) -> float:
-        return self.spot
 
     @property
     def log_mean(self) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
+from scipy.special import ndtri, owens_t
 
 from .quadrature import gauss_legendre_01
 
@@ -29,7 +29,6 @@ __all__ = [
     "FRECHET_UPPER",
     "PRODUCT",
     "gaussian_copula",
-    "bivariate_normal_cdf",
     "validate_quasi_copula",
     "validate_copula",
 ]
@@ -186,31 +185,6 @@ def _bvn(h, k, rho: float, ph, pk):
     t = owens_t(hh, a1) + owens_t(kk, a2)
     delta = np.where(hh * kk > 0.0, 0.0, 0.5)
     return 0.5 * (ph + pk) - t - delta
-
-
-def bivariate_normal_cdf(h, k, rho: float):
-    """P(Z1 <= h, Z2 <= k) for standard normals with correlation rho.
-
-    Genz's Gauss-Legendre form of the Drezner-Wesolowsky integral for
-    |rho| < 0.925 and Owen's T function above; the two agree within 6e-16
-    for |rho| up to 0.999 and probabilities down to 1e-12.  Infinite
-    arguments give the limits: 0 when either is -inf, Phi of the other
-    when one is +inf.
-    """
-    if not -1.0 < rho < 1.0:
-        raise ValueError("rho must lie strictly inside (-1, 1) here")
-    h, k = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float))
-    if rho == 0.0:
-        return ndtr(h) * ndtr(k)
-    finite = np.isfinite(h) & np.isfinite(k)
-    hf = np.where(finite, h, 0.0)
-    kf = np.where(finite, k, 0.0)
-    out = _bvn(hf, kf, rho, ndtr(hf), ndtr(kf))
-    if not finite.all():
-        limit = np.where(h == np.inf, ndtr(k), np.where(k == np.inf, ndtr(h), np.nan))
-        limit = np.where(np.isneginf(h) | np.isneginf(k), 0.0, limit)
-        out = np.where(finite, out, limit)
-    return np.clip(out, 0.0, 1.0)
 
 
 def gaussian_copula(rho: float) -> CopulaSurface:

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import ndtr, owens_t
 
+from copulabounds.constrained import ConstraintSet
 from copulabounds.pricing import payoff_value
 
 
@@ -91,6 +92,14 @@ def reflect_second(surface):
     """The reflection (u, v) -> u - C(u, 1 - v) of ``surface``: it maps a
     copula to the copula of (U, 1 - V), and is an involution."""
     return lambda u, v: np.asarray(u, dtype=float) - surface(u, 1.0 - np.asarray(v, dtype=float))
+
+
+def reflected(cs):
+    """The constraint set's image under (a, b, theta) -> (a, 1 - b, a - theta):
+    the data of the copula of (U, 1 - V).  It swaps increasing and
+    decreasing sets, and the upper envelope of ``cs`` is ``reflect_second``
+    of the lower envelope of the image."""
+    return ConstraintSet(cs.a, 1.0 - cs.b, cs.a - cs.theta)
 
 
 def survival_value(surface, u, v):

@@ -6,6 +6,7 @@ A name added to or removed from the package is an API change: update
 
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import copulabounds as cb
 PUBLIC = {
     # constrained
     "ConstraintError", "ConstraintSet", "bounds_from_max_options",
-    "bounds_from_second_to_default", "classify", "constraints_from_csv",
+    "bounds_from_second_to_default", "constraints_from_csv",
     "constraints_from_price_csv", "lower_bound", "one_point_lower", "one_point_upper",
     "upper_bound",
     # functional
@@ -34,7 +35,7 @@ PUBLIC = {
     "QuadratureError",
     # surfaces
     "FRECHET_LOWER", "FRECHET_UPPER", "PRODUCT", "CopulaSurface",
-    "ValidationReport", "bivariate_normal_cdf", "frechet_lower", "frechet_upper",
+    "ValidationReport", "frechet_lower", "frechet_upper",
     "gaussian_copula", "validate_copula", "validate_quasi_copula",
 }
 
@@ -66,6 +67,11 @@ def test_every_export_is_listed_in_a_module_all():
     for name in MODULES:
         listed.update(importlib.import_module(f"copulabounds.{name}").__all__)
     assert sorted(PUBLIC - listed) == []
+
+
+def test_every_public_name_is_in_the_readme():
+    text = README.read_text()
+    assert sorted(n for n in PUBLIC if not re.search(rf"\b{n}\b", text)) == []
 
 
 def test_readme_library_tour_runs():

@@ -2,17 +2,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import copulabounds as cb
 from copulabounds import constrained
 from copulabounds.constrained import ConstraintError
 
-from _oracles import direct_envelopes, mixture_values, random_point_set
+from _oracles import direct_envelopes, mixture_values, random_point_set, reflected
 
 # a few shared values, so that drawn points tie in a, in b and on the edges
 _COORD = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+# coordinates and values that are valid, out of range or not finite
+_ENTRY = st.one_of(_COORD, st.sampled_from([-0.25, 1.5, np.nan, np.inf]))
 
 
 def grid(n=101):
@@ -23,39 +25,38 @@ def grid(n=101):
 class TestClassify:
     def test_increasing_pair(self):
         cs = cb.ConstraintSet.from_points([(1 / 3, 1 / 3, 0.0), (2 / 3, 2 / 3, 1 / 3)])
-        assert cb.classify(cs) == "increasing"
+        assert cs.is_increasing and not cs.is_decreasing
 
     def test_decreasing_pair(self):
         cs = cb.ConstraintSet.from_points([(0.2, 0.8, 0.15), (0.8, 0.2, 0.15)])
-        assert cb.classify(cs) == "decreasing"
+        assert cs.is_decreasing and not cs.is_increasing
 
     def test_all_pairs_opposite_is_decreasing(self):
         # every pair here is oppositely ordered, so the set is decreasing
         cs = cb.ConstraintSet.from_points(
             [(0.2, 0.2, 0.1), (0.8, 0.1, 0.05), (0.1, 0.8, 0.05)]
         )
-        assert cb.classify(cs) == "decreasing"
+        assert cs.is_decreasing and not cs.is_increasing
 
     def test_mixed(self):
         cs = cb.ConstraintSet.from_points(
             [(0.2, 0.2, 0.0), (0.8, 0.1, 0.0), (0.9, 0.9, 0.8)]
         )
-        assert cb.classify(cs) == "neither"
+        assert not cs.is_increasing and not cs.is_decreasing
 
     def test_ties_count_both_ways(self):
         cs = cb.ConstraintSet.from_points([(0.5, 0.2, 0.1), (0.5, 0.8, 0.4)])
         assert cs.is_increasing and cs.is_decreasing
-        assert cb.classify(cs) == "increasing"
 
     def test_tiny_differences_keep_their_order(self):
         # (da)(db) underflows to -0.0 here; the order itself is unambiguous
         cs = cb.ConstraintSet.from_points([(0.0, 1e-170, 0.0), (1e-170, 0.0, 0.0)])
         assert not cs.is_increasing and cs.is_decreasing
-        assert cb.classify(cs) == "decreasing"
 
     def test_empty_and_singleton(self):
-        assert cb.classify(cb.ConstraintSet.from_points([])) == "increasing"
-        assert cb.classify(cb.ConstraintSet.from_points([(0.3, 0.4, 0.2)])) == "increasing"
+        for points in ([], [(0.3, 0.4, 0.2)]):
+            cs = cb.ConstraintSet.from_points(points)
+            assert cs.is_increasing and cs.is_decreasing
 
     @given(ab=st.lists(st.tuples(_COORD, _COORD), max_size=12))
     @settings(max_examples=300, deadline=None)
@@ -85,6 +86,44 @@ class TestConstraintValidation:
     def test_point_outside_the_square_rejected(self, point):
         with pytest.raises(ConstraintError, match="must lie in the unit square"):
             cb.ConstraintSet.from_points([point])
+
+    @given(points=st.lists(st.tuples(_ENTRY, _ENTRY, st.none() | _ENTRY), max_size=6))
+    @example(points=[(0.5, 0.5, 0.9)])  # above M(0.5, 0.5) = 0.5
+    @example(points=[(0.5, 0.5, np.nan)])
+    @settings(max_examples=300, deadline=None)
+    def test_direct_construction_checks_as_from_points(self, points):
+        # None stands for the product copula's value a * b: such points agree
+        points = [(a, b, a * b if t is None else t) for a, b, t in points]
+
+        def outcome(build):
+            try:
+                cs = build()
+            except ConstraintError as exc:
+                return str(exc)
+            return cs.a.tolist(), cs.b.tolist(), cs.theta.tolist()
+
+        a, b, t = (np.array([p[i] for p in points], dtype=float) for i in range(3))
+        direct = outcome(lambda: cb.ConstraintSet(a, b, t))
+        assert direct == outcome(lambda: cb.ConstraintSet.from_points(points))
+
+    @pytest.mark.parametrize("columns", [
+        ([0.5], [0.5, 0.6], [0.25]),
+        ([[0.5]], [[0.5]], [[0.25]]),
+        (0.5, 0.5, 0.25),
+    ])
+    def test_columns_must_be_flat_and_of_one_length(self, columns):
+        with pytest.raises(ConstraintError, match="1-d arrays of one length"):
+            cb.ConstraintSet(*columns)
+
+    def test_checked_data_is_read_only(self):
+        a = np.array([0.2, 0.6])
+        cs = cb.ConstraintSet(a, [0.3, 0.7], [0.1, 0.5])
+        a[0] = 0.9  # the set keeps its own copy
+        assert cs.a[0] == 0.2
+        for col in (cs.a, cs.b, cs.theta):
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 0.9
+        assert cs != cb.ConstraintSet.from_points([(0.2, 0.3, 0.1), (0.6, 0.7, 0.5)])
 
     def test_blocked_check_reports_the_full_matrix_pair(self, rng, monkeypatch):
         # the worst pair, first in row-major order, whatever the block size
@@ -183,7 +222,7 @@ class TestEnvelopes:
         for _ in range(5):
             cs = cb.ConstraintSet.from_points(random_point_set(rng, 8, "none"))
             A = cb.upper_bound(cs)(U, V)
-            B_ref = cb.lower_bound(cs.reflected())
+            B_ref = cb.lower_bound(reflected(cs))
             assert np.max(np.abs(A - (U - B_ref(U, 1.0 - V)))) <= 1e-12
 
     def test_more_information_never_widens(self, rng):
@@ -310,13 +349,13 @@ class TestChainPath:
             assert isinstance(env(0.4, 0.5), float)
 
     def test_memory_is_bounded(self):
-        # a 4000-point chain, both envelopes and classify, under 32 MB traced
+        # a 4000-point chain and both envelopes, under 32 MB traced
         g = np.linspace(0.0, 1.0, 4000)
         points = list(zip(g.tolist(), (g * g).tolist(), (g * (g * g)).tolist()))
         tracemalloc.start()
         try:
             cs = cb.ConstraintSet.from_points(points)
-            cb.lower_bound(cs), cb.upper_bound(cs), cb.classify(cs)
+            cb.lower_bound(cs), cb.upper_bound(cs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,7 +456,7 @@ class TestCsv:
         p.write_text("a,b,theta\n0.3,0.4,0.2\n0.6,0.7,0.45\n")
         cs = cb.constraints_from_csv(p)
         assert len(cs) == 2
-        assert cb.classify(cs) == "increasing"
+        assert cs.is_increasing and not cs.is_decreasing
 
     def test_price_constraints(self, tmp_path, exp_marginals):
         mx, my = exp_marginals
