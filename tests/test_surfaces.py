@@ -186,6 +186,17 @@ class TestGaussianCopula:
         mv = multivariate_normal(mean=[0, 0], cov=[[1, rho], [rho, 1]])
         assert np.max(np.abs(got - mv.cdf(np.column_stack([h, k])))) <= 1e-15
 
+    @pytest.mark.parametrize("rho", [-0.7, -0.2, 0.0, 0.5, 0.8, 0.95])
+    def test_infinite_arguments_give_the_limits(self, rho):
+        # the edges of the square are the infinite normal arguments: 0 when
+        # either argument is 0 (-inf), the other one when one is 1 (+inf)
+        u = np.array([0.0, ndtr(0.3), 0.0, 1.0, ndtr(0.3), 1.0, 1.0, 0.0])
+        v = np.array([ndtr(0.3), 0.0, 1.0, 0.0, 1.0, ndtr(-0.4), 1.0, 0.0])
+        want = [0.0, 0.0, 0.0, 0.0, ndtr(0.3), ndtr(-0.4), 1.0, 0.0]
+        np.testing.assert_array_equal(cb.gaussian_copula(rho)(u, v), want)
+        with pytest.raises(ValueError, match="arguments must lie in the unit square"):
+            cb.gaussian_copula(rho)([np.nan, 0.5], [0.5, np.nan])
+
     def test_rho_out_of_range(self):
         with pytest.raises(ValueError):
             cb.gaussian_copula(1.5)
@@ -206,6 +217,8 @@ class TestGaussianCopula:
      "arguments must lie in the unit square"),
     (lambda: cb.lower_bound([(0.2, 0.3, 0.1), (0.5, 0.6, 0.4)])([0.5, 0.7], np.nan),
      "arguments must lie in the unit square"),
+    (lambda: cb.gaussian_copula(1.5), r"rho must lie in \[-1, 1\]"),
+    (lambda: cb.gaussian_copula(-1.0 - 1e-12), r"rho must lie in \[-1, 1\]"),
 ])
 def test_typed_errors(make, fragment):
     with pytest.raises(ValueError, match=fragment):
