@@ -9,15 +9,12 @@ from .constrained import (
     constraints_from_csv,
     constraints_from_price_csv,
     lower_bound,
-    one_point_lower,
-    one_point_upper,
     upper_bound,
 )
 from .functional import (
     LevelRangeError,
     MonotoneFunctional,
     SurfaceFunctional,
-    bound_surfaces_for_level,
     bound_surfaces_for_levels,
     invert_lower,
     invert_upper,
@@ -27,11 +24,8 @@ from .marginals import (
     LognormalMartingale,
     Marginal,
     Tabulated,
-    exponential,
     from_call_prices,
-    lognormal_martingale,
     marginal_from_csv,
-    tabulated,
 )
 from .pricing import (
     InconsistentIntervalError,

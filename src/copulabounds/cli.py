@@ -73,7 +73,10 @@ def _scenario_defaults(key: str) -> str:
 
 
 def build_parser() -> _Parser:
-    p = _Parser(prog="copulabounds", add_help=True, description=__doc__)
+    p = _Parser(
+        prog="copulabounds", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     p.add_argument("--scenario", choices=tuple(SCENARIOS))
     p.add_argument("--rho", type=float, help="reference-model correlation")
     p.add_argument("--out", help="output CSV path (default out.csv)")

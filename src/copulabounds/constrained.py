@@ -39,8 +39,6 @@ __all__ = [
     "ConstraintSet",
     "upper_bound",
     "lower_bound",
-    "one_point_lower",
-    "one_point_upper",
     "bounds_from_second_to_default",
     "bounds_from_max_options",
     "constraints_from_csv",
@@ -326,16 +324,6 @@ def lower_bound(constraints) -> CopulaSurface:
     return CopulaSurface(
         fn, tag=tag, name=f"constrained-lower(n={len(cs)})", structure=("point-set-lower", cs)
     )
-
-
-def one_point_upper(a: float, b: float, theta: float) -> CopulaSurface:
-    """Largest copula with value ``theta`` at ``(a, b)``, its upper envelope."""
-    return upper_bound([(a, b, theta)])
-
-
-def one_point_lower(a: float, b: float, theta: float) -> CopulaSurface:
-    """Smallest copula with value ``theta`` at ``(a, b)``, its lower envelope."""
-    return lower_bound([(a, b, theta)])
 
 
 def bounds_from_second_to_default(

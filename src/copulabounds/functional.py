@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .constrained import one_point_lower, one_point_upper
+from .constrained import lower_bound, upper_bound
 from .marginals import Marginal
 from .quadrature import (
     DEFAULT_EPS,
@@ -71,7 +71,6 @@ __all__ = [
     "SurfaceFunctional",
     "invert_lower",
     "invert_upper",
-    "bound_surfaces_for_level",
     "bound_surfaces_for_levels",
 ]
 
@@ -381,17 +380,19 @@ class SurfaceFunctional:
                 raise ValueError(f"functional value at the Frechet bound {bound} is not finite: {value}")
         self.level_slack = _level_slack(self)
 
-    def _map(self, builder, a, b, theta):
+    def _map(self, envelope, a, b, theta):
+        """``fn`` at the one-point ``envelope`` (``upper_bound`` or
+        ``lower_bound``) of each point, the bound copula pinned there."""
         a, b, th = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, theta)))
-        flat = [self.fn(builder(*p)) for p in zip(a.ravel(), b.ravel(), th.ravel())]
+        flat = [self.fn(envelope([p])) for p in zip(a.ravel(), b.ravel(), th.ravel())]
         out = np.asarray(flat, dtype=float).reshape(a.shape)
         return out if out.ndim else float(out)
 
     def at_one_point_upper(self, a, b, theta):
-        return self._map(one_point_upper, a, b, theta)
+        return self._map(upper_bound, a, b, theta)
 
     def at_one_point_lower(self, a, b, theta):
-        return self._map(one_point_lower, a, b, theta)
+        return self._map(lower_bound, a, b, theta)
 
 
 def _level_slack(functional) -> float:
@@ -632,11 +633,3 @@ def bound_surfaces_for_levels(
         level = min(max(level, rho_w), rho_m)
         pairs.append(tuple(member(s.envelope, level) for s in _SIDES.values()))
     return pairs
-
-
-def bound_surfaces_for_level(
-    functional, level: float, theta_tol: float = _THETA_TOL
-) -> tuple[CopulaSurface, CopulaSurface]:
-    """``(lower, upper)`` envelopes at one level: the one-level case of
-    ``bound_surfaces_for_levels``."""
-    return bound_surfaces_for_levels(functional, [level], theta_tol)[0]

@@ -25,9 +25,6 @@ __all__ = [
     "Exponential",
     "LognormalMartingale",
     "Tabulated",
-    "exponential",
-    "lognormal_martingale",
-    "tabulated",
     "from_call_prices",
     "marginal_from_csv",
 ]
@@ -121,6 +118,11 @@ class LognormalMartingale(Marginal):
                 f"sigma**2 * maturity must be finite (sigma={sigma}, maturity={maturity})"
             )
         self._sig_sqrt_t = self.sigma * np.sqrt(self.maturity)
+        if not self._sig_sqrt_t > 0.0:
+            raise ValueError(
+                f"sigma * sqrt(maturity) must be positive, it underflows to 0 "
+                f"(sigma={sigma}, maturity={maturity})"
+            )
         self._half_var = 0.5 * variance
 
     def cdf(self, x):
@@ -186,18 +188,6 @@ class Tabulated(Marginal):
         return f"Tabulated(n={self.xs.size})"
 
 
-def exponential(rate: float) -> Exponential:
-    return Exponential(rate)
-
-
-def lognormal_martingale(sigma: float, spot: float, maturity: float) -> LognormalMartingale:
-    return LognormalMartingale(sigma, spot, maturity)
-
-
-def tabulated(xs: Sequence[float], fs: Sequence[float]) -> Tabulated:
-    return Tabulated(xs, fs)
-
-
 def from_call_prices(
     strikes: Sequence[float],
     prices: Sequence[float],
@@ -217,8 +207,19 @@ def from_call_prices(
     reprices the last quote, so every quantile is finite.
 
     Rejects fewer than two strikes, prices that increase in strike
-    (arbitrage), and constant price curves (no distributional content).
+    (arbitrage), constant price curves (no distributional content), a
+    ``rate`` that is not finite, a ``maturity`` that is not finite and
+    nonnegative, and an ``exp(rate * maturity)`` that overflows.
     """
+    rate, maturity = float(rate), float(maturity)
+    if not np.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate!r}")
+    if not 0.0 <= maturity < np.inf:
+        raise ValueError(f"maturity must be finite and nonnegative, got {maturity!r}")
+    with np.errstate(over="ignore"):
+        growth = float(np.exp(rate * maturity))
+    if growth == np.inf:
+        raise ValueError(f"exp(rate * maturity) overflows (rate={rate}, maturity={maturity})")
     K = _as_float_array(strikes, "strikes")
     P = _as_float_array(prices, "prices")
     if K.ndim != 1 or K.shape != P.shape or K.size < 2:
@@ -239,7 +240,6 @@ def from_call_prices(
 
     # A first-order slope would bias the CDF by O(h) times the density.
     slope = np.gradient(P, K, edge_order=2 if K.size >= 3 else 1)
-    growth = np.exp(rate * maturity)
     F = np.maximum.accumulate(np.clip(1.0 + growth * slope, 0.0, 1.0))
     tail = 1.0 - F[-1]
     if tail > 0.0:

@@ -30,7 +30,7 @@ Discounting is assumed absorbed into the payoff; the scenario rate is zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -88,7 +88,12 @@ class InconsistentIntervalError(RuntimeError):
 
 @dataclass(frozen=True)
 class PayoffSpec:
-    """Payoff identifier plus parameters; build via the module constructors."""
+    """Payoff identifier plus parameters, checked however it is built.
+
+    Raises ValueError for an unknown kind, a field that is not finite
+    (naming it), a zero basket weight, or a negative strike of a min/max
+    kind; the fields are stored as floats.
+    """
 
     kind: str
     alpha: float = 0.0
@@ -97,11 +102,21 @@ class PayoffSpec:
     strike1: float = 0.0
     strike2: float = 0.0
 
-
-def _check_finite(kind: str, **params: float) -> None:
-    for name, value in params.items():
-        if not np.isfinite(value):
-            raise ValueError(f"{kind} {name} must be finite, got {value!r}")
+    def __post_init__(self) -> None:
+        if self.kind != "basket" and self.kind not in _MIN_MAX:
+            raise ValueError(f"unknown payoff kind {self.kind!r}")
+        for f in fields(self)[1:]:
+            value = float(getattr(self, f.name))
+            if not np.isfinite(value):
+                raise ValueError(f"{self.kind} {f.name} must be finite, got {value!r}")
+            object.__setattr__(self, f.name, value)
+        if self.kind == "basket":
+            if self.alpha == 0.0 or self.beta == 0.0:
+                raise ValueError(
+                    "basket weights must be nonzero (payoff degenerates to one asset)"
+                )
+        elif min(self.strike, self.strike1, self.strike2) < 0.0:
+            raise ValueError(f"{self.kind} strikes must be nonnegative")
 
 
 def basket(alpha: float, beta: float, strike: float) -> PayoffSpec:
@@ -111,10 +126,7 @@ def basket(alpha: float, beta: float, strike: float) -> PayoffSpec:
     curvature-measure support is where the line alpha*x + beta*y = K
     meets the truncated quadrant).
     """
-    _check_finite("basket", alpha=alpha, beta=beta, strike=strike)
-    if alpha == 0.0 or beta == 0.0:
-        raise ValueError("basket weights must be nonzero (payoff degenerates to one asset)")
-    return PayoffSpec("basket", alpha=float(alpha), beta=float(beta), strike=float(strike))
+    return PayoffSpec("basket", alpha=alpha, beta=beta, strike=strike)
 
 
 def spread(strike: float) -> PayoffSpec:
@@ -123,10 +135,7 @@ def spread(strike: float) -> PayoffSpec:
 
 
 def _one_strike(kind: str, strike: float) -> PayoffSpec:
-    _check_finite(kind, strike=strike)
-    if strike < 0.0:
-        raise ValueError(f"{kind} strike must be nonnegative")
-    return PayoffSpec(kind, strike=float(strike), strike1=float(strike), strike2=float(strike))
+    return PayoffSpec(kind, strike=strike, strike1=strike, strike2=strike)
 
 
 def call_on_min(strike: float) -> PayoffSpec:
@@ -145,35 +154,20 @@ def put_on_max(strike: float) -> PayoffSpec:
     return _one_strike("put-on-max", strike)
 
 
-def _two_strike(kind: str, k1: float, k2: float) -> PayoffSpec:
-    _check_finite(kind, k1=k1, k2=k2)
-    if k1 < 0.0 or k2 < 0.0:
-        raise ValueError(f"{kind} strikes must be nonnegative")
-    return PayoffSpec(kind, strike1=float(k1), strike2=float(k2))
-
-
 def worst_off_call(k1: float, k2: float) -> PayoffSpec:
-    return _two_strike("worst-off-call", k1, k2)
+    return PayoffSpec("worst-off-call", strike1=k1, strike2=k2)
 
 
 def worst_off_put(k1: float, k2: float) -> PayoffSpec:
-    return _two_strike("worst-off-put", k1, k2)
+    return PayoffSpec("worst-off-put", strike1=k1, strike2=k2)
 
 
 def best_off_call(k1: float, k2: float) -> PayoffSpec:
-    return _two_strike("best-off-call", k1, k2)
+    return PayoffSpec("best-off-call", strike1=k1, strike2=k2)
 
 
 def best_off_put(k1: float, k2: float) -> PayoffSpec:
-    return _two_strike("best-off-put", k1, k2)
-
-
-def _min_max(p: PayoffSpec) -> tuple[float, np.ufunc]:
-    """``(s, ext)`` of a min/max-family payoff; ValueError for other kinds."""
-    try:
-        return _MIN_MAX[p.kind]
-    except KeyError:
-        raise ValueError(f"unknown payoff kind {p.kind!r}") from None
+    return PayoffSpec("best-off-put", strike1=k1, strike2=k2)
 
 
 def payoff_value(p: PayoffSpec, x, y):
@@ -182,7 +176,7 @@ def payoff_value(p: PayoffSpec, x, y):
     y = np.asarray(y, dtype=float)
     if p.kind == "basket":
         return np.maximum(p.alpha * x + p.beta * y - p.strike, 0.0)
-    s, ext = _min_max(p)
+    s, ext = _MIN_MAX[p.kind]
     return np.maximum(ext(s * (x - p.strike1), s * (y - p.strike2)), 0.0)
 
 
@@ -195,7 +189,7 @@ def payoff_sign(p: PayoffSpec) -> int:
     """
     if p.kind == "basket":
         return 1 if p.alpha * p.beta > 0 else -1
-    return 1 if _min_max(p)[1] is np.minimum else -1
+    return 1 if _MIN_MAX[p.kind][1] is np.minimum else -1
 
 
 def _strike_candidates(p: PayoffSpec) -> list[float]:
@@ -247,7 +241,7 @@ def _mu_segment(p: PayoffSpec, m_x: Marginal, m_y: Marginal) -> _Segment:
         (x_lo, x_hi), (y_lo, y_hi) = sorted((0.0, a * cx)), sorted((K, K - b * cy))
         return _Segment(max(x_lo, y_lo), min(x_hi, y_hi), 1.0 / a, 0.0, -1.0 / b, K / b, sign)
     # x = z, y = z + d, on the side of the strikes the payoff pays on
-    s, _ = _min_max(p)
+    s, _ = _MIN_MAX[p.kind]
     k1, d = p.strike1, p.strike2 - p.strike1
     lo, hi = (k1, min(cx, cy - d)) if s > 0 else (max(0.0, -d), min(k1, cx, cy - d))
     return _Segment(lo, hi, 1.0, 0.0, 1.0, d, sign)

@@ -174,14 +174,14 @@ def interval_rule(
     lo: float,
     hi: float,
     panels: int,
-    breakpoints: Iterable[float] = (),
-    survival: Callable[[np.ndarray], np.ndarray] | None = None,
+    breakpoints: Iterable[float],
+    survival: Callable[[np.ndarray], np.ndarray],
 ) -> Rule:
     """Composite rule on [lo, hi]: ``panels`` uniform panels, split at
     breakpoints.
 
-    ``survival(z)``, if given, bounds at the uniform edges ``z`` how far
-    apart the integrands priced on the rule can be.  Where it is below
+    ``survival(z)`` bounds at the uniform edges ``z`` how far apart the
+    integrands priced on the rule can be.  Where it is below
     _TAIL_SURVIVAL the uniform panels are merged, so that at most one
     edge is kept per 1/_PER_DECADE decade of it (``_merged_tails``); a
     merged panel is never finer than a uniform one.  The breakpoints are
@@ -190,8 +190,7 @@ def interval_rule(
     if not hi > lo:
         return _rule(np.empty(0), (), lo, hi)
     edges = np.linspace(lo, hi, int(panels) + 1)
-    if survival is not None:
-        edges = _merged_tails(edges, np.asarray(survival(edges), dtype=float))
+    edges = _merged_tails(edges, np.asarray(survival(edges), dtype=float))
     return _rule(edges, breakpoints, lo, hi)
 
 

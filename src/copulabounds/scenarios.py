@@ -27,11 +27,10 @@ import numpy as np
 from . import constrained, pricing
 from .functional import (
     MonotoneFunctional,
-    bound_surfaces_for_level,
     bound_surfaces_for_levels,
     check_theta_tol,
 )
-from .marginals import exponential, lognormal_martingale
+from .marginals import Exponential, LognormalMartingale
 from .surfaces import (
     FRECHET_LOWER, FRECHET_UPPER, _validate, evaluate_surfaces, gaussian_copula, lattice,
 )
@@ -103,7 +102,7 @@ class ScenarioConfig:
         for name in ("lambda_x", "lambda_y", "sigma_x", "sigma_y", "spot", "maturity"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        _lognormals(self)  # rejects a sigma whose sigma**2 * maturity overflows
+        _lognormals(self)  # rejects an overflowing sigma**2 * T and a zero sigma * sqrt(T)
         if self.panels is not None and self.panels < 8:
             raise ValueError("panels must be at least 8")
         if self.grid_n < 2:
@@ -143,8 +142,8 @@ class CurveRow:
 
 def _scenario1_pieces(cfg: ScenarioConfig):
     """Both-default digital probability bands versus maturity."""
-    m_x = exponential(cfg.lambda_x)
-    m_y = exponential(cfg.lambda_y)
+    m_x = Exponential(cfg.lambda_x)
+    m_y = Exponential(cfg.lambda_y)
     ref = gaussian_copula(cfg.rho)
     quotes = [
         (T, pricing.digital_default_prices(ref, m_x, m_y, T)[1])
@@ -155,8 +154,8 @@ def _scenario1_pieces(cfg: ScenarioConfig):
 
 
 def _lognormals(cfg: ScenarioConfig):
-    m_x = lognormal_martingale(cfg.sigma_x, cfg.spot, cfg.maturity)
-    m_y = lognormal_martingale(cfg.sigma_y, cfg.spot, cfg.maturity)
+    m_x = LognormalMartingale(cfg.sigma_x, cfg.spot, cfg.maturity)
+    m_y = LognormalMartingale(cfg.sigma_y, cfg.spot, cfg.maturity)
     return m_x, m_y
 
 
@@ -187,7 +186,7 @@ def _scenario3_pieces(cfg: ScenarioConfig):
     functional = MonotoneFunctional(
         lambda x, y: -np.maximum(x - y, 0.0), m_x, m_y, kink=lambda x, y: x - y
     )
-    low, up = bound_surfaces_for_level(functional, -level, theta_tol=cfg.theta_tol)
+    [(low, up)] = bound_surfaces_for_levels(functional, [-level], theta_tol=cfg.theta_tol)
     return m_x, m_y, [(low, ref, up)] * cfg.sweep_steps
 
 

@@ -6,14 +6,14 @@ import copulabounds as cb
 
 @pytest.fixture(scope="session")
 def exp_marginals():
-    return cb.exponential(0.2), cb.exponential(0.3)
+    return cb.Exponential(0.2), cb.Exponential(0.3)
 
 
 @pytest.fixture(scope="session")
 def lognormal_marginals():
     return (
-        cb.lognormal_martingale(0.2, 100.0, 1.0),
-        cb.lognormal_martingale(0.3, 100.0, 1.0),
+        cb.LognormalMartingale(0.2, 100.0, 1.0),
+        cb.LognormalMartingale(0.3, 100.0, 1.0),
     )
 
 

@@ -105,7 +105,7 @@ def test_criterion_4_functional_inversion_consistency(lognormal_marginals):
         elif k % 3 == 2:
             t = 1.0 - t**3
         level = lo_r + (hi_r - lo_r) * t
-        lower, upper = cb.bound_surfaces_for_level(F, level)
+        lower, upper = cb.bound_surfaces_for_levels(F, [level])[0]
         m_uv = min(u, v)
         w_uv = max(0.0, u + v - 1.0)
         a_val = float(upper(u, v))
@@ -131,7 +131,7 @@ def test_criterion_4_functional_inversion_consistency(lognormal_marginals):
     # functional reproduces the two-point upper envelope.
     points = [(0.3, 0.4, 0.2), (0.7, 0.6, 0.5)]
     pen = TwoPointPenalty(points)
-    _, A0 = cb.bound_surfaces_for_level(pen, 0.0)
+    _, A0 = cb.bound_surfaces_for_levels(pen, [0.0])[0]
     A_pts = cb.upper_bound(points)
     g = np.linspace(0.0, 1.0, 101)
     U, V = np.meshgrid(g, g, indexing="ij")

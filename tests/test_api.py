@@ -17,14 +17,13 @@ PUBLIC = {
     # constrained
     "ConstraintError", "ConstraintSet", "bounds_from_max_options",
     "bounds_from_second_to_default", "constraints_from_csv",
-    "constraints_from_price_csv", "lower_bound", "one_point_lower", "one_point_upper",
-    "upper_bound",
+    "constraints_from_price_csv", "lower_bound", "upper_bound",
     # functional
     "LevelRangeError", "MonotoneFunctional", "SurfaceFunctional",
-    "bound_surfaces_for_level", "bound_surfaces_for_levels", "invert_lower", "invert_upper",
+    "bound_surfaces_for_levels", "invert_lower", "invert_upper",
     # marginals
-    "Exponential", "LognormalMartingale", "Marginal", "Tabulated", "exponential",
-    "from_call_prices", "lognormal_martingale", "marginal_from_csv", "tabulated",
+    "Exponential", "LognormalMartingale", "Marginal", "Tabulated", "from_call_prices",
+    "marginal_from_csv",
     # pricing
     "InconsistentIntervalError", "PayoffSpec", "PriceInterval", "basket",
     "best_off_call", "best_off_put", "call_on_max", "call_on_min",

@@ -168,8 +168,8 @@ class TestEnvelopes:
         a, b = 0.35, 0.6
         theta = 0.3
         want_upper, want_lower = direct_envelopes([(a, b, theta)], U, V)
-        assert np.max(np.abs(cb.one_point_upper(a, b, theta)(U, V) - want_upper)) == 0.0
-        assert np.max(np.abs(cb.one_point_lower(a, b, theta)(U, V) - want_lower)) == 0.0
+        assert np.max(np.abs(cb.upper_bound([(a, b, theta)])(U, V) - want_upper)) == 0.0
+        assert np.max(np.abs(cb.lower_bound([(a, b, theta)])(U, V) - want_lower)) == 0.0
 
     def test_counterexample_point_values(self):
         A = cb.upper_bound([(1 / 3, 1 / 3, 0.0), (2 / 3, 2 / 3, 1 / 3)])

@@ -77,7 +77,7 @@ class TestOnePointMaps:
             a, b = rng.uniform(0.15, 0.85, 2)
             lo, hi = theta_box(a, b)
             theta = rng.uniform(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo))
-            up_surface = cb.one_point_upper(a, b, theta)
+            up_surface = cb.upper_bound([(a, b, theta)])
             oracle = expectation_by_disintegration(
                 up_surface, F.m_x, F.m_y, F.integrand, n_u=400_000
             )
@@ -89,7 +89,7 @@ class TestOnePointMaps:
         a, b = 0.45, 0.65
         lo, hi = theta_box(a, b)
         theta = 0.5 * (lo + hi)
-        low_surface = cb.one_point_lower(a, b, theta)
+        low_surface = cb.lower_bound([(a, b, theta)])
         oracle = expectation_by_disintegration(
             low_surface, F.m_x, F.m_y, F.integrand, n_u=400_000
         )
@@ -237,7 +237,8 @@ class TestInversion:
     @pytest.mark.parametrize("u, v", [(np.nan, 0.5), (0.5, [0.3, np.nan])])
     def test_nan_point_on_an_envelope_member_raises(self, product_functional, u, v):
         F = product_functional
-        lower, _ = cb.bound_surfaces_for_level(F, 0.5 * (F.value_comonotone + F.value_countermonotone))
+        level = 0.5 * (F.value_comonotone + F.value_countermonotone)
+        [(lower, _)] = cb.bound_surfaces_for_levels(F, [level])
         with pytest.raises(ValueError, match="arguments must lie in the unit square"):
             lower(u, v)
         with pytest.raises(ValueError, match="arguments must lie in the unit square"):
@@ -251,7 +252,7 @@ class TestInversion:
             with pytest.raises(ValueError, match="theta_tol"):
                 call(F, 0.4, 0.7, level, theta_tol=tol)
         with pytest.raises(ValueError, match="theta_tol"):
-            cb.bound_surfaces_for_level(F, level, theta_tol=tol)
+            cb.bound_surfaces_for_levels(F, [level], theta_tol=tol)[0]
 
     def test_flat_segments_resolve_to_extreme_roots(self):
         # penalty functional is exactly zero on a whole theta interval, the
@@ -287,7 +288,7 @@ class TestBoundSurfaces:
     def test_level_at_comonotone_gives_upper_frechet(self, neg_spread_functional, unit_grid_41):
         F = neg_spread_functional
         U, V = unit_grid_41
-        _, upper = cb.bound_surfaces_for_level(F, F.value_comonotone)
+        _, upper = cb.bound_surfaces_for_levels(F, [F.value_comonotone])[0]
         assert np.max(np.abs(upper(U, V) - cb.frechet_upper(U, V))) <= 1e-9
 
     def test_level_at_countermonotone_gives_lower_frechet(
@@ -295,7 +296,7 @@ class TestBoundSurfaces:
     ):
         F = neg_spread_functional
         U, V = unit_grid_41
-        lower, _ = cb.bound_surfaces_for_level(F, F.value_countermonotone)
+        lower, _ = cb.bound_surfaces_for_levels(F, [F.value_countermonotone])[0]
         assert np.max(np.abs(lower(U, V) - cb.frechet_lower(U, V))) <= 1e-9
 
     def test_gaussian_reference_is_sandwiched(self, neg_spread_functional, lognormal_marginals):
@@ -305,7 +306,7 @@ class TestBoundSurfaces:
         F = neg_spread_functional
         ref = cb.gaussian_copula(-0.7)
         level = -cb.price(cb.spread(0.0), ref, mx, my)
-        lower, upper = cb.bound_surfaces_for_level(F, level)
+        lower, upper = cb.bound_surfaces_for_levels(F, [level])[0]
         g = np.linspace(0.0, 1.0, 31)
         U, V = np.meshgrid(g, g, indexing="ij")
         L, Cv, A = lower(U, V), ref(U, V), upper(U, V)
@@ -317,7 +318,7 @@ class TestBoundSurfaces:
     def test_surfaces_validate_as_quasi_copulas(self, neg_spread_functional):
         F = neg_spread_functional
         level = 0.5 * (F.value_comonotone + F.value_countermonotone)
-        lower, upper = cb.bound_surfaces_for_level(F, level)
+        lower, upper = cb.bound_surfaces_for_levels(F, [level])[0]
         assert cb.validate_quasi_copula(lower, grid_n=30).passed
         assert cb.validate_quasi_copula(upper, grid_n=30).passed
         assert lower.tag == "quasi-copula" and upper.tag == "quasi-copula"
@@ -325,21 +326,21 @@ class TestBoundSurfaces:
     def test_level_out_of_range_rejected(self, neg_spread_functional):
         F = neg_spread_functional
         with pytest.raises(LevelRangeError):
-            cb.bound_surfaces_for_level(F, F.value_comonotone + 1.0)
+            cb.bound_surfaces_for_levels(F, [F.value_comonotone + 1.0])[0]
 
     @pytest.mark.parametrize("level", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_level_rejected(self, neg_spread_functional, level):
         # NaN fails every comparison, so a range check of the form
         # "level < lo or level > hi" lets it through
         with pytest.raises(LevelRangeError):
-            cb.bound_surfaces_for_level(neg_spread_functional, level)
+            cb.bound_surfaces_for_levels(neg_spread_functional, [level])[0]
 
     def test_zero_level_penalty_matches_point_set_envelope(self):
         # the functional counting exceedances over two point constraints has
         # zero-level upper envelope equal to the two-point upper bound
         points = [(0.3, 0.4, 0.2), (0.7, 0.6, 0.5)]
         pen = TwoPointPenalty(points)
-        _, upper = cb.bound_surfaces_for_level(pen, 0.0)
+        _, upper = cb.bound_surfaces_for_levels(pen, [0.0])[0]
         A = cb.upper_bound(points)
         g = np.linspace(0.0, 1.0, 21)
         U, V = np.meshgrid(g, g, indexing="ij")
@@ -368,7 +369,7 @@ class TestBoundSurfaces:
     def test_repeated_calls_return_identical_values(self, neg_spread_functional):
         F = neg_spread_functional
         level = 0.4 * F.value_comonotone + 0.6 * F.value_countermonotone
-        _, upper = cb.bound_surfaces_for_level(F, level)
+        _, upper = cb.bound_surfaces_for_levels(F, [level])[0]
         first = upper(0.37, 0.59)
         again = upper(0.37, 0.59)
         assert first == again
@@ -411,7 +412,7 @@ class TestMapEvaluationCount:
     def test_envelope_call(self):
         pen = _CountingPenalty(self.POINTS)
         level = 0.05
-        lower, upper = cb.bound_surfaces_for_level(pen, level)
+        lower, upper = cb.bound_surfaces_for_levels(pen, [level])[0]
         u = np.array([0.1, 0.3, 0.4, 0.5, 0.2])
         v = np.array([0.1, 0.3, 0.4, 0.5, 0.6])
         # the lower envelope inverts the upper map and vice versa
@@ -436,7 +437,7 @@ class TestSaturation:
     def test_level_above_the_cap_falls_back_to_frechet_bound(self, product_functional):
         F = product_functional
         cap = float(F.at_one_point_lower(0.5, 0.5, 0.5))
-        _, upper = cb.bound_surfaces_for_level(F, cap + 1.0)
+        _, upper = cb.bound_surfaces_for_levels(F, [cap + 1.0])[0]
         assert upper(0.5, 0.5) == cb.frechet_upper(0.5, 0.5)
         with pytest.raises(LevelRangeError):
             cb.invert_lower(F, 0.5, 0.5, cap + 1.0)
@@ -453,7 +454,7 @@ class TestSaturation:
         F = {"product": product_functional, "neg_spread": neg_spread_functional}[which]
         u, v = np.random.default_rng(seed).uniform(0.0, 1.0, (2, 40))
         level = F.value_countermonotone + fraction * (F.value_comonotone - F.value_countermonotone)
-        lower, upper = cb.bound_surfaces_for_level(F, level)
+        lower, upper = cb.bound_surfaces_for_levels(F, [level])[0]
         w, m = cb.frechet_lower(u, v), cb.frechet_upper(u, v)
         # the upper envelope inverts the lower map, whose cap is its value at M
         above = level > F.at_one_point_lower(u, v, m) + F.level_slack
@@ -605,7 +606,8 @@ class TestEnvelopeFamily:
         values = evaluate_surfaces(members, u, v)
         saturated = unsaturated = 0
         for level, pair, got in zip(self._levels(F), pairs, zip(values[::2], values[1::2])):
-            for one, member, together in zip(cb.bound_surfaces_for_level(F, level), pair, got):
+            [one_level] = cb.bound_surfaces_for_levels(F, [level])
+            for one, member, together in zip(one_level, pair, got):
                 want = one(u, v)
                 np.testing.assert_array_equal(together, want)
                 np.testing.assert_array_equal(member(u, v), want)
@@ -623,7 +625,7 @@ class TestEnvelopeFamily:
         seen = _record_maps(monkeypatch, F)
         one_level = {"lower": 0, "upper": 0}
         for level in levels:
-            for s in cb.bound_surfaces_for_level(F, level):
+            for s in cb.bound_surfaces_for_levels(F, [level])[0]:
                 s(u, v)
         for side, log in seen.items():
             assert _bracket_end_points(log, side) == levels.size * u.size
@@ -718,7 +720,7 @@ class TestEnvelopeValidation:
         @settings(max_examples=15, deadline=None)
         def check(frac, grid_n):
             level = F.value_countermonotone + frac * (F.value_comonotone - F.value_countermonotone)
-            pair = cb.bound_surfaces_for_level(F, level)
+            pair = cb.bound_surfaces_for_levels(F, [level])[0]
             for values in evaluate_surfaces(list(pair), *lattice(grid_n)):
                 report = _validate(values, "quasi-copula")
                 assert report.passed, report.summary()

@@ -13,26 +13,26 @@ from _oracles import black_call
 
 class TestCdf:
     def test_exponential_at_zero(self):
-        assert cb.exponential(0.2).cdf(0.0) == 0.0
+        assert cb.Exponential(0.2).cdf(0.0) == 0.0
 
     def test_exponential_closed_form(self):
-        got = cb.exponential(0.2).cdf(2.0)
+        got = cb.Exponential(0.2).cdf(2.0)
         assert got == pytest.approx(1.0 - math.exp(-0.4), abs=1e-15)
 
     def test_lognormal_closed_form(self):
-        m = cb.lognormal_martingale(0.2, 100.0, 1.0)
+        m = cb.LognormalMartingale(0.2, 100.0, 1.0)
         # log(X/S0) ~ N(-sigma^2 T/2, sigma^2 T), so F(S0) = Phi(sigma/2)
         assert m.cdf(100.0) == pytest.approx(float(ndtr(0.1)), abs=1e-12)
         assert m.cdf(0.0) == 0.0
 
     def test_lognormal_at_subnormal_x(self):
         # x / spot underflows to 0; the cdf is 0 there, without a warning
-        m = cb.lognormal_martingale(0.2, 100.0, 1.0)
+        m = cb.LognormalMartingale(0.2, 100.0, 1.0)
         assert m.cdf(5e-324) == 0.0
         assert m.cdf(np.array([5e-324, 1e-300]))[0] == 0.0
 
     def test_rejects_bad_arguments(self):
-        m = cb.exponential(0.2)
+        m = cb.Exponential(0.2)
         with pytest.raises(ValueError):
             m.cdf(-1.0)
         with pytest.raises(ValueError):
@@ -41,10 +41,10 @@ class TestCdf:
             m.cdf(float("inf"))
 
     @pytest.mark.parametrize("family, args", [
-        ("exponential", (math.inf,)),
-        ("lognormal_martingale", (math.inf, 100.0, 1.0)),
-        ("lognormal_martingale", (0.2, math.inf, 1.0)),
-        ("lognormal_martingale", (0.2, 100.0, math.inf)),
+        ("Exponential", (math.inf,)),
+        ("LognormalMartingale", (math.inf, 100.0, 1.0)),
+        ("LognormalMartingale", (0.2, math.inf, 1.0)),
+        ("LognormalMartingale", (0.2, 100.0, math.inf)),
     ])
     def test_rejects_infinite_parameters(self, family, args):
         with pytest.raises(ValueError, match="must be finite and positive"):
@@ -54,35 +54,41 @@ class TestCdf:
     def test_rejects_overflowing_variance(self, sigma, maturity):
         # finite parameters whose sigma**2 * maturity is not
         with pytest.raises(ValueError, match=r"sigma\*\*2 \* maturity must be finite"):
-            cb.lognormal_martingale(sigma, 100.0, maturity)
+            cb.LognormalMartingale(sigma, 100.0, maturity)
+
+    @pytest.mark.parametrize("sigma, maturity", [(1e-300, 1e-300), (1e-200, 1e-250)])
+    def test_rejects_underflowing_volatility(self, sigma, maturity):
+        # positive parameters whose sigma * sqrt(maturity) is 0: the cdf was NaN
+        with pytest.raises(ValueError, match=r"sigma \* sqrt\(maturity\) must be positive"):
+            cb.LognormalMartingale(sigma, 100.0, maturity)
 
     def test_vectorized(self):
-        m = cb.exponential(0.5)
+        m = cb.Exponential(0.5)
         x = np.array([0.0, 1.0, 2.0])
         assert np.allclose(m.cdf(x), 1.0 - np.exp(-0.5 * x))
 
 
 class TestQuantile:
     def test_exponential_inverse(self):
-        m = cb.exponential(0.2)
+        m = cb.Exponential(0.2)
         assert m.quantile(1.0 - math.exp(-0.4)) == pytest.approx(2.0, abs=1e-12)
 
     def test_small_u_hits_support_infimum(self):
-        assert cb.exponential(0.2).quantile(1e-15) == pytest.approx(0.0, abs=1e-13)
-        assert cb.lognormal_martingale(0.2, 100.0, 1.0).quantile(1e-300) >= 0.0
+        assert cb.Exponential(0.2).quantile(1e-15) == pytest.approx(0.0, abs=1e-13)
+        assert cb.LognormalMartingale(0.2, 100.0, 1.0).quantile(1e-300) >= 0.0
 
     def test_tabulated_generalized_inverse(self):
-        m = cb.tabulated([1.0, 2.0], [0.5, 1.0])
+        m = cb.Tabulated([1.0, 2.0], [0.5, 1.0])
         assert m.quantile(0.5) == 1.0
         assert m.quantile(0.500001) == 2.0
         assert m.quantile(1.0) == 2.0
 
     def test_tabulated_inf_above_attainable_mass(self):
-        m = cb.tabulated([1.0, 2.0], [0.4, 0.9])
+        m = cb.Tabulated([1.0, 2.0], [0.4, 0.9])
         assert m.quantile(0.95) == math.inf
 
     def test_rejects_out_of_range(self):
-        m = cb.exponential(1.0)
+        m = cb.Exponential(1.0)
         for u in (0.0, -0.1, 1.1, float("nan")):
             with pytest.raises(ValueError):
                 m.quantile(u)
@@ -92,15 +98,15 @@ class TestGalois:
     @given(x=st.floats(0.0, 50.0), u=st.floats(1e-9, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_exponential(self, x, u):
-        m = cb.exponential(0.3)
+        m = cb.Exponential(0.3)
         assert m.quantile(float(m.cdf(x))) <= x + 1e-9 if m.cdf(x) > 0 else True
         assert m.cdf(min(float(m.quantile(u)), 1e9)) >= u - 1e-12
 
     def test_grid_all_kinds(self):
         marginals = [
-            cb.exponential(0.2),
-            cb.lognormal_martingale(0.25, 80.0, 2.0),
-            cb.tabulated([0.5, 1.0, 2.0, 5.0], [0.1, 0.3, 0.8, 1.0]),
+            cb.Exponential(0.2),
+            cb.LognormalMartingale(0.25, 80.0, 2.0),
+            cb.Tabulated([0.5, 1.0, 2.0, 5.0], [0.1, 0.3, 0.8, 1.0]),
         ]
         us = np.linspace(0.01, 1.0, 57)
         for m in marginals:
@@ -130,7 +136,7 @@ class TestFromCallPrices:
         strikes = np.linspace(40.0, 250.0, 400)
         prices = [black_call(100.0, K, 0.2, 1.0) for K in strikes]
         m = cb.from_call_prices(strikes, prices)
-        ref = cb.lognormal_martingale(0.2, 100.0, 1.0)
+        ref = cb.LognormalMartingale(0.2, 100.0, 1.0)
         err = np.abs(np.asarray(m.cdf(strikes)) - np.asarray(ref.cdf(strikes)))
         assert np.max(err) <= 1e-3
 
@@ -145,7 +151,7 @@ class TestFromCallPrices:
         # differences over two unequal gaps were off by 4.4e-2 and 4.5e-2
         prices = [black_call(100.0, K, 0.2, 1.0) for K in strikes]
         m = cb.from_call_prices(strikes, prices)
-        ref = cb.lognormal_martingale(0.2, 100.0, 1.0)
+        ref = cb.LognormalMartingale(0.2, 100.0, 1.0)
         err = np.abs(np.asarray(m.cdf(strikes)) - np.asarray(ref.cdf(strikes)))
         assert np.max(err) <= bound
 
@@ -185,9 +191,9 @@ class TestFromCallPrices:
         strikes = np.linspace(20.0, 300.0, 141)
         m = cb.from_call_prices(strikes, [black_call(100.0, K, 0.2, 1.0) for K in strikes])
         F = cb.MonotoneFunctional(lambda x, y: np.log(x) * np.log(y), m, m)
-        low, up = cb.bound_surfaces_for_level(
-            F, 0.5 * (F.value_comonotone + F.value_countermonotone)
-        )
+        low, up = cb.bound_surfaces_for_levels(
+            F, [0.5 * (F.value_comonotone + F.value_countermonotone)]
+        )[0]
         payoff = cb.call_on_max(100.0)
         w, lo, hi, mm = (cb.price(payoff, s, m, m, panels=100)
                          for s in (cb.FRECHET_LOWER, low, up, cb.FRECHET_UPPER))
@@ -225,15 +231,26 @@ class TestFromCallPrices:
 
 
 @pytest.mark.parametrize("make, fragment", [
-    (lambda: cb.tabulated([1.0, 2.0], [0.5]), "equal-length"),
-    (lambda: cb.tabulated([1.0, 1.0], [0.2, 0.5]), "xs must be strictly increasing"),
-    (lambda: cb.tabulated([1.0, 2.0], [0.5, 0.2]), "fs must be nondecreasing"),
+    (lambda: cb.Tabulated([1.0, 2.0], [0.5]), "equal-length"),
+    (lambda: cb.Tabulated([1.0, 1.0], [0.2, 0.5]), "xs must be strictly increasing"),
+    (lambda: cb.Tabulated([1.0, 2.0], [0.5, 0.2]), "fs must be nondecreasing"),
     (lambda: cb.from_call_prices([2.0, 1.0], [1.0, 2.0]), "strikes must be strictly increasing"),
     (lambda: cb.from_call_prices([1.0, 2.0], [1.0, -0.5]), "prices must be nonnegative"),
+    # rate nan and inf were reported as non-finite fs and xs, and 1e3 overflowed exp
+    *[(lambda r=r, t=t: cb.from_call_prices([1.0, 2.0], [2.0, 1.5], rate=r, maturity=t), m)
+      for r, t, m in [
+          (math.nan, 1.0, "rate must be finite"),
+          (math.inf, 1.0, "rate must be finite"),
+          (0.0, -1.0, "maturity must be finite and nonnegative"),
+          (0.0, math.nan, "maturity must be finite and nonnegative"),
+          (1e3, 1.0, r"exp\(rate \* maturity\) overflows"),
+          (1e300, 1e300, r"exp\(rate \* maturity\) overflows"),
+      ]],
 ])
 def test_malformed_tables_rejected(make, fragment):
     with pytest.raises(ValueError, match=fragment):
         make()
+
 
 
 class TestCsv:
@@ -256,6 +273,16 @@ class TestCsv:
         m = cb.marginal_from_csv(p, rate=0.0, maturity=1.0)
         k = float(strikes[30])
         assert float(m.cdf(k)) == pytest.approx(1 - math.exp(-rate * k), abs=2e-3)
+
+    @pytest.mark.parametrize("rate, maturity, fragment", [
+        (math.nan, 1.0, "rate must be finite"),
+        (0.0, -1.0, "maturity must be finite and nonnegative"),
+    ])
+    def test_call_price_table_checks_rate_and_maturity(self, tmp_path, rate, maturity, fragment):
+        p = tmp_path / "q.csv"
+        p.write_text("strike,price\n1.0,2.0\n2.0,1.5\n")
+        with pytest.raises(ValueError, match=fragment):
+            cb.marginal_from_csv(p, rate=rate, maturity=maturity)
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -121,9 +121,30 @@ class TestPayoffCatalog:
         ],
     )
     def test_non_finite_parameters_rejected(self, make, params, bad):
+        # the two-strike constructors' k1 and k2 are the spec's strike1 and strike2
+        fields = {"k1": "strike1", "k2": "strike2"}
         for name in params:
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+            with pytest.raises(ValueError, match=f"{fields.get(name, name)} must be finite"):
                 make(**{**params, name: bad})
+
+    @pytest.mark.parametrize("params, fragment", [
+        # priced as the zero-strike call, 103.988 under M instead of 113.988
+        (dict(kind="call-on-max", strike=-10.0, strike1=-10.0, strike2=-10.0),
+         "strikes must be nonnegative"),
+        # a ZeroDivisionError when priced
+        (dict(kind="basket", alpha=0.0, beta=1.0, strike=5.0), "weights must be nonzero"),
+        # a QuadratureError when priced
+        (dict(kind="basket", alpha=1.0, beta=-1.0, strike=np.nan), "strike must be finite"),
+    ], ids=["negative-strike", "zero-weight", "nan-strike"])
+    def test_directly_built_spec_checked(self, params, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            pricing.PayoffSpec(**params)
+
+    def test_directly_built_spec_stores_floats(self):
+        spec = pricing.PayoffSpec("basket", alpha=1, beta=-1, strike=np.float32(5))
+        assert spec == cb.spread(5.0)
+        assert all(type(getattr(spec, f)) is float
+                   for f in ("alpha", "beta", "strike", "strike1", "strike2"))
 
 
 class TestSurvivalWeight:
@@ -164,7 +185,7 @@ class TestPrice:
             assert cb.price(p, surf, mx, my) == pytest.approx(200.0, abs=1e-6)
 
     def test_comonotone_identical_spread_is_zero(self):
-        m = cb.lognormal_martingale(0.2, 100.0, 1.0)
+        m = cb.LognormalMartingale(0.2, 100.0, 1.0)
         got = cb.price(cb.spread(0.0), cb.FRECHET_UPPER, m, m)
         assert got == pytest.approx(0.0, abs=1e-8)
 
@@ -257,7 +278,7 @@ class TestDiagonalPrices:
     def test_log_product_comonotone_closed_form(self):
         # self-check of the coupling oracle on a callable integrand; identical
         # marginals: E[(log X)^2] = Var(log X) + (E log X)^2
-        m = cb.lognormal_martingale(0.2, 100.0, 1.0)
+        m = cb.LognormalMartingale(0.2, 100.0, 1.0)
         got = coupling_expectation(lambda x, y: np.log(x) * np.log(y), m, m)
         assert got == pytest.approx(m.log_var + m.log_mean**2, abs=1e-8)
 
@@ -462,8 +483,8 @@ class TestPriceBatch:
 
     def test_log_product_still_raises(self, lognormal_marginals):
         mx, my = lognormal_marginals
-        payoffs = [cb.spread(0.0), pricing.PayoffSpec("log-product")]
         with pytest.raises(ValueError, match="unknown payoff kind"):
+            payoffs = [cb.spread(0.0), pricing.PayoffSpec("log-product")]
             cb.price_batch(payoffs, [cb.PRODUCT], mx, my)
 
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12))
@@ -512,7 +533,7 @@ def _zero_tail_marginal() -> cb.Tabulated:
     """Step CDF of an exponential of mean 12 on 800 abscissas up to 400,
     whose survival reaches 0 at 350, before its last abscissa."""
     xs = np.linspace(0.5, 400.0, 800)
-    return cb.tabulated(xs, np.where(xs >= 350.0, 1.0, -np.expm1(-xs / 12.0)))
+    return cb.Tabulated(xs, np.where(xs >= 350.0, 1.0, -np.expm1(-xs / 12.0)))
 
 
 class TestMergedTails:
@@ -721,8 +742,8 @@ class TestKinkCrossings:
         # so that r lies in its last probe bracket.  With d up to past zero,
         # lo + (hi - lo) need not round to hi, so a probe grid that does not
         # hit the exact ends of a path shows.
-        mx = cb.lognormal_martingale(sigmas[0], 100.0, 1.0)
-        my = cb.lognormal_martingale(sigmas[1], 100.0, 1.0)
+        mx = cb.LognormalMartingale(sigmas[0], 100.0, 1.0)
+        my = cb.LognormalMartingale(sigmas[1], 100.0, 1.0)
         paths = []
         for payoff, cut in draws:
             path = pricing._mu_segment(payoff, mx, my)
@@ -834,8 +855,8 @@ class TestEnvelopeKinks:
         # follows W; priced alone, each is split at that bound's kink all the same
         mx, my = lognormal_marginals
         f = cb.MonotoneFunctional(lambda x, y: np.log(x) * np.log(y), mx, my)
-        top, _ = cb.bound_surfaces_for_level(f, f.value_comonotone)
-        _, bottom = cb.bound_surfaces_for_level(f, f.value_countermonotone)
+        top, _ = cb.bound_surfaces_for_levels(f, [f.value_comonotone])[0]
+        _, bottom = cb.bound_surfaces_for_levels(f, [f.value_countermonotone])[0]
         payoff = cb.spread(0.0)
         for member in (top, bottom):
             alone = cb.price(payoff, member, mx, my, panels=40)

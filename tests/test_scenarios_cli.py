@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import copulabounds as cb
@@ -650,6 +650,21 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_underflowing_volatility_is_a_config_error(self, tmp_path, capsys):
+        # 1e-300 is positive, but sigma * sqrt(maturity) underflows to 0
+        out = tmp_path / "c.csv"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("scenario=max-known\nsweep_steps=3\nsigma_x=1e-300\nmaturity=1e-300\n")
+        assert main(["--config", str(cfgfile), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: sigma * sqrt(maturity) must be positive" in err
+        assert not out.exists()
+
+    def test_help_keeps_the_usage_lines(self):
+        # the module docstring's examples stay one per line in --help
+        help_text = cli.build_parser().format_help()
+        assert "\n    copulabounds --config run.cfg --validate\n" in help_text
+
     def test_log_correlation_validates_up_to_corr_one(self, tmp_path):
         # the corr = 1 level is the comonotone value; its envelopes must
         # still pass the quasi-copula checks on the validation lattice
@@ -776,6 +791,8 @@ EXTREME_VALUES = ("0", "-1", "nan", "inf", "1e-300", "1e300", "typical")
     keys=st.lists(st.sampled_from(EXTREME_KEYS), min_size=2, max_size=2, unique=True),
     values=st.lists(st.sampled_from(EXTREME_VALUES), min_size=2, max_size=2),
 )
+# sigma * sqrt(maturity) underflows to 0: the lognormal cdf was NaN at the spot
+@example(scenario="max-known", keys=["sigma_x", "maturity"], values=["1e-300", "1e-300"])
 def test_exit_codes_on_extreme_config_values(scenario, keys, values):
     # every config either runs, is rejected (1) or fails numerically (2);
     # numpy overflow warnings at extreme values are not failures here

@@ -40,17 +40,17 @@ class TestVolume:
 class TestOnePointBounds:
     def test_theta_at_upper_frechet_forces_m(self, unit_grid_41):
         U, V = unit_grid_41
-        cu = cb.one_point_upper(0.5, 0.5, 0.5)
+        cu = cb.upper_bound([(0.5, 0.5, 0.5)])
         assert np.max(np.abs(cu(U, V) - cb.frechet_upper(U, V))) <= 1e-15
 
     def test_theta_at_lower_frechet_forces_w(self, unit_grid_41):
         U, V = unit_grid_41
-        cl = cb.one_point_lower(0.5, 0.5, 0.0)
+        cl = cb.lower_bound([(0.5, 0.5, 0.0)])
         assert np.max(np.abs(cl(U, V) - cb.frechet_lower(U, V))) <= 1e-15
 
     def test_both_match_theta_at_the_point(self):
-        cu = cb.one_point_upper(0.5, 0.5, 0.25)
-        cl = cb.one_point_lower(0.5, 0.5, 0.25)
+        cu = cb.upper_bound([(0.5, 0.5, 0.25)])
+        cl = cb.lower_bound([(0.5, 0.5, 0.25)])
         assert cu(0.5, 0.5) == 0.25
         assert cl(0.5, 0.5) == 0.25
 
@@ -60,17 +60,17 @@ class TestOnePointBounds:
             a, b = rng.uniform(0.05, 0.95, 2)
             lo, hi = max(0.0, a + b - 1.0), min(a, b)
             theta = rng.uniform(lo, hi)
-            cu = cb.one_point_upper(a, b, theta)
-            cl = cb.one_point_lower(a, b, theta)
+            cu = cb.upper_bound([(a, b, theta)])
+            cl = cb.lower_bound([(a, b, theta)])
             assert np.all(cl(U, V) <= cu(U, V) + 1e-15)
             assert cb.validate_copula(cu, grid_n=60).passed
             assert cb.validate_copula(cl, grid_n=60).passed
 
     def test_invalid_theta_rejected(self):
         with pytest.raises(ValueError):
-            cb.one_point_upper(0.2, 0.3, 0.25)
+            cb.upper_bound([(0.2, 0.3, 0.25)])
         with pytest.raises(ValueError):
-            cb.one_point_lower(0.8, 0.9, 0.5)
+            cb.lower_bound([(0.8, 0.9, 0.5)])
 
 
 class TestReflection:
@@ -204,13 +204,13 @@ class TestGaussianCopula:
 
 @pytest.mark.parametrize("make, fragment", [
     (lambda: cb.CopulaSurface(np.minimum, tag="copula"), "unknown provenance tag 'copula'"),
-    # the one-point copulas are one-point envelopes: ConstraintSet's errors
-    (lambda: cb.one_point_upper(1.2, 0.5, 0.4), "constraint points must lie in the unit square"),
-    (lambda: cb.one_point_upper(0.5, -0.1, 0.0), "constraint points must lie in the unit square"),
+    # a one-point envelope, the one-point bound copula, raises ConstraintSet's errors
+    (lambda: cb.upper_bound([(1.2, 0.5, 0.4)]), "constraint points must lie in the unit square"),
+    (lambda: cb.upper_bound([(0.5, -0.1, 0.0)]), "constraint points must lie in the unit square"),
     # every comparison with NaN is false: NaN must fail the finiteness test
-    (lambda: cb.one_point_upper(0.5, 0.5, np.nan), "constraints must be finite"),
-    (lambda: cb.one_point_lower(0.5, 0.5, np.nan), "constraints must be finite"),
-    (lambda: cb.one_point_lower(np.nan, 0.5, 0.2), "constraints must be finite"),
+    (lambda: cb.upper_bound([(0.5, 0.5, np.nan)]), "constraints must be finite"),
+    (lambda: cb.lower_bound([(0.5, 0.5, np.nan)]), "constraints must be finite"),
+    (lambda: cb.lower_bound([(np.nan, 0.5, 0.2)]), "constraints must be finite"),
     (lambda: cb.PRODUCT(np.nan, 0.3), "arguments must lie in the unit square"),
     (lambda: cb.PRODUCT(0.3, [0.2, np.nan]), "arguments must lie in the unit square"),
     (lambda: cb.upper_bound([(0.2, 0.3, 0.1), (0.5, 0.6, 0.4)])(np.nan, 0.5),
