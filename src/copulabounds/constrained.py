@@ -12,15 +12,18 @@ for copulas too); when it is increasing the lower envelope is.
 When the point set is a chain (increasing: every pair ordered the same
 way in both coordinates), sorting it by (a, b) makes both coordinates
 nondecreasing.  Two binary searches per point then split the constraints
-into four index ranges, on each of which a term is a per-constraint key
-plus a function of the point alone.  The best term is therefore among
-three candidates: a prefix best, a suffix best, and the range best of
-the one middle range that can be nonempty, read from a sparse table of
-best indices.  Set-up is O(n log n) per envelope, and each point costs
-two binary searches and three terms, computed with the same formula as
-the direct path.  Other point sets use the direct formula, O(n) numpy
-operations per point.  Construction checks a chain's pairs in O(n log n)
-too, and other point sets pair by pair.
+into four index ranges, on each of which the sign of every clamp is
+fixed and a term is a per-constraint key plus a function of the point
+alone.  The best term is therefore among three candidates: a prefix
+best, read from a table of running maxima, a suffix best, read from a
+table of best constraints, and the range best of the one middle range
+that can be nonempty, read from a sparse table of best indices.  Set-up
+is O(n log n) per envelope.  Each point costs two binary searches; the
+two table lookups and the range query are made once per run of
+consecutive points that fall in the same ranges, and each candidate
+costs at most three subtractions.  Other point sets use the direct
+formula, O(n) numpy operations per point.  Construction checks a chain's
+pairs in O(n log n) too, and other point sets pair by pair.
 """
 
 from __future__ import annotations
@@ -48,8 +51,10 @@ __all__ = [
 _TOL = 1e-12
 # Entries per block of the pairwise compatibility check (8 bytes each).
 _BLOCK_ELEMENTS = 1 << 17
-# Points per block of an envelope evaluation: bounds its temporaries (about
-# 130 bytes a point on a chain) and keeps them in cache.
+# Points per block of an envelope evaluation: bounds its temporaries and
+# keeps them in cache.  On a chain they and the block's output peak at about
+# 31 bytes a point on pricing-path nodes, and at 121 where no two
+# consecutive points share a run.
 _BLOCK_POINTS = 1 << 13
 
 
@@ -255,33 +260,59 @@ def _chain_envelope(a, b, t, bound):
     """The lower envelope of a chain, equal to ``_direct_envelope``.
 
     Sorted by (a, b), a chain has both coordinates nondecreasing, so with
-    i = #{a_k <= u} and j = #{b_k <= v} each term is a key plus a function
-    of (u, v) on index range r: t on k < min(i, j), t - a on i <= k < j,
-    t - b on j <= k < i and t - a - b on k >= max(i, j).  (A constraint
-    with a_k = u or b_k = v has the same term in either neighbouring
-    range.)  Each point evaluates the term on the best index of each
-    nonempty range.
+    i = #{a_k <= u} and j = #{b_k <= v} the sign of every clamp in the
+    term ``t - (a - u)^+ - (b - v)^+`` is fixed on each of four index
+    ranges, and the term is t on k < min(i, j), t - (a - u) on
+    i <= k < j, t - (b - v) on j <= k < i and t - (a - u) - (b - v) on
+    k >= max(i, j).  A clamp that is zero leaves the term's bits as they
+    are, so these are the term's values.  (A constraint with a_k = u or
+    b_k = v has the same term in either neighbouring range.)  On each
+    range the best term is at the best index of a per-constraint key: the
+    running maximum of t on the prefix range, a suffix table of the best
+    (t, a, b) on the suffix range, and a sparse-table range query on the
+    middle one.  All three depend on the point only through (i, j), so
+    they are read once per run of consecutive points with equal (i, j) and
+    repeated over the run.
     """
     order = np.lexsort((b, a))
     a, b, t = a[order], b[order], t[order]
     n = a.size
-    best_in = _RangeBest(np.stack((t, t - a, t - b, t - a - b)))
-    every = np.arange(n)
-    prefix = best_in(0, np.zeros(n, dtype=int), every + 1)
-    suffix = best_in(3, every, np.full(n, n))
+    best_in = _RangeBest(np.stack((t - a, t - b, t - a - b)))
+    # Tables indexed by min(i, j) and max(i, j); the entries at 0 and at n
+    # stand for an empty range, whose term is -inf.
+    prefix_t = np.concatenate(([-np.inf], np.maximum.accumulate(t)))
+    suffix = best_in(2, np.arange(n), np.full(n, n))
+    suffix_t = np.append(t[suffix], -np.inf)
+    suffix_a = np.append(a[suffix], 0.0)
+    suffix_b = np.append(b[suffix], 0.0)
+    middle_c = np.concatenate((a, b))  # the clamped coordinate of row r at r * n + k
 
     def block(u, v):
         out = bound(u, v)
-        i = np.searchsorted(a, u, side="right")
-        j = np.searchsorted(b, v, side="right")
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        middle = best_in(1 + (j < i), lo, hi)
-        for k, nonempty in (
-            (prefix[lo - 1], lo > 0),
-            (middle, lo < hi),
-            (suffix[np.minimum(hi, n - 1)], hi < n),
-        ):
-            np.maximum(out, _lower_term(t[k], a[k], b[k], u, v), out=out, where=nonempty)
+        # (i, j) as one key i * (n + 1) + j, and where its runs start
+        ij = np.searchsorted(a, u, side="right")
+        ij *= n + 1
+        ij += np.searchsorted(b, v, side="right")
+        starts = np.flatnonzero(ij[1:] != ij[:-1])
+        starts += 1
+        starts = np.concatenate(([0], starts))
+        i, j = np.divmod(ij[starts], n + 1)
+        del ij
+        counts = np.diff(starts, append=u.size)
+        # from here i, j and the tables' entries are one per run
+        lo, hi, row = np.minimum(i, j), np.maximum(i, j), j < i
+        np.maximum(out, np.repeat(prefix_t[lo], counts), out=out)
+        k = best_in(row, lo, hi)
+        term = np.repeat(middle_c[row * n + k], counts)
+        term -= np.where(np.repeat(row, counts), v, u)
+        np.subtract(np.repeat(np.where(lo < hi, t[k], -np.inf), counts), term, out=term)
+        np.maximum(out, term, out=out)
+        np.subtract(np.repeat(suffix_a[hi], counts), u, out=term)
+        np.subtract(np.repeat(suffix_t[hi], counts), term, out=term)
+        clamp_b = np.repeat(suffix_b[hi], counts)
+        clamp_b -= v
+        term -= clamp_b
+        np.maximum(out, term, out=out)
         return out
 
     return block

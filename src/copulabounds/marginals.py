@@ -126,12 +126,10 @@ class LognormalMartingale(Marginal):
         self._half_var = 0.5 * variance
 
     def cdf(self, x):
-        arr = self._check_x(x)
-        out = np.zeros_like(arr)
-        pos = arr > 0.0
-        with np.errstate(divide="ignore"):  # x / spot may underflow to 0: cdf 0
-            z = (np.log(arr[pos] / self.spot) + self._half_var) / self._sig_sqrt_t
-        out[pos] = ndtr(z)
+        # at x = 0, and where x / spot underflows, log gives -inf: cdf 0
+        with np.errstate(divide="ignore"):
+            z = (np.log(self._check_x(x) / self.spot) + self._half_var) / self._sig_sqrt_t
+        out = ndtr(z)
         return out if out.ndim else float(out)
 
     def quantile_unchecked(self, u):
@@ -209,7 +207,8 @@ def from_call_prices(
     Rejects fewer than two strikes, prices that increase in strike
     (arbitrage), constant price curves (no distributional content), a
     ``rate`` that is not finite, a ``maturity`` that is not finite and
-    nonnegative, and an ``exp(rate * maturity)`` that overflows.
+    nonnegative, and an ``exp(rate * maturity)`` that overflows or
+    underflows to 0 (which would clamp every F(K) to 1).
     """
     rate, maturity = float(rate), float(maturity)
     if not np.isfinite(rate):
@@ -220,6 +219,10 @@ def from_call_prices(
         growth = float(np.exp(rate * maturity))
     if growth == np.inf:
         raise ValueError(f"exp(rate * maturity) overflows (rate={rate}, maturity={maturity})")
+    if growth == 0.0:
+        raise ValueError(
+            f"exp(rate * maturity) underflows to 0 (rate={rate}, maturity={maturity})"
+        )
     K = _as_float_array(strikes, "strikes")
     P = _as_float_array(prices, "prices")
     if K.ndim != 1 or K.shape != P.shape or K.size < 2:

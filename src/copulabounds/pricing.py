@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import quadrature
 from .marginals import Marginal
 from .quadrature import (
     DEFAULT_PANELS,
@@ -91,8 +92,11 @@ class PayoffSpec:
     """Payoff identifier plus parameters, checked however it is built.
 
     Raises ValueError for an unknown kind, a field that is not finite
-    (naming it), a zero basket weight, or a negative strike of a min/max
-    kind; the fields are stored as floats.
+    (naming it), a zero basket weight, a negative strike of a min/max
+    kind, a one-strike kind (calls and puts on the min or max) whose
+    ``strike``, ``strike1`` and ``strike2`` differ, or a worst-off or
+    best-off kind with a nonzero ``strike``, which it never reads; the
+    fields are stored as floats.
     """
 
     kind: str
@@ -115,8 +119,19 @@ class PayoffSpec:
                 raise ValueError(
                     "basket weights must be nonzero (payoff degenerates to one asset)"
                 )
-        elif min(self.strike, self.strike1, self.strike2) < 0.0:
+            return
+        if min(self.strike, self.strike1, self.strike2) < 0.0:
             raise ValueError(f"{self.kind} strikes must be nonnegative")
+        # pricing reads strike1 and strike2 only: strike must not say otherwise
+        if "-on-" in self.kind and not self.strike == self.strike1 == self.strike2:
+            raise ValueError(
+                f"{self.kind} needs strike == strike1 == strike2, got {self.strike}, "
+                f"{self.strike1} and {self.strike2}"
+            )
+        if "-off-" in self.kind and self.strike != 0.0:
+            raise ValueError(
+                f"{self.kind} takes strike1 and strike2; strike must be 0, got {self.strike}"
+            )
 
 
 def basket(alpha: float, beta: float, strike: float) -> PayoffSpec:
@@ -258,11 +273,30 @@ def _shared_path(segments) -> _Segment:
     return segments[0]._replace(lo=min(ends, default=0.0), hi=max(ends, default=0.0))
 
 
-def _on_square(m_x: Marginal, m_y: Marginal, line, z):
-    """``(F_X(x), F_Y(y))`` at the points ``z`` of the line
-    ``x = cx*z + dx``, ``y = cy*z + dy``, given as ``(cx, dx, cy, dy)``."""
+def _on_line(line, z):
+    """``(x, y)`` at the points ``z`` of the line ``x = cx*z + dx``,
+    ``y = cy*z + dy``, given as ``(cx, dx, cy, dy)``, clamped at 0."""
     cx, dx, cy, dy = line
-    return m_x.cdf(np.maximum(cx * z + dx, 0.0)), m_y.cdf(np.maximum(cy * z + dy, 0.0))
+    return np.maximum(cx * z + dx, 0.0), np.maximum(cy * z + dy, 0.0)
+
+
+def _on_square(m_x: Marginal, m_y: Marginal, line, z):
+    """``(F_X(x), F_Y(y))`` at the points ``z`` of ``line`` (``_on_line``)."""
+    x, y = _on_line(line, z)
+    return m_x.cdf(x), m_y.cdf(y)
+
+
+def _tail_survival(m_x: Marginal, m_y: Marginal, line, far, z):
+    """The survival bound s = min(1 - F_X(x), 1 - F_Y(y)) at the points
+    ``z`` of ``line`` where x or y is at least its entry of ``far``, the
+    marginal's quantile at 1 - 2 _TAIL_SURVIVAL, and 1 elsewhere.  Below
+    that quantile a marginal's survival exceeds 2 _TAIL_SURVIVAL, so there
+    s is not below _TAIL_SURVIVAL, which is all that the rule reads of it."""
+    x, y = _on_line(line, z)
+    at = (x >= far[0]) | (y >= far[1])
+    s = np.ones_like(z)
+    s[at] = 1.0 - np.maximum(m_x.cdf(x[at]), m_y.cdf(y[at]))
+    return s
 
 
 # Kinks of the Frechet bounds M and W: where a path's u = F_X(x(z)) crosses
@@ -345,7 +379,7 @@ def _gathered(kinks, grading, n) -> list[np.ndarray]:
     return out
 
 
-def _path_terms(segments, path, breaks, surfaces, m_x, m_y, panels):
+def _path_terms(segments, path, breaks, surfaces, m_x, m_y, panels, far):
     """Curvature terms, shape ``(len(segments), len(surfaces))``, of payoffs
     whose curvature ``segments`` lie on one line, covered by ``path``.
 
@@ -353,16 +387,17 @@ def _path_terms(segments, path, breaks, surfaces, m_x, m_y, panels):
     at ``breaks``, the path's breakpoints from the surfaces' kinks.  Its
     uniform panels are merged where the path's survival bound
     s = min(1 - F_X(x), 1 - F_Y(y)) is below ``quadrature._TAIL_SURVIVAL``:
-    every surface priced lies between W and M, and M - W <= s.  Segment
-    ends are panel edges, so each payoff's term is the exact partial sum over
-    the nodes inside its own segment.  Each surface is evaluated once on the
-    rule's nodes, and the members of one group together.  The sums
-    are einsum reductions: a BLAS product would wake a thread pool that spins
-    on the other cores.
+    every surface priced lies between W and M, and M - W <= s.  The bound is
+    evaluated only where x or y reaches its entry of ``far``
+    (``_tail_survival``).  Segment ends are panel edges, so each payoff's
+    term is the exact partial sum over the nodes inside its own segment.
+    Each surface is evaluated once on the rule's nodes, and the members of
+    one group together.  The sums are einsum reductions: a BLAS product
+    would wake a thread pool that spins on the other cores.
     """
     rule = interval_rule(
         path.lo, path.hi, panels, breakpoints=_segment_ends(segments) + breaks.tolist(),
-        survival=lambda z: 1.0 - np.maximum(*_on_square(m_x, m_y, path[2:6], z)),
+        survival=lambda z: _tail_survival(m_x, m_y, path[2:6], far, z),
     )
     z = rule.nodes
     out = np.zeros((len(segments), len(surfaces)))
@@ -418,10 +453,11 @@ def price_batch(
         by_line.setdefault(segment[2:6], {})[i] = segment
     segments = [list(g.values()) for g in by_line.values()]
     paths = [_shared_path(s) for s in segments]
+    far = [m.quantile_unchecked(1.0 - 2.0 * quadrature._TAIL_SURVIVAL) for m in (m_x, m_y)]
     for g, segs, path, breaks in zip(
         by_line.values(), segments, paths, _path_breaks(surfaces, m_x, m_y, paths, panels)
     ):
-        out[list(g)] = _path_terms(segs, path, breaks, surfaces, m_x, m_y, panels)
+        out[list(g)] = _path_terms(segs, path, breaks, surfaces, m_x, m_y, panels, far)
     at_origin = np.array([float(payoff_value(p, 0.0, 0.0)) for p in payoffs])
     edges = _edge_terms(payoffs, m_x, True) + _edge_terms(payoffs, m_y, False) - at_origin
     return (out + edges[:, None])[np.ix_(rows, cols)]

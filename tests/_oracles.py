@@ -123,6 +123,40 @@ def direct_envelopes(points, u, v):
     return upper, lower
 
 
+def chain_envelopes(points, u, v):
+    """(upper, lower) point-set envelopes of a chain at the 1-d points
+    (u, v), one point at a time, in the arithmetic of the chain path before
+    it shared work along runs of points: sorted by (a, b), with
+    i = #{a_k <= u} and j = #{b_k <= v}, the generic term
+    t - (a - u)^+ - (b - v)^+ at the earliest largest key of each nonempty
+    index range (t on k < min(i, j), t - a on i <= k < j, t - b on
+    j <= k < i, t - a - b on k >= max(i, j)), found by np.argmax instead of
+    a sparse table.  The upper side is the lower one of the negated data at
+    (-u, -v), started from max(-u, -v), and negated."""
+    a, b, t = (np.asarray(col, dtype=float) for col in zip(*points))
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+
+    def lower(a, b, t, out, u, v):
+        order = np.lexsort((b, a))
+        a, b, t = a[order], b[order], t[order]
+        keys = (t, t - a, t - b, t - a - b)
+        for p in range(u.size):
+            i = int(np.searchsorted(a, u[p], side="right"))
+            j = int(np.searchsorted(b, v[p], side="right"))
+            lo, hi = min(i, j), max(i, j)
+            for key, r0, r1 in ((keys[0], 0, lo), (keys[1 + (j < i)], lo, hi), (keys[3], hi, a.size)):
+                if r0 < r1:
+                    k = r0 + int(np.argmax(key[r0:r1]))
+                    term = t[k] - np.maximum(a[k] - u[p], 0.0) - np.maximum(b[k] - v[p], 0.0)
+                    out[p] = np.maximum(out[p], term)
+        return out
+
+    low = lower(a, b, t, np.maximum(0.0, u + v - 1.0), u, v)
+    up = -lower(-a, -b, -t, np.maximum(-u, -v), -u, -v)
+    return up, low
+
+
 class TwoPointPenalty:
     """sum_i (C(a_i, b_i) - theta_i)^+ as a vectorized surface functional.
 

@@ -9,7 +9,13 @@ import copulabounds as cb
 from copulabounds import constrained
 from copulabounds.constrained import ConstraintError
 
-from _oracles import direct_envelopes, mixture_values, random_point_set, reflected
+from _oracles import (
+    chain_envelopes,
+    direct_envelopes,
+    mixture_values,
+    random_point_set,
+    reflected,
+)
 
 # a few shared values, so that drawn points tie in a, in b and on the edges
 _COORD = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
@@ -287,6 +293,31 @@ def _checked_chains(draw):
     return points
 
 
+@st.composite
+def _chain_queries(draw, points, mode):
+    """Query points (u, v) for a chain, in one of the orders that decide how
+    the chain path shares its range queries: ``sorted`` along both axes, as
+    on a pricing path; ``repeated`` in runs of equal points; ``interleaved``,
+    each point followed by one whose (#{a_k <= u}, #{b_k <= v}) is its own
+    reversed where ties allow; ``blocks``, runs as in ``repeated`` for
+    blocks of 7 points, so that runs cross block edges."""
+    coord = st.one_of(st.sampled_from([c for p in points for c in p[:2]]), _COORD)
+    size = draw(st.integers(1, 30), label="size")
+    u = np.array(draw(st.lists(coord, min_size=size, max_size=size), label="u"))
+    v = np.array(draw(st.lists(coord, min_size=size, max_size=size), label="v"))
+    if mode == "sorted":
+        return np.sort(u), np.sort(v)
+    if mode == "interleaved":
+        a, b = np.sort([p[0] for p in points]), np.sort([p[1] for p in points])
+        i = np.searchsorted(a, u, side="right")
+        j = np.searchsorted(b, v, side="right")
+        swapped_u = np.where(j > 0, a[j - 1], 0.0)
+        swapped_v = np.where(i > 0, b[i - 1], 0.0)
+        return np.stack((u, swapped_u), axis=1).ravel(), np.stack((v, swapped_v), axis=1).ravel()
+    runs = draw(st.lists(st.integers(1, 9), min_size=size, max_size=size), label="runs")
+    return np.repeat(u, runs), np.repeat(v, runs)
+
+
 class TestChainPath:
     def test_a_chain_envelope_is_a_dict_key(self):
         # surfaces compare and hash by identity, although a point-set
@@ -330,6 +361,23 @@ class TestChainPath:
         want_upper, want_lower = direct_envelopes(points, u, v)
         assert np.max(np.abs(cb.upper_bound(cs)(u, v) - want_upper)) <= 2.3e-16
         assert np.max(np.abs(cb.lower_bound(cs)(u, v) - want_lower)) <= 2.3e-16
+
+    @given(points=_chains(), mode=st.sampled_from(["sorted", "repeated", "interleaved", "blocks"]),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_chain_envelopes_equal_the_generic_term_bit_for_bit(self, points, mode, data):
+        # the chain path reads the generic term's bits off its range tables
+        # and shares them along runs of points with equal (i, j); a run of
+        # (i, j) = (p, q) next to one of (q, p) has the same range, not the
+        # same term
+        cs = cb.ConstraintSet.from_points(points)
+        u, v = data.draw(_chain_queries(points, mode), label="queries")
+        want_upper, want_lower = chain_envelopes(points, u, v)
+        with pytest.MonkeyPatch.context() as mp:
+            if mode == "blocks":
+                mp.setattr(constrained, "_BLOCK_POINTS", 7)
+            assert np.array_equal(cb.upper_bound(cs)(u, v), want_upper)
+            assert np.array_equal(cb.lower_bound(cs)(u, v), want_lower)
 
     def test_blocks_cover_every_point(self, rng, monkeypatch):
         monkeypatch.setattr(constrained, "_BLOCK_POINTS", 7)

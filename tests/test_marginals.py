@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,20 @@ class TestCdf:
         m = cb.LognormalMartingale(0.2, 100.0, 1.0)
         assert m.cdf(5e-324) == 0.0
         assert m.cdf(np.array([5e-324, 1e-300]))[0] == 0.0
+
+    def test_lognormal_at_the_ends_without_warnings(self):
+        # log(x / spot) is -inf at x = 0 and where x / spot underflows, and
+        # ndtr(-inf) is 0 exactly; a large x gives 1 exactly
+        m = cb.LognormalMartingale(0.2, 100.0, 1.0)
+        x = np.array([0.0, -0.0, 5e-324, 1e300, 100.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = m.cdf(x)
+            scalars = [m.cdf(float(xi)) for xi in x]
+        assert got[:4].tolist() == [0.0, 0.0, 0.0, 1.0]
+        assert got[4] == pytest.approx(float(ndtr(0.1)), abs=1e-12)
+        assert [type(y) for y in scalars] == [float] * 5
+        assert np.array_equal(scalars, got)
 
     def test_rejects_bad_arguments(self):
         m = cb.Exponential(0.2)
@@ -216,6 +231,14 @@ class TestFromCallPrices:
         assert m.xs.tolist() == [0.0, 1.0, 2.0, 3.0]
         assert m.fs.tolist() == [0.0, 0.0, 0.0, 1.0]
 
+    def test_underflowing_growth_rejected(self):
+        # exp(-1e3) is 0: every F(K) was clamped to 1, and the median read 50
+        strikes = np.linspace(50.0, 150.0, 21)
+        prices = [black_call(100.0, K, 0.2, 1.0) for K in strikes]
+        assert cb.from_call_prices(strikes, prices).quantile(0.5) == pytest.approx(100.0, abs=1.0)
+        with pytest.raises(ValueError, match=r"underflows to 0 \(rate=-1000.0, maturity=1.0\)"):
+            cb.from_call_prices(strikes, prices, rate=-1e3, maturity=1.0)
+
     def test_too_few_strikes(self):
         with pytest.raises(ValueError):
             cb.from_call_prices([1.0], [2.0])
@@ -245,6 +268,9 @@ class TestFromCallPrices:
           (0.0, math.nan, "maturity must be finite and nonnegative"),
           (1e3, 1.0, r"exp\(rate \* maturity\) overflows"),
           (1e300, 1e300, r"exp\(rate \* maturity\) overflows"),
+          # exp underflowed to 0 and clamped every F(K) to 1
+          (-1e3, 1.0, r"exp\(rate \* maturity\) underflows to 0 \(rate=-1000.0, maturity=1.0\)"),
+          (-1e300, 1e300, r"exp\(rate \* maturity\) underflows to 0"),
       ]],
 ])
 def test_malformed_tables_rejected(make, fragment):

@@ -140,6 +140,25 @@ class TestPayoffCatalog:
         with pytest.raises(ValueError, match=fragment):
             pricing.PayoffSpec(**params)
 
+    @pytest.mark.parametrize("params", [
+        # priced as the zero-strike call: 103.988 under M, not call_on_max(100)'s 11.953
+        dict(kind="call-on-max", strike=100.0),
+        dict(kind="put-on-min", strike=5.0, strike1=5.0, strike2=6.0),
+        dict(kind="call-on-min", strike1=5.0, strike2=5.0),
+        dict(kind="put-on-max", strike=5.0, strike1=4.0, strike2=5.0),
+    ], ids=["strike-only", "strike2-differs", "strike-zero", "strike1-differs"])
+    def test_one_strike_kind_needs_equal_strikes(self, params):
+        with pytest.raises(ValueError, match="needs strike == strike1 == strike2"):
+            pricing.PayoffSpec(**params)
+
+    @pytest.mark.parametrize("kind", ["worst-off-call", "worst-off-put",
+                                      "best-off-call", "best-off-put"])
+    def test_two_strike_kind_rejects_a_strike(self, kind):
+        # strike is never read by these kinds: a nonzero one was ignored
+        with pytest.raises(ValueError, match="strike must be 0, got 3.0"):
+            pricing.PayoffSpec(kind, strike=3.0, strike1=1.0, strike2=2.0)
+        assert pricing.PayoffSpec(kind, strike1=1.0, strike2=2.0).strike == 0.0
+
     def test_directly_built_spec_stores_floats(self):
         spec = pricing.PayoffSpec("basket", alpha=1, beta=-1, strike=np.float32(5))
         assert spec == cb.spread(5.0)

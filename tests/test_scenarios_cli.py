@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import copulabounds as cb
-from copulabounds import cli, pricing, quadrature
+from copulabounds import cli, constrained, marginals, pricing, quadrature
 from copulabounds.cli import main
 from copulabounds.functional import MonotoneFunctional
 from copulabounds.scenarios import (
@@ -765,6 +765,31 @@ def test_surface_points_are_pinned(monkeypatch, config, points):
     monkeypatch.setattr(pricing, "evaluate_surfaces", counting)
     run_scenario(ScenarioConfig(**config))
     assert seen[0] == points
+
+
+def test_max_known_range_queries_and_cdf_points_are_pinned(monkeypatch):
+    # In a default max-known sweep: the points at which the point-set
+    # envelopes query their sparse tables, one per run of consecutive path
+    # nodes in one cell of the chain's grid over both envelopes, plus 400
+    # per envelope at set-up (1,531,490, one per node, before runs shared
+    # them); and the points of the lognormal CDFs, whose survival bound on a
+    # path's uniform edges is evaluated only in the far tails (2,043,694
+    # when it was evaluated at every edge).
+    seen = {"queries": 0, "cdf": 0}
+    query, cdf = constrained._RangeBest.__call__, marginals.LognormalMartingale.cdf
+
+    def counting_query(self, row, lo, hi):
+        seen["queries"] += np.size(lo)
+        return query(self, row, lo, hi)
+
+    def counting_cdf(self, x):
+        seen["cdf"] += np.size(x)
+        return cdf(self, x)
+
+    monkeypatch.setattr(constrained._RangeBest, "__call__", counting_query)
+    monkeypatch.setattr(marginals.LognormalMartingale, "cdf", counting_cdf)
+    run_scenario(ScenarioConfig(scenario="max-known"))
+    assert seen == {"queries": 155684, "cdf": 1750452}
 
 
 @pytest.mark.parametrize("rho", [-0.9, -0.7, -0.3, 0.0, 0.3, 0.5, 0.9])
