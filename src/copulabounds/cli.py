@@ -17,8 +17,16 @@ error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
+
+# Set before numpy and scipy load, as this module is the process entry
+# point.  Each loads a bundled OpenBLAS that starts a pool of worker
+# threads, and the workers busy-wait through the imports, competing with
+# the main thread, although no computation here calls BLAS (the sums are
+# einsum reductions).  A value the caller set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .constrained import ConstraintError
 from .functional import LevelRangeError

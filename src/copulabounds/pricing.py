@@ -92,11 +92,12 @@ class PayoffSpec:
     """Payoff identifier plus parameters, checked however it is built.
 
     Raises ValueError for an unknown kind, a field that is not finite
-    (naming it), a zero basket weight, a negative strike of a min/max
-    kind, a one-strike kind (calls and puts on the min or max) whose
-    ``strike``, ``strike1`` and ``strike2`` differ, or a worst-off or
-    best-off kind with a nonzero ``strike``, which it never reads; the
-    fields are stored as floats.
+    (naming it), a nonzero field the kind never reads (naming it: a
+    basket's ``strike1`` and ``strike2``, a min/max kind's ``alpha`` and
+    ``beta``, a worst-off or best-off kind's ``strike``), a zero basket
+    weight, a negative strike of a min/max kind, or a one-strike kind
+    (calls and puts on the min or max) whose ``strike``, ``strike1`` and
+    ``strike2`` differ; the fields are stored as floats.
     """
 
     kind: str
@@ -114,6 +115,19 @@ class PayoffSpec:
             if not np.isfinite(value):
                 raise ValueError(f"{self.kind} {f.name} must be finite, got {value!r}")
             object.__setattr__(self, f.name, value)
+        # a spec with such a field set prices as its twin without it, yet
+        # compares unequal, so price_batch would price the pair twice
+        unread = (
+            ("strike1", "strike2") if self.kind == "basket"
+            else ("alpha", "beta", "strike") if "-off-" in self.kind
+            else ("alpha", "beta")
+        )
+        for name in unread:
+            if getattr(self, name) != 0.0:
+                raise ValueError(
+                    f"{self.kind} never reads {name}, so {name} must be 0, "
+                    f"got {getattr(self, name)}"
+                )
         if self.kind == "basket":
             if self.alpha == 0.0 or self.beta == 0.0:
                 raise ValueError(
@@ -127,10 +141,6 @@ class PayoffSpec:
             raise ValueError(
                 f"{self.kind} needs strike == strike1 == strike2, got {self.strike}, "
                 f"{self.strike1} and {self.strike2}"
-            )
-        if "-off-" in self.kind and self.strike != 0.0:
-            raise ValueError(
-                f"{self.kind} takes strike1 and strike2; strike must be 0, got {self.strike}"
             )
 
 

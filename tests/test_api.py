@@ -5,8 +5,10 @@ A name added to or removed from the package is an API change: update
 """
 
 import importlib
-import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,7 @@ PUBLIC = {
 }
 
 README = Path(__file__).parent.parent / "README.md"
+SRC = str(Path(__file__).parent.parent / "src")
 
 MODULES = [
     "cli", "constrained", "functional", "marginals", "pricing", "quadrature",
@@ -47,12 +50,47 @@ MODULES = [
 
 
 def test_package_exports_exactly_the_pinned_names():
-    exported = {
-        name for name in dir(cb)
-        if not name.startswith("_") and not inspect.ismodule(getattr(cb, name))
-    }
+    # the submodules, bound on the package once imported, are not listed
+    exported = {name for name in dir(cb) if not name.startswith("_")}
     assert sorted(exported - PUBLIC) == []
     assert sorted(PUBLIC - exported) == []
+    assert sorted(n for n in PUBLIC if not hasattr(cb, n)) == []
+
+
+def _fresh(code, **env):
+    """Standard output of ``code`` run in a new interpreter that imports
+    the package from ``src``, with OPENBLAS_NUM_THREADS unset unless
+    given in ``env``."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**base, "PYTHONPATH": SRC, **env},
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+def test_bare_import_loads_neither_numpy_nor_scipy():
+    code = ("import sys, copulabounds\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+    assert _fresh(code) == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cli_import_starts_no_blas_workers():
+    # numpy and scipy each start an OpenBLAS pool of one worker per extra core
+    code = ("import os, copulabounds.cli\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    assert _fresh(code) == "1 1"
+
+
+def test_cli_import_keeps_a_preset_blas_thread_count():
+    code = "import os, copulabounds.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_star_import_binds_exactly_the_pinned_names():
+    code = ("from copulabounds import *\n"
+            "print(' '.join(sorted(n for n in dir() if not n.startswith('_'))))")
+    assert _fresh(code).split() == sorted(PUBLIC)
 
 
 @pytest.mark.parametrize("name", MODULES)

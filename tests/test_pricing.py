@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 
@@ -158,6 +159,37 @@ class TestPayoffCatalog:
         with pytest.raises(ValueError, match="strike must be 0, got 3.0"):
             pricing.PayoffSpec(kind, strike=3.0, strike1=1.0, strike2=2.0)
         assert pricing.PayoffSpec(kind, strike1=1.0, strike2=2.0).strike == 0.0
+
+    @pytest.mark.parametrize("spec", ALL_TABLE_KINDS, ids=lambda p: p.kind)
+    def test_field_the_kind_never_reads_rejected(self, spec):
+        unread = ("strike1", "strike2") if spec.kind == "basket" else ("alpha", "beta")
+        for name in unread:
+            with pytest.raises(ValueError, match=f"never reads {name}, so {name} must be 0, got 5.0"):
+                dataclasses.replace(spec, **{name: 5.0})
+
+    @pytest.mark.parametrize("params, field", [
+        # priced exactly as spread(0.0), 3.98776 under M, yet compared unequal
+        # to it, so price_batch priced the two twice
+        (dict(kind="basket", alpha=1.0, beta=-1.0, strike=0.0, strike1=5.0), "strike1"),
+        # the same against call_on_max(100.0)
+        (dict(kind="call-on-max", alpha=3.0, strike=100.0, strike1=100.0, strike2=100.0),
+         "alpha"),
+    ], ids=["basket-strike1", "call-on-max-alpha"])
+    def test_twin_with_an_unread_field_rejected(self, params, field):
+        with pytest.raises(ValueError, match=f"{params['kind']} never reads {field}"):
+            pricing.PayoffSpec(**params)
+
+    def test_every_constructor_builds(self):
+        spec = pricing.PayoffSpec
+        assert cb.basket(2.0, 1.0, -5.0) == spec("basket", alpha=2.0, beta=1.0, strike=-5.0)
+        assert cb.spread(0.0) == spec("basket", alpha=1.0, beta=-1.0)
+        for make in (cb.call_on_min, cb.put_on_min, cb.call_on_max, cb.put_on_max):
+            for k in (0.0, 100.0):
+                assert make(k) == spec(make.__name__.replace("_", "-"),
+                                       strike=k, strike1=k, strike2=k)
+        for make in (cb.worst_off_call, cb.worst_off_put, cb.best_off_call, cb.best_off_put):
+            assert make(90.0, 110.0) == spec(make.__name__.replace("_", "-"),
+                                             strike1=90.0, strike2=110.0)
 
     def test_directly_built_spec_stores_floats(self):
         spec = pricing.PayoffSpec("basket", alpha=1, beta=-1, strike=np.float32(5))
