@@ -29,7 +29,7 @@ from dataclasses import fields
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .constrained import ConstraintError
-from .functional import LevelRangeError
+from .functional import _THETA_TOL_MIN, LevelRangeError
 from .quadrature import QuadratureError
 from .scenarios import (
     SCENARIOS,
@@ -47,8 +47,8 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 # glibc mallopt parameters, and the values a run sets (chosen by
-# measurement, README): arrays up to 4 MB come from the heap, and the heap
-# keeps up to 8 MB of freed memory at its top.
+# measurement; README: Allocator thresholds): arrays up to 4 MB come from
+# the heap, and the heap keeps up to 8 MB of freed memory at its top.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 4 << 20
@@ -100,7 +100,8 @@ def build_parser() -> _Parser:
     )
     p.add_argument(
         "--tol", type=float, dest="theta_tol",
-        help="absolute theta tolerance of the functional inversion (at least 1e-15)",
+        help="absolute theta tolerance of the functional inversion "
+        f"(at least {_THETA_TOL_MIN:g})",
     )
     for key, (fam, field) in _SWEEP_KEYS.items():
         p.add_argument(

@@ -77,7 +77,7 @@ __all__ = [
 _THETA_TOL = 1e-10
 # theta lies in [0, 1], where doubles are about 2e-16 apart.
 _THETA_TOL_MIN = 1e-15
-# Tanh-sinh nodes per segment of the one-point maps.
+# Tanh-sinh nodes per segment of the one-point maps (README: Map rule).
 _MAP_NODES = 49
 # Lines of constant u tracing the kink curve, half as many anti paths (257
 # probes each), and lines of constant u added around each turning point.
@@ -90,7 +90,7 @@ _SPOT_CHECK_SAMPLES = 64
 # Past a saturation kink an envelope's curvature is unbounded: the one-point
 # map's slope in theta grows without bound toward the Frechet end.  The pricing
 # panels on that side are graded toward the kink by splits at these fractions
-# of a panel width from it.
+# of a panel width from it (README: Grading splits).
 _ONSET_SPLITS = (1.0 / 4.0, 1.0 / 16.0)
 # An envelope at an end of the attainable range is its Frechet bound up to
 # the level slack, with a narrow bump at that bound's kink; the panels on

@@ -39,6 +39,7 @@ from . import quadrature
 from .marginals import Marginal
 from .quadrature import (
     DEFAULT_PANELS,
+    QuadratureError,
     interval_rule,
     refine_sign_changes,
     unit_rule,
@@ -317,15 +318,16 @@ _FRECHET_KINKS = {
 }
 # A grading split is left out where another break lies closer to it than
 # this fraction of its offset (its distance from its kink): that break grades
-# the panels already.  Chosen by measurement (README); it must stay below 3/4,
-# or the envelopes' cusp splits, a factor 4 apart, would remove each other.
+# the panels already.  Chosen by measurement (README: Grading splits); it must
+# stay below 3/4, or the envelopes' cusp splits, a factor 4 apart, would
+# remove each other.
 _GRADING_KEEP = 0.5
 
 
 def _path_breaks(surfaces, m_x, m_y, paths, panels) -> list[np.ndarray]:
     """Breakpoints of each path's rule from the surfaces priced together,
     sorted: where the path crosses a kink of one of the surfaces, and
-    splits that grade the panels next to some of them (README).
+    splits that grade the panels next to some of them (README: Grading splits).
 
     Every path is split at the kinks of both Frechet surfaces, whatever is
     priced: W and M are kinked there, every envelope falls back to one of
@@ -417,6 +419,10 @@ def _path_terms(segments, path, breaks, surfaces, m_x, m_y, panels, far):
         )
         u, v = _on_square(m_x, m_y, path[2:6], z)
         for j, c in enumerate(evaluate_surfaces(surfaces, u, v)):
+            if not np.all(np.isfinite(c)):  # the clip would turn inf into a number
+                raise QuadratureError(
+                    f"surface {surfaces[j].name} is not finite at a pricing node"
+                )
             out[:, j] = np.einsum("ij,j->i", weights, np.clip(1.0 - u - v + c, 0.0, 1.0))
     return out
 
@@ -443,8 +449,9 @@ def price_batch(
     share one rule on it, split at the ends of their segments.  Equal
     payoffs are priced once and share their row's values; a surface listed
     more than once is priced once, and its columns are equal.  Raises
-    ValueError unless ``panels`` is an integer >= 1 or for an unknown
-    payoff kind, and QuadratureError on boundary-integrability violations.
+    ValueError unless ``panels`` is an integer >= 1, and QuadratureError on
+    boundary-integrability violations and for a surface that is infinite or
+    NaN at a pricing node.
     """
     if not isinstance(panels, (int, np.integer)) or panels < 1:
         raise ValueError(f"panels must be an integer >= 1, got {panels!r}")

@@ -39,14 +39,14 @@ DEFAULT_ORDER = 5
 # is below 1e-9 in expectation for every shipped marginal family.
 DEFAULT_EPS = 1e-12
 
-# Panels of the graded unit grid, chosen by measurement (README).
+# Panels of the graded unit grid, chosen by measurement (README: Unit grid).
 UNIT_PANELS = 400
 # Graded panels per decade: of the unit grid toward its ends, and of the
 # merged tails of money rules.
 _PER_DECADE = 6
 # Survival bound below which money rules merge their uniform panels; the
 # largest power of ten at which the default max-known outputs move by at
-# most 1e-9 (README).
+# most 1e-9 (README: Merged tails).
 _TAIL_SURVIVAL = 1e-8
 
 

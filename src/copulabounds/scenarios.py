@@ -26,6 +26,7 @@ import numpy as np
 
 from . import constrained, pricing
 from .functional import (
+    _THETA_TOL,
     MonotoneFunctional,
     bound_surfaces_for_levels,
     check_theta_tol,
@@ -68,7 +69,7 @@ class ScenarioConfig:
     sweep_steps: int | None = None
     panels: int | None = None
     grid_n: int | None = None
-    theta_tol: float = 1e-10
+    theta_tol: float = _THETA_TOL
     constraint_maturities: tuple = (2.0, 3.0)
     constraint_strikes: int = 400
     validate: bool = False
@@ -219,7 +220,7 @@ class Scenario:
     the sweep points.  ``payoff=None`` makes the curves surface values
     (probabilities).  ``defaults`` holds the value of each ``ScenarioConfig``
     setting a config leaves unset: the sweep, ``grid_n`` and, for a scenario
-    that prices, ``panels`` (chosen by measurement; README, error budget).
+    that prices, ``panels`` (chosen by measurement; README: Path panels).
     Functional envelopes invert a one-point map at every point they are
     evaluated at, so their scenarios default to a smaller validation
     lattice."""

@@ -35,6 +35,9 @@ __all__ = [
 
 _DOMAIN_SLACK = 1e-12
 _VALIDATION_TOL = 1e-9
+# Largest boundary error of a passing report: a surface's edges are closed
+# forms, so they hold to rounding.
+_BOUNDARY_TOL = 1e-12
 
 
 def frechet_lower(u, v):
@@ -225,7 +228,9 @@ def gaussian_copula(rho: float) -> CopulaSurface:
 
 @dataclass
 class ValidationReport:
-    """Outcome of grid validation; failures are content, not exceptions."""
+    """Outcome of grid validation; failures are content, not exceptions.
+    ``nonfinite_at`` is the first lattice node (u, v) where the surface is
+    infinite or NaN, if any; such a surface fails."""
 
     kind: str
     grid_n: int
@@ -238,12 +243,13 @@ class ValidationReport:
     lipschitz_at: tuple = ()
     min_cell_volume: float | None = None
     min_cell_at: tuple = ()
-    boundary_tol: float = 1e-12
+    nonfinite_at: tuple = ()
 
     @property
     def passed(self) -> bool:
         ok = (
-            self.boundary_error <= self.boundary_tol
+            not self.nonfinite_at
+            and self.boundary_error <= _BOUNDARY_TOL
             and self.monotonicity_violation <= self.tol
             and self.lipschitz_violation <= self.tol
         )
@@ -263,6 +269,8 @@ class ValidationReport:
             lines.append(
                 f"  min cell volume     {self.min_cell_volume:.3e} at {self.min_cell_at}"
             )
+        if self.nonfinite_at:
+            lines.append(f"  non-finite value    at {self.nonfinite_at}")
         return "\n".join(lines)
 
 
@@ -282,6 +290,10 @@ def _validate(Z, kind: str, tol: float = _VALIDATION_TOL) -> ValidationReport:
     grid_n = Z.shape[0] - 1
     g = np.linspace(0.0, 1.0, grid_n + 1)
     rep = ValidationReport(kind=kind, grid_n=grid_n, tol=tol)
+    bad = ~np.isfinite(Z)
+    if bad.any():  # the comparisons below pass NaN over
+        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        rep.nonfinite_at = (float(g[i]), float(g[j]))
 
     edges = [
         ("u=0", np.abs(Z[0, :])),

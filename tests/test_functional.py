@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -322,6 +324,21 @@ class TestBoundSurfaces:
         assert cb.validate_quasi_copula(lower, grid_n=30).passed
         assert cb.validate_quasi_copula(upper, grid_n=30).passed
         assert lower.tag == "quasi-copula" and upper.tag == "quasi-copula"
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.8])
+    def test_level_slack_errs_outward(self, neg_spread_functional, fraction, rng):
+        # the envelopes invert the level moved by the slack away from the band,
+        # so they contain the envelopes of the level itself
+        F = neg_spread_functional
+        level = F.value_countermonotone + fraction * (F.value_comonotone - F.value_countermonotone)
+        exact = copy.copy(F)
+        exact.level_slack = 0.0
+        u, v = rng.uniform(0.0, 1.0, (2, 200))
+        [(low, up)] = cb.bound_surfaces_for_levels(F, [level], theta_tol=1e-12)
+        [(low0, up0)] = cb.bound_surfaces_for_levels(exact, [level], theta_tol=1e-12)
+        assert np.all(low(u, v) <= low0(u, v) + 1e-12)
+        assert np.all(up(u, v) >= up0(u, v) - 1e-12)
+        assert np.any(low(u, v) < low0(u, v)) or np.any(up(u, v) > up0(u, v))
 
     def test_level_out_of_range_rejected(self, neg_spread_functional):
         F = neg_spread_functional

@@ -418,6 +418,27 @@ class TestPriceInterval:
         assert improved.upper <= frechet.upper + 1e-9
         assert improved.sharp_lower  # increasing constraints make the lower bound a copula
 
+    def test_sharp_flags_are_the_producing_surfaces_tags(self, lognormal_marginals):
+        mx, my = lognormal_marginals
+        quasi = cb.upper_bound([(1 / 3, 1 / 3, 0.0), (2 / 3, 2 / 3, 1 / 3)])
+        assert quasi.tag == "quasi-copula"
+        iv = cb.price_interval(cb.call_on_min(100.0), cb.FRECHET_LOWER, quasi, mx, my, panels=200)
+        assert iv.upper_surface is quasi and not iv.sharp_upper
+        assert iv.lower_surface is cb.FRECHET_LOWER and iv.sharp_lower
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_surface_raises_naming_it(self, lognormal_marginals, bad):
+        # NaN would price as NaN, and the clip would turn +inf into a number
+        mx, my = lognormal_marginals
+        half = cb.CopulaSurface(
+            lambda u, v: np.where(u > 0.5, bad, np.minimum(u, v)), name="half-bad"
+        )
+        match = "surface half-bad is not finite at a pricing node"
+        with pytest.raises(cb.QuadratureError, match=match):
+            cb.price(cb.spread(0.0), half, mx, my, panels=50)
+        with pytest.raises(cb.QuadratureError, match=match):
+            cb.price_interval(cb.spread(0.0), half, cb.FRECHET_UPPER, mx, my, panels=50)
+
     def test_crossed_interval_reported(self, lognormal_marginals):
         mx, my = lognormal_marginals
         # deliberately swapped surfaces cross once the band is wide enough

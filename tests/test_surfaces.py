@@ -272,4 +272,24 @@ class TestValidators:
     def test_report_summary_renders(self):
         rep = cb.validate_copula(cb.PRODUCT, grid_n=20)
         text = rep.summary()
-        assert "pass" in text and "cell volume" in text
+        assert "pass" in text and "cell volume" in text and "non-finite" not in text
+
+    @pytest.mark.parametrize("validate", [cb.validate_quasi_copula, cb.validate_copula])
+    def test_all_nan_surface_fails(self, validate):
+        # every comparison with NaN is false, so the excess checks pass it over
+        nan = cb.CopulaSurface(lambda u, v: np.full(np.shape(u), np.nan))
+        rep = validate(nan, grid_n=10)
+        assert not rep.passed
+        assert rep.nonfinite_at == (0.0, 0.0)
+        assert "FAIL" in rep.summary() and "non-finite value    at (0.0, 0.0)" in rep.summary()
+
+    @pytest.mark.parametrize("validate", [cb.validate_quasi_copula, cb.validate_copula])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_one_non_finite_node_fails_and_is_named(self, validate, bad):
+        a, b = np.linspace(0.0, 1.0, 11)[[3, 7]]  # a node of the 11x11 lattice
+        surface = cb.CopulaSurface(
+            lambda u, v: np.where((u == a) & (v == b), bad, np.minimum(u, v))
+        )
+        rep = validate(surface, grid_n=10)
+        assert not rep.passed
+        assert rep.nonfinite_at == (a, b)
