@@ -22,13 +22,14 @@ is O(n log n) per envelope.  Each point costs two binary searches; the
 two table lookups and the range query are made once per run of
 consecutive points that fall in the same ranges, and each candidate
 costs at most three subtractions.  Other point sets use the direct
-formula, O(n) numpy operations per point.  Construction checks a chain's
-pairs in O(n log n) too, and other point sets pair by pair.
+formula, O(n) numpy operations per point.  Construction checks every
+pair by evaluating the lower envelope at the data, so in O(n log n) on an
+increasing set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
@@ -49,8 +50,6 @@ __all__ = [
 ]
 
 _TOL = 1e-12
-# Entries per block of the pairwise compatibility check (8 bytes each).
-_BLOCK_ELEMENTS = 1 << 17
 # Points per block of an envelope evaluation: bounds its temporaries and
 # keeps them in cache.  On a chain they and the block's output peak at about
 # 31 bytes a point on pricing-path nodes, and at 121 where no two
@@ -58,60 +57,15 @@ _BLOCK_ELEMENTS = 1 << 17
 _BLOCK_POINTS = 1 << 13
 
 
-def _nondecreasing(x: np.ndarray) -> bool:
-    return bool(np.all(x[1:] >= x[:-1]))
-
-
 def _is_chain(a, b) -> bool:
     """Every pair satisfies (a_i - a_j)(b_i - b_j) >= 0: sorted by (a, b),
     b is nondecreasing."""
-    return _nondecreasing(b[np.lexsort((b, a))])
+    b = b[np.lexsort((b, a))]
+    return bool(np.all(b[1:] >= b[:-1]))
 
 
 class ConstraintError(ValueError):
     """Constraint values cannot come from any quasi-copula."""
-
-
-def _worst_pair(a, b, t) -> tuple[float, int, int]:
-    """Largest directed Lipschitz excess ``theta_j - theta_i - (a_j - a_i)^+
-    - (b_j - b_i)^+`` over all ordered pairs (i, j), with its pair: the
-    first in row-major order among those with the largest excess.  Checked
-    in row blocks, so memory stays bounded."""
-    worst, i, j = -np.inf, 0, 0
-    rows = max(1, _BLOCK_ELEMENTS // max(a.size, 1))
-    for r0 in range(0, a.size, rows):
-        sl = slice(r0, r0 + rows)
-        da = a[None, :] - a[sl, None]
-        db = b[None, :] - b[sl, None]
-        dt = t[None, :] - t[sl, None]
-        excess = dt - np.maximum(da, 0.0) - np.maximum(db, 0.0)
-        k = int(np.argmax(excess))
-        if excess.flat[k] > worst:
-            worst = excess.flat[k]
-            i, j = r0 + k // a.size, k % a.size
-    return float(worst), i, j
-
-
-def _chain_excess(a, b, t) -> float | None:
-    """Largest excess over all ordered pairs of a chain in one running
-    extremum pass, or None when the points are not a chain.
-
-    Sorted by (a, b), an increasing chain has both coordinates
-    nondecreasing, so for i before j the excess of (i, j) is F_j - F_i with
-    F = theta - a - b, and that of (j, i) is G_i - G_j with G = theta.
-    Sorted by (a, -b), a decreasing chain has F = theta - a and
-    G = theta - b.  A pair of a point with itself has excess 0.
-    """
-    for sign in (1.0, -1.0):
-        order = np.lexsort((sign * b, a))
-        if _nondecreasing(sign * b[order]):
-            aa, bb, tt = a[order], b[order], t[order]
-            f = tt - aa - bb if sign > 0 else tt - aa
-            g = tt if sign > 0 else tt - bb
-            forward = f[1:] - np.minimum.accumulate(f[:-1])
-            reverse = np.maximum.accumulate(g[:-1]) - g[1:]
-            return float(max(0.0, forward.max(initial=0.0), reverse.max(initial=0.0)))
-    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,19 +73,26 @@ class ConstraintSet:
     """Finite set of (a, b, theta) point constraints on a copula.
 
     Construction, direct or through ``from_points``, stores a, b and theta
-    as 1-d float arrays of one length.  It verifies that each value
-    respects the Frechet bounds at its point and that every pair satisfies
-    the directed Lipschitz inequality
+    as 1-d float arrays of one length, and decides once whether the set is
+    increasing (every pair satisfies (a_i - a_j)(b_i - b_j) >= 0) and
+    whether it is decreasing (<= 0).  It verifies that each value respects
+    the Frechet bounds at its point and that every pair satisfies the
+    directed Lipschitz inequality
     ``theta_j - theta_i <= (a_j - a_i)^+ + (b_j - b_i)^+``, which is
-    exactly quasi-copula compatibility for point data.
-    Inconsistent data is rejected, never projected.  The arrays are
-    read-only, so the checked data cannot change; sets compare and hash by
-    identity.
+    exactly quasi-copula compatibility for point data.  The largest excess
+    over the pairs (i, j) with i fixed is the lower envelope of the
+    constraints' terms alone (started from -inf) at (a_i, b_i), less
+    theta_i; so one envelope evaluation at the data checks every pair, in
+    O(n log n) on an increasing set.  Inconsistent data is rejected, never
+    projected.  The arrays are read-only, so the checked data cannot
+    change; sets compare and hash by identity.
     """
 
     a: np.ndarray
     b: np.ndarray
     theta: np.ndarray
+    is_increasing: bool = field(init=False)
+    is_decreasing: bool = field(init=False)
 
     def __post_init__(self):
         a, b, t = (np.array(c, dtype=float) for c in (self.a, self.b, self.theta))
@@ -144,6 +105,8 @@ class ConstraintSet:
             raise ConstraintError("constraints must be finite")
         if np.any(a < 0) or np.any(a > 1) or np.any(b < 0) or np.any(b > 1):
             raise ConstraintError("constraint points must lie in the unit square")
+        object.__setattr__(self, "is_increasing", _is_chain(a, b))
+        object.__setattr__(self, "is_decreasing", _is_chain(a, -b))
         lo = frechet_lower(a, b)
         hi = frechet_upper(a, b)
         bad = (t < lo - _TOL) | (t > hi + _TOL)
@@ -153,13 +116,12 @@ class ConstraintSet:
                 f"constraint {i}: value {t[i]} at ({a[i]}, {b[i]}) outside "
                 f"Frechet bounds [{lo[i]}, {hi[i]}]"
             )
-        # A chain is checked in O(n log n); the pairwise check then runs only
-        # to name the worst pair of a set that fails.
-        worst = _chain_excess(a, b, t)
-        if worst is not None and worst <= _TOL:
-            return
-        worst, i, j = _worst_pair(a, b, t)
-        if worst > _TOL:
+        terms = _envelope(a, b, t, lambda u, v: np.full(u.shape, -np.inf), self.is_increasing)
+        excess = _in_blocks(terms, a, b) - t
+        if np.any(excess > _TOL):
+            # the worst pair, first in row-major order
+            i = int(np.argmax(excess))
+            j = int(np.argmax(_lower_term(t, a, b, a[i], b[i])))
             raise ConstraintError(
                 f"constraints {i} and {j} are incompatible: no quasi-copula takes "
                 f"value {t[i]} at ({a[i]}, {b[i]}) and {t[j]} at ({a[j]}, {b[j]})"
@@ -172,16 +134,6 @@ class ConstraintSet:
 
     def __len__(self) -> int:
         return int(self.a.size)
-
-    @property
-    def is_increasing(self) -> bool:
-        """Every pair satisfies (a_i - a_j)(b_i - b_j) >= 0."""
-        return _is_chain(self.a, self.b)
-
-    @property
-    def is_decreasing(self) -> bool:
-        """Every pair satisfies (a_i - a_j)(b_i - b_j) <= 0: (a, -b) is a chain."""
-        return _is_chain(self.a, -self.b)
 
 
 def _as_constraints(constraints) -> ConstraintSet:
@@ -318,11 +270,11 @@ def _chain_envelope(a, b, t, bound):
     return block
 
 
-def _envelope(a, b, t, bound):
+def _envelope(a, b, t, bound, chain: bool):
     """The lower envelope from the start value ``bound``, on one block of
-    flat points: ``_chain_envelope`` for a nonempty chain,
+    flat points: ``_chain_envelope`` for a nonempty ``chain``,
     ``_direct_envelope`` otherwise."""
-    if a.size and _is_chain(a, b):
+    if a.size and chain:
         return _chain_envelope(a, b, t, bound)
     return _direct_envelope(a, b, t, bound)
 
@@ -336,7 +288,7 @@ def upper_bound(constraints) -> CopulaSurface:
     cs = _as_constraints(constraints)
     # The lower envelope of the negated data from -M = max(-u, -v), at (-u, -v),
     # negated: its terms are t + (u - a)^+ + (v - b)^+ bit for bit.
-    lower = _envelope(-cs.a, -cs.b, -cs.theta, np.maximum)
+    lower = _envelope(-cs.a, -cs.b, -cs.theta, np.maximum, cs.is_increasing)
     fn = partial(_in_blocks, lambda u, v: -lower(-u, -v))
     tag = "known-copula" if cs.is_decreasing else "quasi-copula"
     return CopulaSurface(
@@ -350,7 +302,7 @@ def lower_bound(constraints) -> CopulaSurface:
     A copula (tagged ``known-copula``) when the point set is increasing.
     """
     cs = _as_constraints(constraints)
-    fn = partial(_in_blocks, _envelope(cs.a, cs.b, cs.theta, frechet_lower))
+    fn = partial(_in_blocks, _envelope(cs.a, cs.b, cs.theta, frechet_lower, cs.is_increasing))
     tag = "known-copula" if cs.is_increasing else "quasi-copula"
     return CopulaSurface(
         fn, tag=tag, name=f"constrained-lower(n={len(cs)})", structure=("point-set-lower", cs)

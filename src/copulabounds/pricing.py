@@ -229,12 +229,20 @@ def _strike_candidates(p: PayoffSpec) -> list[float]:
 def _edge_terms(payoffs, m: Marginal, on_x: bool) -> np.ndarray:
     """E[f(X, 0)] (``on_x``) or E[f(0, Y)] of each payoff, on one unit rule
     split at the CDF values of all their kinks; the quantile is evaluated
-    once, and each payoff's values are checked on their own."""
+    once, and each payoff's values are checked on their own.  A check that
+    fails raises QuadratureError naming the payoff and the marginal."""
     kinks = sorted({k for p in payoffs for k in _strike_candidates(p)})
     rule = unit_rule(breakpoints=m.cdf(np.asarray(kinks, dtype=float)))
     q = m.quantile_unchecked(rule.nodes)
     x, y = (q, 0.0) if on_x else (0.0, q)
-    return np.array([rule.integrate_checked(lambda _: payoff_value(p, x, y)) for p in payoffs])
+    terms = []
+    for p in payoffs:
+        try:
+            terms.append(rule.integrate_checked(lambda _: payoff_value(p, x, y)))
+        except QuadratureError as exc:
+            term = "E[f(X, 0)]" if on_x else "E[f(0, Y)]"
+            raise QuadratureError(f"{term} of {p!r} under {m!r} is not finite: {exc}") from None
+    return np.array(terms)
 
 
 class _Segment(NamedTuple):

@@ -106,8 +106,6 @@ class Rule:
         scale = max(1.0, abs(total))
         for dist in (self.nodes, 1.0 - self.nodes):
             near = dist < 1e-2
-            if not np.any(near):
-                continue
             decades = np.floor(-np.log10(np.maximum(dist[near], 1e-300))).astype(int)
             sums = np.bincount(decades, weights=contrib[near])
             mags = np.abs(sums[2:])

@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-12
+# Largest monotonicity or Lipschitz excess, and negative cell volume, of a
+# passing report.
 _VALIDATION_TOL = 1e-9
 # Largest boundary error of a passing report: a surface's edges are closed
 # forms, so they hold to rounding.
@@ -234,7 +236,6 @@ class ValidationReport:
 
     kind: str
     grid_n: int
-    tol: float
     boundary_error: float = 0.0
     boundary_at: tuple = ()
     monotonicity_violation: float = 0.0
@@ -250,11 +251,13 @@ class ValidationReport:
         ok = (
             not self.nonfinite_at
             and self.boundary_error <= _BOUNDARY_TOL
-            and self.monotonicity_violation <= self.tol
-            and self.lipschitz_violation <= self.tol
+            and self.monotonicity_violation <= _VALIDATION_TOL
+            and self.lipschitz_violation <= _VALIDATION_TOL
         )
         if self.kind == "copula":
-            ok = ok and (self.min_cell_volume is not None and self.min_cell_volume >= -self.tol)
+            ok = ok and (
+                self.min_cell_volume is not None and self.min_cell_volume >= -_VALIDATION_TOL
+            )
         return ok
 
     def summary(self) -> str:
@@ -284,12 +287,12 @@ def lattice(grid_n: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.meshgrid(g, g, indexing="ij"))
 
 
-def _validate(Z, kind: str, tol: float = _VALIDATION_TOL) -> ValidationReport:
+def _validate(Z, kind: str) -> ValidationReport:
     """Report on surface values ``Z`` at the nodes of ``lattice(grid_n)``."""
     Z = np.asarray(Z, dtype=float)
     grid_n = Z.shape[0] - 1
     g = np.linspace(0.0, 1.0, grid_n + 1)
-    rep = ValidationReport(kind=kind, grid_n=grid_n, tol=tol)
+    rep = ValidationReport(kind=kind, grid_n=grid_n)
     bad = ~np.isfinite(Z)
     if bad.any():  # the comparisons below pass NaN over
         i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -332,16 +335,12 @@ def _validate(Z, kind: str, tol: float = _VALIDATION_TOL) -> ValidationReport:
     return rep
 
 
-def validate_quasi_copula(
-    surface: CopulaSurface, grid_n: int = 200, tol: float = _VALIDATION_TOL
-) -> ValidationReport:
+def validate_quasi_copula(surface: CopulaSurface, grid_n: int = 200) -> ValidationReport:
     """Check boundary conditions, coordinatewise monotonicity, and the
     Lipschitz property on a lattice."""
-    return _validate(surface(*lattice(grid_n)), "quasi-copula", tol)
+    return _validate(surface(*lattice(grid_n)), "quasi-copula")
 
 
-def validate_copula(
-    surface: CopulaSurface, grid_n: int = 200, tol: float = _VALIDATION_TOL
-) -> ValidationReport:
+def validate_copula(surface: CopulaSurface, grid_n: int = 200) -> ValidationReport:
     """Quasi-copula checks plus nonnegative cell volumes on the lattice."""
-    return _validate(surface(*lattice(grid_n)), "copula", tol)
+    return _validate(surface(*lattice(grid_n)), "copula")

@@ -51,14 +51,14 @@ def test_criterion_2_envelope_copula_conditions():
     for i in range(50):
         pts = random_point_set(rng, int(rng.integers(1, 21)), "increasing")
         B = cb.lower_bound(pts)
-        ok = ok and B.is_copula and cb.validate_copula(B, grid_n=200, tol=1e-9).passed
+        ok = ok and B.is_copula and cb.validate_copula(B, grid_n=200).passed
         ok = ok and cb.validate_quasi_copula(cb.upper_bound(pts), grid_n=200).passed
         for a, b, t in pts:
             worst_match = max(worst_match, abs(float(B(a, b)) - t))
     for i in range(50):
         pts = random_point_set(rng, int(rng.integers(1, 21)), "decreasing")
         A = cb.upper_bound(pts)
-        ok = ok and A.is_copula and cb.validate_copula(A, grid_n=200, tol=1e-9).passed
+        ok = ok and A.is_copula and cb.validate_copula(A, grid_n=200).passed
         ok = ok and cb.validate_quasi_copula(cb.lower_bound(pts), grid_n=200).passed
         for a, b, t in pts:
             worst_match = max(worst_match, abs(float(A(a, b)) - t))

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -726,6 +727,18 @@ class TestEdgeTerms:
         payoffs = [cb.spread(k) for k in np.linspace(-50.0, 50.0, n)]
         cb.price_batch(payoffs, [cb.PRODUCT], *lognormal_marginals, panels=48)
         assert len(built) == 2
+
+    def test_infinite_edge_term_names_the_payoff_and_the_marginal(self, lognormal_marginals):
+        # a tenth of this marginal's mass lies at +inf: a put on the minimum
+        # still prices, while a spread's E[f(X, 0)] = E[X] is infinite
+        m, my = cb.Tabulated([50.0, 100.0, 150.0], [0.2, 0.5, 0.9]), lognormal_marginals[1]
+        assert cb.price(cb.put_on_min(100.0), cb.PRODUCT, m, my, panels=50) == pytest.approx(
+            19.55, abs=0.01
+        )
+        spread = cb.spread(0.0)
+        match = re.escape(f"E[f(X, 0)] of {spread!r} under Tabulated(n=3) is not finite")
+        with pytest.raises(cb.QuadratureError, match=match):
+            cb.price(spread, cb.PRODUCT, m, my)
 
 
 class TestDigitalDefaults:

@@ -26,6 +26,7 @@ from copulabounds.cli import main
 from copulabounds.functional import MonotoneFunctional
 from copulabounds.scenarios import (
     SCENARIOS,
+    CurveRow,
     ScenarioConfig,
     _scenario3_pieces,
     _scenario4_pieces,
@@ -457,6 +458,38 @@ class TestCli:
         code = main(["--scenario", "second-to-default", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_row_ordering_violation_exits_2_and_writes_the_csv(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # improved lower end 0.5 above the reference 0.3
+        bad = CurveRow(1.0, 0.0, 0.5, 0.3, 0.6, 1.0)
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg, pieces=None: [bad])
+        out = tmp_path / "x.csv"
+        assert main(["--scenario", "second-to-default", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "numerical failure: row ordering violated at axis=1.0 within 1e-09\n"
+        assert out.read_text().splitlines()[1:] == ["1.0,0.0,0.5,0.3,0.6,1.0"]
+
+    def test_failed_validation_exits_2(self, tmp_path, monkeypatch, capsys):
+        failing = cb.ValidationReport(kind="quasi-copula", grid_n=10, boundary_error=1.0)
+        monkeypatch.setattr(cli, "validate_scenario_surfaces", lambda cfg, pieces: [failing])
+        out = tmp_path / "x.csv"
+        assert main(["--scenario", "second-to-default", "--out", str(out), "--validate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("quasi-copula check on 11x11 grid: FAIL\n")
+        assert "wrote" not in err
+
+    def test_constraint_error_building_the_pieces_exits_1(self, tmp_path, monkeypatch, capsys):
+        spec = SCENARIOS["max-known"]
+        incompatible = [(0.21, 0.21, 0.0), (0.2, 0.2, 0.2)]
+        monkeypatch.setitem(SCENARIOS, "max-known", dataclasses.replace(
+            spec, pieces=lambda cfg: cb.ConstraintSet.from_points(incompatible)
+        ))
+        assert main(["--scenario", "max-known", "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: constraints 0 and 1 are incompatible: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("scenario", list(SWEEP_FAMILY))
     def test_validate_builds_the_pieces_once(self, tmp_path, monkeypatch, scenario):
         # the run and the validation share one (m_x, m_y, band)
@@ -772,9 +805,11 @@ def test_max_known_range_queries_and_cdf_points_are_pinned(monkeypatch):
     # envelopes query their sparse tables, one per run of consecutive path
     # nodes in one cell of the chain's grid over both envelopes, plus 400
     # per envelope at set-up (1,531,490, one per node, before runs shared
-    # them); and the points of the lognormal CDFs, whose survival bound on a
-    # path's uniform edges is evaluated only in the far tails (2,043,694
-    # when it was evaluated at every edge).
+    # them), and 800 for the constraint set's compatibility check, which
+    # evaluates a third chain envelope at its 400 points; and the points of
+    # the lognormal CDFs, whose survival bound on a path's uniform edges is
+    # evaluated only in the far tails (2,043,694 when it was evaluated at
+    # every edge).
     seen = {"queries": 0, "cdf": 0}
     query, cdf = constrained._RangeBest.__call__, marginals.LognormalMartingale.cdf
 
@@ -789,7 +824,7 @@ def test_max_known_range_queries_and_cdf_points_are_pinned(monkeypatch):
     monkeypatch.setattr(constrained._RangeBest, "__call__", counting_query)
     monkeypatch.setattr(marginals.LognormalMartingale, "cdf", counting_cdf)
     run_scenario(ScenarioConfig(scenario="max-known"))
-    assert seen == {"queries": 155684, "cdf": 1750452}
+    assert seen == {"queries": 156484, "cdf": 1750452}
 
 
 @pytest.mark.parametrize("rho", [-0.9, -0.7, -0.3, 0.0, 0.3, 0.5, 0.9])

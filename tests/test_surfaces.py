@@ -228,8 +228,8 @@ def test_typed_errors(make, fragment):
 class TestValidators:
     def test_known_copulas_pass(self):
         for surf in (cb.FRECHET_UPPER, cb.FRECHET_LOWER, cb.PRODUCT, cb.gaussian_copula(0.5)):
-            assert cb.validate_copula(surf, grid_n=200, tol=1e-9).passed
-            assert cb.validate_quasi_copula(surf, grid_n=200, tol=1e-9).passed
+            assert cb.validate_copula(surf, grid_n=200).passed
+            assert cb.validate_quasi_copula(surf, grid_n=200).passed
 
     def test_quasi_copula_counterexample(self):
         # two increasing constraints whose upper envelope loses 2-increasingness
