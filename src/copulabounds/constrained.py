@@ -2,10 +2,11 @@
 
 Given the values of an unknown copula on a finite set of points, the
 pointwise envelope of all quasi-copulas matching those values is
-computable in closed form.  The upper envelope adds the one-sided
-Lipschitz cone to each constraint and takes the minimum; the lower
-envelope subtracts it and takes the maximum; the upper one is coded as
-the lower one's image under negating a, b, theta, u and v.  When the point
+computable in closed form: the largest of W and each constraint less
+the one-sided Lipschitz cone, and the smallest of M and each constraint
+plus the cone.  The upper terms are the lower ones' image under negating
+a, b, theta, u and v.  A set builds its lower terms once, which its
+check and ``lower_bound`` read; W or M is applied last.  When the point
 set is decreasing the upper envelope is itself a copula (and hence sharp
 for copulas too); when it is increasing the lower envelope is.
 
@@ -18,13 +19,13 @@ alone.  The best term is therefore among three candidates: a prefix
 best, read from a table of running maxima, a suffix best, read from a
 table of best constraints, and the range best of the one middle range
 that can be nonempty, read from a sparse table of best indices.  Set-up
-is O(n log n) per envelope.  Each point costs two binary searches; the
-two table lookups and the range query are made once per run of
-consecutive points that fall in the same ranges, and each candidate
-costs at most three subtractions.  Other point sets use the direct
-formula, O(n) numpy operations per point.  Construction checks every
-pair by evaluating the lower envelope at the data, so in O(n log n) on an
-increasing set.
+is O(n log n) per side, built with the set or by ``upper_bound``.  Each
+point costs two binary searches; the two table lookups and the range
+query are made once per run of consecutive points that fall in the same
+ranges, and each candidate costs at most three subtractions.  Other
+point sets use the direct formula, O(n) numpy operations per point.
+Construction checks every pair by evaluating the lower terms at the
+data, so in O(n log n) on an increasing set.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .marginals import Marginal, read_csv_rows
-from .surfaces import CopulaSurface, frechet_lower, frechet_upper
+from .surfaces import CopulaSurface, frechet_lower, frechet_upper, in_blocks
 
 __all__ = [
     "ConstraintError",
@@ -53,7 +54,7 @@ _TOL = 1e-12
 # Points per block of an envelope evaluation: bounds its temporaries and
 # keeps them in cache.  On a chain they and the block's output peak at about
 # 31 bytes a point on pricing-path nodes, and at 121 where no two
-# consecutive points share a run.
+# consecutive points share a run (README: Block sizes).
 _BLOCK_POINTS = 1 << 13
 
 
@@ -79,13 +80,14 @@ class ConstraintSet:
     the Frechet bounds at its point and that every pair satisfies the
     directed Lipschitz inequality
     ``theta_j - theta_i <= (a_j - a_i)^+ + (b_j - b_i)^+``, which is
-    exactly quasi-copula compatibility for point data.  The largest excess
-    over the pairs (i, j) with i fixed is the lower envelope of the
-    constraints' terms alone (started from -inf) at (a_i, b_i), less
-    theta_i; so one envelope evaluation at the data checks every pair, in
-    O(n log n) on an increasing set.  Inconsistent data is rejected, never
-    projected.  The arrays are read-only, so the checked data cannot
-    change; sets compare and hash by identity.
+    exactly quasi-copula compatibility for point data.  The set builds
+    its lower terms (the largest constraint term, before W) once.  The
+    largest excess over the pairs (i, j) with i fixed is those terms at
+    (a_i, b_i), less theta_i, so one evaluation at the data checks every
+    pair, in O(n log n) on an increasing set; ``lower_bound`` clips the
+    same terms at W.  Inconsistent data is rejected, never projected.
+    The arrays are read-only, so the checked data cannot change; sets
+    compare and hash by identity, and a loaded pickle is checked again.
     """
 
     a: np.ndarray
@@ -93,6 +95,7 @@ class ConstraintSet:
     theta: np.ndarray
     is_increasing: bool = field(init=False)
     is_decreasing: bool = field(init=False)
+    _terms: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
         a, b, t = (np.array(c, dtype=float) for c in (self.a, self.b, self.theta))
@@ -116,8 +119,8 @@ class ConstraintSet:
                 f"constraint {i}: value {t[i]} at ({a[i]}, {b[i]}) outside "
                 f"Frechet bounds [{lo[i]}, {hi[i]}]"
             )
-        terms = _envelope(a, b, t, lambda u, v: np.full(u.shape, -np.inf), self.is_increasing)
-        excess = _in_blocks(terms, a, b) - t
+        object.__setattr__(self, "_terms", _envelope(a, b, t, self.is_increasing))
+        excess = in_blocks(self._terms, _BLOCK_POINTS, a, b) - t
         if np.any(excess > _TOL):
             # the worst pair, first in row-major order
             i = int(np.argmax(excess))
@@ -135,6 +138,10 @@ class ConstraintSet:
     def __len__(self) -> int:
         return int(self.a.size)
 
+    def __reduce__(self):
+        # a loaded set is checked again, and builds its own terms
+        return ConstraintSet, (self.a, self.b, self.theta)
+
 
 def _as_constraints(constraints) -> ConstraintSet:
     if isinstance(constraints, ConstraintSet):
@@ -146,23 +153,12 @@ def _lower_term(t, a, b, u, v):
     return t - np.maximum(a - u, 0.0) - np.maximum(b - v, 0.0)
 
 
-def _in_blocks(block, u, v):
-    """``block`` on the broadcast points ``(u, v)``, ``_BLOCK_POINTS`` at a time."""
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    out = np.empty(u.shape)
-    flat, u, v = out.reshape(-1), u.ravel(), v.ravel()
-    for p in range(0, flat.size, _BLOCK_POINTS):
-        sl = slice(p, p + _BLOCK_POINTS)
-        flat[sl] = block(u[sl], v[sl])
-    return out
-
-
-def _direct_envelope(a, b, t, bound):
-    """The lower envelope by its definition: the largest of ``bound`` and
-    every constraint's term, one constraint at a time."""
+def _direct_envelope(a, b, t):
+    """The lower terms by their definition: the largest constraint term,
+    one constraint at a time."""
 
     def block(u, v):
-        out = bound(u, v)
+        out = np.full(u.shape, -np.inf)
         for ak, bk, tk in zip(a, b, t):
             out = np.maximum(out, _lower_term(tk, ak, bk, u, v))
         return out
@@ -208,8 +204,8 @@ class _RangeBest:
         return np.where(self.keys[row * n + c2] > self.keys[row * n + c1], c2, c1)
 
 
-def _chain_envelope(a, b, t, bound):
-    """The lower envelope of a chain, equal to ``_direct_envelope``.
+def _chain_envelope(a, b, t):
+    """The lower terms of a chain, equal to ``_direct_envelope``.
 
     Sorted by (a, b), a chain has both coordinates nondecreasing, so with
     i = #{a_k <= u} and j = #{b_k <= v} the sign of every clamp in the
@@ -240,7 +236,6 @@ def _chain_envelope(a, b, t, bound):
     middle_c = np.concatenate((a, b))  # the clamped coordinate of row r at r * n + k
 
     def block(u, v):
-        out = bound(u, v)
         # (i, j) as one key i * (n + 1) + j, and where its runs start
         ij = np.searchsorted(a, u, side="right")
         ij *= n + 1
@@ -253,7 +248,7 @@ def _chain_envelope(a, b, t, bound):
         counts = np.diff(starts, append=u.size)
         # from here i, j and the tables' entries are one per run
         lo, hi, row = np.minimum(i, j), np.maximum(i, j), j < i
-        np.maximum(out, np.repeat(prefix_t[lo], counts), out=out)
+        out = np.repeat(prefix_t[lo], counts)
         k = best_in(row, lo, hi)
         term = np.repeat(middle_c[row * n + k], counts)
         term -= np.where(np.repeat(row, counts), v, u)
@@ -270,13 +265,13 @@ def _chain_envelope(a, b, t, bound):
     return block
 
 
-def _envelope(a, b, t, bound, chain: bool):
-    """The lower envelope from the start value ``bound``, on one block of
-    flat points: ``_chain_envelope`` for a nonempty ``chain``,
+def _envelope(a, b, t, chain: bool):
+    """The largest constraint term, -inf where there is none, on one block
+    of flat points: ``_chain_envelope`` for a nonempty ``chain``,
     ``_direct_envelope`` otherwise."""
     if a.size and chain:
-        return _chain_envelope(a, b, t, bound)
-    return _direct_envelope(a, b, t, bound)
+        return _chain_envelope(a, b, t)
+    return _direct_envelope(a, b, t)
 
 
 def upper_bound(constraints) -> CopulaSurface:
@@ -286,10 +281,11 @@ def upper_bound(constraints) -> CopulaSurface:
     in general only a quasi-copula.
     """
     cs = _as_constraints(constraints)
-    # The lower envelope of the negated data from -M = max(-u, -v), at (-u, -v),
-    # negated: its terms are t + (u - a)^+ + (v - b)^+ bit for bit.
-    lower = _envelope(-cs.a, -cs.b, -cs.theta, np.maximum, cs.is_increasing)
-    fn = partial(_in_blocks, lambda u, v: -lower(-u, -v))
+    # The lower terms of the negated data at (-u, -v), negated, are
+    # t + (u - a)^+ + (v - b)^+ bit for bit.
+    terms = _envelope(-cs.a, -cs.b, -cs.theta, cs.is_increasing)
+    fn = partial(in_blocks, lambda u, v: np.minimum(frechet_upper(u, v), -terms(-u, -v)),
+                 _BLOCK_POINTS)
     tag = "known-copula" if cs.is_decreasing else "quasi-copula"
     return CopulaSurface(
         fn, tag=tag, name=f"constrained-upper(n={len(cs)})", structure=("point-set-upper", cs)
@@ -302,7 +298,8 @@ def lower_bound(constraints) -> CopulaSurface:
     A copula (tagged ``known-copula``) when the point set is increasing.
     """
     cs = _as_constraints(constraints)
-    fn = partial(_in_blocks, _envelope(cs.a, cs.b, cs.theta, frechet_lower, cs.is_increasing))
+    fn = partial(in_blocks, lambda u, v: np.maximum(frechet_lower(u, v), cs._terms(u, v)),
+                 _BLOCK_POINTS)
     tag = "known-copula" if cs.is_increasing else "quasi-copula"
     return CopulaSurface(
         fn, tag=tag, name=f"constrained-lower(n={len(cs)})", structure=("point-set-lower", cs)

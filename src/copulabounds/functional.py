@@ -63,6 +63,7 @@ from .surfaces import (
     check_unit_point,
     frechet_lower,
     frechet_upper,
+    in_blocks,
 )
 
 __all__ = [
@@ -83,7 +84,9 @@ _MAP_NODES = 49
 # probes each), and lines of constant u added around each turning point.
 _TRACE_ROWS = 1001
 _TURN_ROWS = 129
-# Points per one-point-map call in the inversion.
+# Points per one-point-map call in the inversion: a map call holds several
+# node arrays per point, so this bounds its memory whatever the number of
+# levels inverted together (README: Block sizes).
 _MAP_BLOCK = 512
 # Sampled rectangles of the 2-increasing spot check.
 _SPOT_CHECK_SAMPLES = 64
@@ -409,19 +412,6 @@ def check_theta_tol(theta_tol) -> None:
         )
 
 
-def _map_blocks(fmap, a, b, theta) -> np.ndarray:
-    """``fmap`` at the points of same-shape ``a``, ``b``, ``theta``, flattened,
-    in blocks of at most ``_MAP_BLOCK`` points: a map call holds several
-    node arrays per point, so this bounds its memory whatever the number of
-    levels inverted together."""
-    a, b, theta = np.ravel(a), np.ravel(b), np.ravel(theta)
-    out = np.empty(a.size)
-    for s in range(0, a.size, _MAP_BLOCK):
-        blk = slice(s, s + _MAP_BLOCK)
-        out[blk] = fmap(a[blk], b[blk], theta[blk])
-    return out
-
-
 class _Side(NamedTuple):
     """One side of the inversion, keyed in ``_SIDES`` by the one-point map
     it inverts.  Its predicate holds left of the map's extreme root; out of
@@ -450,7 +440,7 @@ _SIDES = {
 def _saturation_end(functional, a, b, side: _Side) -> np.ndarray:
     """The map of ``side`` at the end of the points' Frechet brackets that
     decides saturation.  It does not depend on the level."""
-    return _map_blocks(side.map(functional), a, b, side.saturation(a, b)).reshape(np.shape(a))
+    return in_blocks(side.map(functional), _MAP_BLOCK, a, b, side.saturation(a, b))
 
 
 def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
@@ -478,7 +468,7 @@ def _invert_batch(functional, a, b, level, side: str, theta_tol: float):
     shape = np.broadcast(a, target).shape
     a_flat, b_flat, t_flat = (np.broadcast_to(x, shape).ravel() for x in (a, b, target))
     left, right = solve_brackets(
-        lambda th, i: _map_blocks(s.map(functional), a_flat[i], b_flat[i], th) - t_flat[i],
+        lambda th, i: in_blocks(s.map(functional), _MAP_BLOCK, a_flat[i], b_flat[i], th) - t_flat[i],
         frechet_lower(a, b), frechet_upper(a, b), f_lo - target, f_hi - target,
         theta_tol, strict=s.strict,
     )

@@ -73,6 +73,17 @@ def check_unit_point(a: float, b: float) -> None:
         raise ValueError("(a, b) must lie in the unit square")
 
 
+def in_blocks(fn, size: int, *args) -> np.ndarray:
+    """``fn`` on the broadcast float arrays ``args``, flattened, ``size``
+    points at a time; the values in the broadcast shape."""
+    args = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in args))
+    out = np.empty(args[0].shape)
+    flat, args = out.reshape(-1), [x.ravel() for x in args]
+    for p in range(0, flat.size, size):
+        flat[p:p + size] = fn(*(x[p:p + size] for x in args))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class CopulaSurface:
     """Evaluable function on the unit square with provenance metadata.

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import copulabounds as cb
-from copulabounds import cli, functional, pricing, quadrature
+from copulabounds import cli, constrained, functional, pricing, quadrature
 from copulabounds.scenarios import SCENARIOS
 
 PUBLIC = {
@@ -227,6 +227,8 @@ def test_measured_tables_choose_the_shipped_constants():
     [thresholds, *_] = _chosen("Allocator thresholds", "thresholds (mmap / trim)")
     mmap, trim = (int(t.removesuffix(" MB")) << 20 for t in thresholds.split(" / "))
     assert (mmap, trim) == (cli._MMAP_THRESHOLD, cli._TRIM_THRESHOLD)
+    assert int(_chosen("Block sizes", "`_MAP_BLOCK`")[0]) == functional._MAP_BLOCK
+    assert int(_chosen("Block sizes", "`_BLOCK_POINTS`")[0]) == constrained._BLOCK_POINTS
 
 
 def test_panels_table_chooses_each_scenarios_default():

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -130,6 +131,18 @@ class TestConstraintValidation:
             with pytest.raises(ValueError, match="read-only"):
                 col[0] = 0.9
         assert cs != cb.ConstraintSet.from_points([(0.2, 0.3, 0.1), (0.6, 0.7, 0.5)])
+
+    @pytest.mark.parametrize("kind", ["increasing", "decreasing", "random"])
+    def test_a_set_round_trips_through_pickle(self, rng, kind):
+        cs = cb.ConstraintSet.from_points(random_point_set(rng, 12, kind))
+        loaded = pickle.loads(pickle.dumps(cs))
+        for name in ("a", "b", "theta"):
+            assert np.array_equal(getattr(loaded, name), getattr(cs, name))
+            assert not getattr(loaded, name).flags.writeable
+        assert (loaded.is_increasing, loaded.is_decreasing) == (cs.is_increasing, cs.is_decreasing)
+        U, V = grid(11)
+        for env in (cb.lower_bound, cb.upper_bound):
+            assert np.array_equal(env(loaded)(U, V), env(cs)(U, V))
 
     def test_blocked_check_reports_the_full_matrix_pair(self, rng, monkeypatch):
         # the worst pair, first in row-major order, whatever the block size
@@ -352,6 +365,25 @@ class TestChainPath:
         monkeypatch.setattr(constrained, "_direct_envelope", None)
         g = np.linspace(0.0, 1.0, 16000)
         cb.ConstraintSet.from_points(zip(g, g * g, g * g * g))
+
+    def test_a_chain_builds_its_lower_tables_once(self, monkeypatch):
+        # the set's check and its lower envelope read one set of lower
+        # terms; the upper envelope builds the negated set's terms
+        builds = [0]
+        init = constrained._RangeBest.__init__
+
+        def counting_init(self, keys):
+            builds[0] += 1
+            init(self, keys)
+
+        monkeypatch.setattr(constrained._RangeBest, "__init__", counting_init)
+        g = np.linspace(0.0, 1.0, 400)
+        cs = cb.ConstraintSet.from_points(zip(g, g * g, g * g * g))
+        assert cs.is_increasing and builds == [1]
+        cb.lower_bound(cs)
+        assert builds == [1]
+        cb.upper_bound(cs)
+        assert builds == [2]
 
     @given(points=_chains(), data=st.data())
     @settings(max_examples=300, deadline=None)

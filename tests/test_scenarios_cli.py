@@ -804,9 +804,10 @@ def test_max_known_range_queries_and_cdf_points_are_pinned(monkeypatch):
     # In a default max-known sweep: the points at which the point-set
     # envelopes query their sparse tables, one per run of consecutive path
     # nodes in one cell of the chain's grid over both envelopes, plus 400
-    # per envelope at set-up (1,531,490, one per node, before runs shared
-    # them), and 800 for the constraint set's compatibility check, which
-    # evaluates a third chain envelope at its 400 points; and the points of
+    # per side at set-up (1,531,490, one per node, before runs shared
+    # them), and 400 for the constraint set's compatibility check, which
+    # evaluates the lower side's terms at its 400 points (800 when the check
+    # built a third set of tables); and the points of
     # the lognormal CDFs, whose survival bound on a path's uniform edges is
     # evaluated only in the far tails (2,043,694 when it was evaluated at
     # every edge).
@@ -824,7 +825,7 @@ def test_max_known_range_queries_and_cdf_points_are_pinned(monkeypatch):
     monkeypatch.setattr(constrained._RangeBest, "__call__", counting_query)
     monkeypatch.setattr(marginals.LognormalMartingale, "cdf", counting_cdf)
     run_scenario(ScenarioConfig(scenario="max-known"))
-    assert seen == {"queries": 156484, "cdf": 1750452}
+    assert seen == {"queries": 156084, "cdf": 1750452}
 
 
 @pytest.mark.parametrize("rho", [-0.9, -0.7, -0.3, 0.0, 0.3, 0.5, 0.9])
